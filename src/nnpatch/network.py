@@ -153,15 +153,17 @@ def build_mlp(layer_sizes, seed: int = 0, hidden_activation: str = "relu") -> Mo
     return Model(tuple(specs), tuple(ws), tuple(bs))
 
 
-def _activate(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str, axis: int = -1) -> np.ndarray:
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "identity":
         return z
-    # softmax, stabilized; rows of an empty batch stay empty
-    shifted = z - z.max(axis=1, keepdims=True) if z.shape[0] else z
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True) if z.shape[0] else e
+    # softmax over the class axis, stabilized; an empty batch stays empty
+    if not z.size:
+        return np.exp(z)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
@@ -200,10 +202,15 @@ def forward(model: Model, batch: Batch) -> np.ndarray:
     return _trace(model, inputs)[1][-1]
 
 
+def loss_from_picked(picked: np.ndarray) -> np.ndarray:
+    """Mean categorical cross-entropy over the last axis of the
+    probabilities given to each sample's label, clamped at PROB_CLAMP."""
+    return -np.log(np.clip(picked, PROB_CLAMP, None)).mean(axis=-1)
+
+
 def loss_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean categorical cross-entropy, probabilities clamped at PROB_CLAMP."""
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.log(np.clip(picked, PROB_CLAMP, None)).mean())
+    return float(loss_from_picked(probs[np.arange(len(labels)), labels]))
 
 
 def loss(model: Model, batch: Batch) -> float:

@@ -4,12 +4,13 @@ Fitness rewards patching failed samples and keeping sampled passed samples
 intact (weighted by alpha), plus loss-ratio terms; an optional perfect-intact
 gate zeroes any candidate that breaks even one passed sample. Half the swarm
 starts at the original weights, half from a normal fit to the repair layer's
-weight distribution.
+weight distribution. The swarm is (P, D) arrays, scored in batched passes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +19,11 @@ from .localization import LocalizedSet
 from .network import (
     Batch,
     Model,
+    _activate,
     forward,
+    layer_inputs,
     loss,
+    loss_from_picked,
     loss_from_probs,
     read_weights,
     write_weights,
@@ -27,6 +31,10 @@ from .network import (
 
 VARIANTS = ("eq1", "eq2")
 ORIENTATIONS = ("prose", "literal")
+
+# Cap on each stacked activation array in BatchScorer: bounds its memory; the chunk
+# it implies depends only on sample counts and layer widths, never on the machine.
+CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,29 +99,14 @@ class FitnessBreakdown:
     gated_fitness: float
 
 
-@dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
-    best_breakdown: FitnessBreakdown | None
-    rng: np.random.Generator
-
-
-@dataclass
-class Swarm:
-    particles: list[Particle]
-    mu_hat: float
-    sigma_hat: float
-
-
 @dataclass(frozen=True)
 class TraceRow:
     iteration: int
     gbest_fitness: float
     n_patched: int
     n_intact: int
+    n_gated: int  # candidates of this iteration whose score the gate changed
+    n_pbest_improved: int  # particles whose personal best rose this iteration
 
 
 @dataclass(frozen=True)
@@ -161,6 +154,36 @@ def raw_fitness(
     return base + cfg.beta * r_neg
 
 
+class Scores(NamedTuple):
+    """Fitness ingredients of many candidates, one array entry each."""
+
+    n_patched: np.ndarray
+    n_intact: np.ndarray
+    loss_neg: np.ndarray
+    loss_pos: np.ndarray
+    raw: np.ndarray
+    gated: np.ndarray
+
+    def breakdown(self, k: int, base_losses: tuple[float, float]) -> FitnessBreakdown:
+        return FitnessBreakdown(
+            int(self.n_patched[k]), int(self.n_intact[k]),
+            base_losses[0], float(self.loss_neg[k]),
+            base_losses[1], float(self.loss_pos[k]),
+            float(self.raw[k]), float(self.gated[k]),
+        )
+
+
+def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig) -> Scores:
+    """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
+    mean losses, one column per candidate; non-finite raw fitness is -inf."""
+    with np.errstate(invalid="ignore"):
+        ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
+        raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
+    raw = np.where(np.isfinite(raw), raw, -np.inf)
+    gated = np.where(cfg.perfect_intact & (counts[1] < sizes[1]), 0.0, raw)
+    return Scores(*counts, *losses, raw, gated)
+
+
 def fitness(
     candidate: Model,
     i_neg: Batch,
@@ -175,35 +198,12 @@ def fitness(
     """
     if len(i_neg) == 0 or len(i_pos) == 0:
         raise ValueError("fitness needs non-empty I_neg and I_pos")
-    base_neg, base_pos = base_losses
-    probs_neg = forward(candidate, i_neg)
-    probs_pos = forward(candidate, i_pos)
-    n_patched = int((np.argmax(probs_neg, axis=1) == i_neg.labels).sum())
-    n_intact = int((np.argmax(probs_pos, axis=1) == i_pos.labels).sum())
-    loss_neg = loss_from_probs(probs_neg, i_neg.labels)
-    loss_pos = loss_from_probs(probs_pos, i_pos.labels)
-    raw = raw_fitness(
-        n_patched,
-        len(i_neg),
-        n_intact,
-        len(i_pos),
-        loss_ratio(base_neg, loss_neg, cfg),
-        loss_ratio(base_pos, loss_pos, cfg),
-        cfg,
-    )
-    if not math.isfinite(raw):
-        raw = float("-inf")
-    gated = 0.0 if (cfg.perfect_intact and n_intact < len(i_pos)) else raw
-    return FitnessBreakdown(
-        n_patched=n_patched,
-        n_intact=n_intact,
-        loss_neg_before=base_neg,
-        loss_neg_after=loss_neg,
-        loss_pos_before=base_pos,
-        loss_pos_after=loss_pos,
-        raw_fitness=raw,
-        gated_fitness=gated,
-    )
+    batches = (i_neg, i_pos)
+    probs = [forward(candidate, b) for b in batches]
+    counts = [[(np.argmax(p, axis=1) == b.labels).sum()] for p, b in zip(probs, batches)]
+    losses = [[loss_from_probs(p, b.labels)] for p, b in zip(probs, batches)]
+    scores = _score(np.array(counts), np.array(losses), (len(i_neg), len(i_pos)), base_losses, cfg)
+    return scores.breakdown(0, base_losses)
 
 
 def layer_weight_stats(model: Model, layer: int) -> tuple[float, float]:
@@ -217,41 +217,81 @@ def layer_weight_stats(model: Model, layer: int) -> tuple[float, float]:
     return mu, sigma
 
 
-def init_swarm(localized: LocalizedSet, model: Model, cfg: SwarmConfig) -> Swarm:
-    """Half/half initialization with zero velocities.
+class BatchScorer:
+    """Scores many values of the localized weights at once.
 
-    ceil(p/2) particles sit at the original weights; the rest draw i.i.d.
-    from Normal(mu_hat, sigma_hat^2) fit to the repair layer. Every particle
-    owns an RNG stream spawned from the config seed, so later velocity draws
-    are independent of evaluation order.
+    The inputs to the repair layer for I_neg and I_pos are computed once;
+    each call runs only the layers from the repair layer up, on feature-major
+    (chunk, width, n) stacks of at most CHUNK_BYTES each. Each candidate gets
+    its own matrix products and reductions, so its scores do not depend on
+    its chunk and a candidate at the original weights scores exactly like
+    `identity`. A candidate with a non-finite value scores -inf.
+    """
+
+    def __init__(self, model: Model, refs, i_neg: Batch, i_pos: Batch, cfg: FitnessConfig):
+        if len(i_neg) == 0 or len(i_pos) == 0:
+            raise ValueError("fitness needs non-empty I_neg and I_pos")
+        if max(i_neg.labels.max(), i_pos.labels.max()) >= model.n_classes:
+            raise ValueError("label out of range for this model")
+        original = read_weights(model, refs)[None]
+        layer = refs[0].layer
+        self.cfg = cfg
+        self.sizes = (len(i_neg), len(i_pos))
+        inputs = [layer_inputs(model, b, layer).T.copy() for b in (i_neg, i_pos)]
+        self.sets = [(a, b.labels, np.arange(len(b))) for a, b in zip(inputs, (i_neg, i_pos))]
+        above = zip(model.layers[layer:], model.weights[layer:], model.biases[layer:])
+        self.layers = [(spec.activation, w.T.copy(), b[:, None]) for spec, w, b in above]
+        self.flat = np.array([r.j * model.layers[layer].input_size + r.i for r in refs])
+        widest = max(len(b) for _, _, b in self.layers)
+        self.chunk = max(1, CHUNK_BYTES // (8 * max(self.sizes) * widest))
+        self.base_losses = tuple(float(row[0]) for row in self._counts_and_losses(original)[1])
+        self.identity = self(original)
+
+    def _counts_and_losses(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Correct counts and mean losses, rows (I_neg, I_pos) by candidate."""
+        counts = np.zeros((2, len(positions)), dtype=np.int64)
+        losses = np.empty((2, len(positions)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(positions), self.chunk):
+                block = positions[lo:lo + self.chunk]
+                weights = np.repeat(self.layers[0][1][None], len(block), axis=0)
+                weights.reshape(len(block), -1)[:, self.flat] = block
+                for s, (a, labels, samples) in enumerate(self.sets):
+                    for k, (activation, w, b) in enumerate(self.layers):
+                        z = np.matmul(weights if k == 0 else w, a) + b
+                        a = _activate(z, activation, axis=-2)
+                    counts[s, lo:lo + len(block)] = (a.argmax(axis=-2) == labels).sum(axis=-1)
+                    # C order, so each mean sums its samples as a 1-D batch would
+                    picked = np.ascontiguousarray(a[:, labels, samples])
+                    losses[s, lo:lo + len(block)] = loss_from_picked(picked)
+        return counts, losses
+
+    def __call__(self, positions: np.ndarray) -> Scores:
+        """Scores of a (P, D) array of candidate weight values."""
+        counts, losses = self._counts_and_losses(positions)
+        scores = _score(counts, losses, self.sizes, self.base_losses, self.cfg)
+        bad = ~np.isfinite(positions).all(axis=1)
+        scores.raw[bad] = scores.gated[bad] = -np.inf
+        return scores
+
+
+def init_swarm(
+    localized: LocalizedSet, model: Model, cfg: SwarmConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half/half positions and zero velocities, as (P, D) arrays.
+
+    The first ceil(P/2) rows sit at the original weights; the rest are one
+    block of i.i.d. draws from Normal(mu_hat, sigma_hat^2), fit to the repair
+    layer, taken from `rng`.
     """
     if len(localized) == 0:
         raise ValueError("cannot initialize a swarm over an empty localized set")
     refs = localized.refs
-    layer = refs[0].layer
-    mu, sigma = layer_weight_stats(model, layer)
-    original = read_weights(model, refs)
-    dim = len(refs)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_particles)
+    mu, sigma = layer_weight_stats(model, refs[0].layer)
     n_original = (cfg.n_particles + 1) // 2
-    particles = []
-    for k in range(cfg.n_particles):
-        rng = np.random.default_rng(streams[k])
-        if k < n_original:
-            pos = original.copy()
-        else:
-            pos = rng.normal(mu, sigma, size=dim)
-        particles.append(
-            Particle(
-                position=pos,
-                velocity=np.zeros(dim),
-                best_position=pos.copy(),
-                best_fitness=float("-inf"),
-                best_breakdown=None,
-                rng=rng,
-            )
-        )
-    return Swarm(particles=particles, mu_hat=mu, sigma_hat=sigma)
+    sampled = rng.normal(mu, sigma, size=(cfg.n_particles - n_original, len(refs)))
+    positions = np.vstack([np.tile(read_weights(model, refs), (n_original, 1)), sampled])
+    return positions, np.zeros_like(positions)
 
 
 def repair(
@@ -265,93 +305,51 @@ def repair(
     """Global-best PSO over the localized weights.
 
     Synchronous updates: every particle moves against the previous
-    iteration's global best, and the global best is re-reduced in fixed
-    particle order afterwards, so results do not depend on evaluation
-    scheduling. If nothing strictly beats the identity patch the original
-    model is returned unchanged.
+    iteration's global best, which is then re-reduced in fixed particle
+    order (ties keep the incumbent). One stream seeded by `scfg.seed` draws
+    the sampled initial positions, then per iteration a (P, D) uniform block
+    for the cognitive term and one for the social term. If nothing strictly
+    beats the identity patch the original model is returned unchanged.
     """
-    base_losses = (loss(model, i_neg), loss(model, i_pos))
-    identity = fitness(model, i_neg, i_pos, base_losses, fcfg)
     if len(localized) == 0:
-        return RepairResult(
-            model=model,
-            best=identity,
-            trace=(),
-            best_position=None,
-            identity_fallback=True,
-            no_search_space=True,
-        )
+        base_losses = (loss(model, i_neg), loss(model, i_pos))
+        best = fitness(model, i_neg, i_pos, base_losses, fcfg)
+        return RepairResult(model, best, (), None, identity_fallback=True, no_search_space=True)
     refs = localized.refs
+    scorer = BatchScorer(model, refs, i_neg, i_pos, fcfg)
+    rng = np.random.default_rng(scfg.seed)
+    pos, vel = init_swarm(localized, model, scfg, rng)
+    vmax = scfg.velocity_clamp * layer_weight_stats(model, refs[0].layer)[1]
+    pbest_pos, pbest_fit = pos.copy(), np.full(len(pos), -np.inf)
+    gbest, gbest_pos, trace = None, None, []
+    for it in range(scfg.n_iterations + 1):
+        if it:
+            r1, r2 = rng.uniform(size=(2, *pos.shape))
+            vel = (scfg.inertia * vel + scfg.cognitive * r1 * (pbest_pos - pos)
+                   + scfg.social * r2 * (gbest_pos - pos))
+            np.clip(vel, -vmax, vmax, out=vel)
+            pos = pos + vel
+        scores = scorer(pos)
+        improved = scores.gated > pbest_fit
+        pbest_fit[improved] = scores.gated[improved]
+        pbest_pos[improved] = pos[improved]
+        # a particle that overtakes gbest improved just now, so `scores` holds its pbest
+        k = int(np.argmax(pbest_fit))
+        if gbest is None or pbest_fit[k] > gbest.gated_fitness:
+            gbest, gbest_pos = scores.breakdown(k, scorer.base_losses), pbest_pos[k].copy()
+        n_gated = int(np.count_nonzero(scores.gated != scores.raw))
+        trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact,
+                              n_gated, int(improved.sum())))
 
-    def evaluate(position: np.ndarray) -> FitnessBreakdown:
-        if not np.isfinite(position).all():
-            return FitnessBreakdown(
-                0, 0, base_losses[0], float("inf"), base_losses[1], float("inf"),
-                float("-inf"), float("-inf"),
-            )
-        return fitness(write_weights(model, refs, position), i_neg, i_pos, base_losses, fcfg)
-
-    swarm = init_swarm(localized, model, scfg)
-    vmax = scfg.velocity_clamp * swarm.sigma_hat
-
-    gbest_pos: np.ndarray | None = None
-    gbest: FitnessBreakdown | None = None
-
-    def reduce_gbest() -> None:
-        # fixed particle order; ties keep the incumbent
-        nonlocal gbest_pos, gbest
-        for p in swarm.particles:
-            if gbest is None or p.best_fitness > gbest.gated_fitness:
-                gbest = p.best_breakdown
-                gbest_pos = p.best_position.copy()
-
-    for p in swarm.particles:
-        p.best_breakdown = evaluate(p.position)
-        p.best_fitness = p.best_breakdown.gated_fitness
-    reduce_gbest()
-
-    trace = [TraceRow(0, gbest.gated_fitness, gbest.n_patched, gbest.n_intact)]
-
-    for it in range(1, scfg.n_iterations + 1):
-        anchor = gbest_pos.copy()
-        for p in swarm.particles:
-            r1 = p.rng.uniform(size=len(refs))
-            r2 = p.rng.uniform(size=len(refs))
-            p.velocity = (
-                scfg.inertia * p.velocity
-                + scfg.cognitive * r1 * (p.best_position - p.position)
-                + scfg.social * r2 * (anchor - p.position)
-            )
-            np.clip(p.velocity, -vmax, vmax, out=p.velocity)
-            p.position = p.position + p.velocity
-            bd = evaluate(p.position)
-            if bd.gated_fitness > p.best_fitness:
-                p.best_fitness = bd.gated_fitness
-                p.best_position = p.position.copy()
-                p.best_breakdown = bd
-        reduce_gbest()
-        trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact))
-
-    if gbest.gated_fitness > identity.gated_fitness:
-        return RepairResult(
-            model=write_weights(model, refs, gbest_pos),
-            best=gbest,
-            trace=tuple(trace),
-            best_position=gbest_pos,
-            identity_fallback=False,
-        )
-    return RepairResult(
-        model=model,
-        best=identity,
-        trace=tuple(trace),
-        best_position=None,
-        identity_fallback=True,
-    )
+    if gbest.gated_fitness > scorer.identity.gated[0]:
+        patched = write_weights(model, refs, gbest_pos)
+        return RepairResult(patched, gbest, tuple(trace), gbest_pos, identity_fallback=False)
+    best = scorer.identity.breakdown(0, scorer.base_losses)
+    return RepairResult(model, best, tuple(trace), None, identity_fallback=True)
 
 
 def write_trace_csv(trace, path) -> None:
-    lines = ["iteration,gbest_fitness,n_patched,n_intact"]
-    for row in trace:
-        lines.append(f"{row.iteration},{repr(row.gbest_fitness)},{row.n_patched},{row.n_intact}")
+    names = [f.name for f in fields(TraceRow)]
+    lines = [",".join(names)] + [",".join(repr(getattr(row, n)) for n in names) for row in trace]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,7 +16,14 @@ from nnpatch import (
     sample_positives,
 )
 from nnpatch.network import forward, loss, write_weights
-from nnpatch.repair import layer_weight_stats, loss_ratio, raw_fitness, write_trace_csv
+from nnpatch.repair import (
+    ORIENTATIONS,
+    BatchScorer,
+    layer_weight_stats,
+    loss_ratio,
+    raw_fitness,
+    write_trace_csv,
+)
 
 from helpers import random_batch, random_model, single_layer_model, toy_dataset
 
@@ -25,8 +32,9 @@ def localized_over(refs):
     return LocalizedSet(refs=tuple(refs), provenance={}, warning=None)
 
 
-def repair_scenario(rng, pin_labels=True):
-    """Random model plus I_neg (all failing) and I_pos (all passing)."""
+def repair_scenario(rng, pin_labels=True, any_layer=False):
+    """Random model plus I_neg (all failing) and I_pos (all passing),
+    localized on the last layer or, with any_layer, on a random one."""
     m = random_model(rng)
     neg = random_batch(rng, m, prefix="n")
     pos = random_batch(rng, m, prefix="p")
@@ -35,7 +43,7 @@ def repair_scenario(rng, pin_labels=True):
         pred_p = np.argmax(forward(m, pos), axis=1)
         neg = Batch(neg.inputs, (pred_n + 1) % m.n_classes, neg.sample_ids)
         pos = Batch(pos.inputs, pred_p, pos.sample_ids)
-    layer = m.n_layers - 1
+    layer = int(rng.integers(0, m.n_layers)) if any_layer else m.n_layers - 1
     n_in, n_out = m.weights[layer].shape
     all_refs = [WeightRef(layer, i, j) for i in range(n_in) for j in range(n_out)]
     k = int(rng.integers(1, len(all_refs) + 1))
@@ -202,12 +210,17 @@ def test_init_swarm_half_half_two_particles():
     rng = np.random.default_rng(4)
     m, localized, neg, pos = repair_scenario(rng)
     original = np.array([m.weights[r.layer][r.i, r.j] for r in localized.refs])
-    swarm = init_swarm(localized, m, SwarmConfig(n_particles=2, seed=3))
-    assert len(swarm.particles) == 2
-    np.testing.assert_array_equal(swarm.particles[0].position, original)
-    assert (swarm.particles[1].position != original).any()
-    for p in swarm.particles:
-        np.testing.assert_array_equal(p.velocity, np.zeros(len(localized.refs)))
+    positions, velocities = init_swarm(
+        localized, m, SwarmConfig(n_particles=2), np.random.default_rng(3)
+    )
+    assert positions.shape == velocities.shape == (2, len(localized.refs))
+    np.testing.assert_array_equal(positions[0], original)
+    assert (positions[1] != original).any()
+    np.testing.assert_array_equal(velocities, np.zeros_like(positions))
+    # the sampled half is the stream's first normal block
+    mu, sigma = layer_weight_stats(m, localized.refs[0].layer)
+    expected = np.random.default_rng(3).normal(mu, sigma, size=(1, len(localized.refs)))
+    np.testing.assert_array_equal(positions[1:], expected)
 
 
 def test_init_swarm_original_half_matches_identity_fitness():
@@ -216,10 +229,11 @@ def test_init_swarm_original_half_matches_identity_fitness():
     cfg = FitnessConfig()
     base = (loss(m, neg), loss(m, pos))
     identity = fitness(m, neg, pos, base, cfg)
-    swarm = init_swarm(localized, m, SwarmConfig(n_particles=5, seed=7))
-    for p in swarm.particles[:3]:  # ceil(5/2) = 3 original-position particles
-        candidate = write_weights(m, localized.refs, p.position)
-        bd = fitness(candidate, neg, pos, base, cfg)
+    original = np.array([m.weights[r.layer][r.i, r.j] for r in localized.refs])
+    positions, _ = init_swarm(localized, m, SwarmConfig(n_particles=5), np.random.default_rng(7))
+    for row in positions[:3]:  # ceil(5/2) = 3 original-position particles
+        assert row.tobytes() == original.tobytes()
+        bd = fitness(write_weights(m, localized.refs, row), neg, pos, base, cfg)
         assert bd.raw_fitness == identity.raw_fitness
         assert bd.n_intact == identity.n_intact
 
@@ -228,8 +242,10 @@ def test_init_swarm_sampled_half_statistics():
     m = single_layer_model([[0.8, -0.2], [0.4, 0.1]])
     mu, sigma = layer_weight_stats(m, 0)
     localized = localized_over([WeightRef(0, 0, 0)])
-    swarm = init_swarm(localized, m, SwarmConfig(n_particles=20000, seed=11))
-    draws = np.array([p.position[0] for p in swarm.particles[10000:]])
+    positions, _ = init_swarm(
+        localized, m, SwarmConfig(n_particles=20000), np.random.default_rng(11)
+    )
+    draws = positions[10000:, 0]
     assert len(draws) == 10000
     assert abs(draws.mean() - mu) <= 3 * sigma / np.sqrt(10000)
 
@@ -251,7 +267,71 @@ def test_layer_weight_stats_degenerate_sigma():
 def test_init_swarm_rejects_empty_localized():
     m = single_layer_model(np.eye(2))
     with pytest.raises(ValueError):
-        init_swarm(localized_over([]), m, SwarmConfig())
+        init_swarm(localized_over([]), m, SwarmConfig(), np.random.default_rng(0))
+
+
+def test_batch_scorer_matches_fitness_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(24):
+        m, localized, neg, pos = repair_scenario(rng, any_layer=True)
+        refs = localized.refs
+        cfg = FitnessConfig(
+            variant=("eq1", "eq2")[trial % 2],
+            alpha=float(rng.uniform(0.5, 8)),
+            perfect_intact=bool(trial // 2 % 2),
+            loss_ratio_orientation=ORIENTATIONS[trial // 4 % 2],
+        )
+        scorer = BatchScorer(m, refs, neg, pos, cfg)
+        assert scorer.base_losses == pytest.approx((loss(m, neg), loss(m, pos)), rel=1e-12)
+        original = np.array([m.weights[r.layer][r.i, r.j] for r in refs])
+        p = int(rng.integers(8, 20))
+        positions = original + rng.normal(0.0, 1.0, size=(p, len(refs)))
+        positions[0] = original
+        positions[1, 0] = 1e308
+        positions[2, -1] = -1e308
+        positions[3, 0] = np.nan
+        positions[4, -1] = np.inf
+        positions[5, 0] = -np.inf
+        finite = np.isfinite(positions).all(axis=1)
+
+        scores = scorer(positions)
+        for chunk in (1, 7, p):
+            scorer.chunk = chunk
+            for a, b in zip(scorer(positions), scores):
+                np.testing.assert_array_equal(a, b)
+        assert (scores.raw[~finite] == -np.inf).all()
+        assert (scores.gated[~finite] == -np.inf).all()
+
+        for k in np.flatnonzero(finite):
+            candidate = write_weights(m, refs, positions[k])
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = fitness(candidate, neg, pos, scorer.base_losses, cfg)
+            assert scores.n_patched[k] == ref.n_patched
+            assert scores.n_intact[k] == ref.n_intact
+            assert (scores.gated[k] != scores.raw[k]) == (ref.gated_fitness != ref.raw_fitness)
+            got = [scores.loss_neg[k], scores.loss_pos[k], scores.raw[k], scores.gated[k]]
+            want = [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        base = scorer.base_losses
+        assert scores.breakdown(0, base) == scorer.identity.breakdown(0, base)
+
+
+def test_tie_with_identity_returns_the_original_model():
+    # feature 1 is 0 on every sample, so its outgoing weights change nothing
+    model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
+    i_neg = Batch([[1.0, 0.0], [2.0, 0.0]], [1, 1], ("n0", "n1"))
+    i_pos = Batch([[0.5, 0.0], [3.0, 0.0]], [0, 0], ("p0", "p1"))
+    localized = localized_over([WeightRef(0, 1, 0), WeightRef(0, 1, 1)])
+    for gate in (False, True):
+        out = repair(
+            model, localized, i_neg, i_pos,
+            FitnessConfig(perfect_intact=gate),
+            SwarmConfig(n_particles=9, n_iterations=6, seed=4),
+        )
+        assert out.identity_fallback
+        assert out.model is model
+        assert out.best_position is None
+        assert {row.gbest_fitness for row in out.trace} == {out.best.gated_fitness}
 
 
 def threshold_setup():
@@ -366,8 +446,14 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(result.trace, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,gbest_fitness,n_patched,n_intact"
+    assert lines[0] == "iteration,gbest_fitness,n_patched,n_intact,n_gated,n_pbest_improved"
     assert len(lines) == 1 + len(result.trace)
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == result.trace[0].gbest_fitness
+    # every initial particle scores finite, so each sets its first pbest
+    assert first[5] == "3" == str(result.trace[0].n_pbest_improved)
+    for line, row in zip(lines[1:], result.trace):
+        n_gated, n_improved = (int(v) for v in line.split(",")[4:])
+        assert (n_gated, n_improved) == (row.n_gated, row.n_pbest_improved)
+        assert 0 <= n_gated <= 3 and 0 <= n_improved <= 3
