@@ -113,8 +113,8 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
-    """One (config, repetition) outcome. runtime is kept out of to_dict so
-    persisted records stay byte-identical across reruns."""
+    """One (config, repetition) outcome. runtime and telemetry are kept out of
+    to_dict so persisted records stay byte-identical across reruns."""
 
     config_id: str
     config: dict
@@ -133,6 +133,7 @@ class RunResult:
     best: dict | None = None
     splits: dict = field(default_factory=dict)
     runtime: float = 0.0
+    telemetry: dict = field(default_factory=dict)  # extra timing.json fields
 
     def to_dict(self) -> dict:
         return {
@@ -290,7 +291,13 @@ def run_repair_pipeline(
         velocity_clamp=exp.velocity_clamp,
         seed=swarm_seed,
     )
+    t_repair = time.perf_counter()
     rr = repair(model, localized, inputs.negative_set, i_pos, fcfg, scfg)
+    result.telemetry = {
+        "repair_s": time.perf_counter() - t_repair,
+        "candidates_scored": rr.candidates_scored,
+        "band_fallback_columns": rr.band_fallback_columns,
+    }
     after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 
     result.n_neg = len(inputs.negative_set)
@@ -321,7 +328,7 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path) -> None:
     if localized is not None:
         write_localized_csv(localized, out_dir / "localized.csv")
     _write_json(result.to_dict(), out_dir / "run.json")  # written last: completion marker
-    _write_json({"runtime_seconds": result.runtime}, out_dir / "timing.json")
+    _write_json({"runtime_seconds": result.runtime, **result.telemetry}, out_dir / "timing.json")
 
 
 def _load_run(run_dir: Path) -> RunResult:

@@ -153,15 +153,18 @@ def build_mlp(layer_sizes, seed: int = 0, hidden_activation: str = "relu") -> Mo
     return Model(tuple(specs), tuple(ws), tuple(bs))
 
 
-def _activate(z: np.ndarray, activation: str, axis: int = -1) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str, axis: int = -1, inplace: bool = False) -> np.ndarray:
+    """The activation of z; with `inplace`, written over z (same values)."""
+    out = z if inplace else None
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if activation == "identity":
         return z
     # softmax over the class axis, stabilized; an empty batch stays empty
     if not z.size:
         return np.exp(z)
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
 

@@ -32,9 +32,16 @@ from .network import (
 VARIANTS = ("eq1", "eq2")
 ORIENTATIONS = ("prose", "literal")
 
-# Cap on each stacked activation array in BatchScorer: bounds its memory; the chunk
-# it implies depends only on sample counts and layer widths, never on the machine.
-CHUNK_BYTES = 128 * 1024
+# Cap on each stacked weight or activation array in BatchScorer: bounds its memory;
+# the chunk it implies depends only on sample counts and layer widths, never on the
+# machine.
+CHUNK_BYTES = 512 * 1024
+
+# A sample whose label logit beats every other logit by more than BAND is classified
+# correctly by softmax + argmax; one whose best other logit beats it by more than
+# BAND is not. exp(-BAND) stays far from 1 in float64, so no probability tie can
+# hide inside either case; samples in between go through softmax + argmax.
+BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,8 @@ class RepairResult:
     best_position: np.ndarray | None
     identity_fallback: bool
     no_search_space: bool = False
+    candidates_scored: int = 0  # telemetry: rows the batch scorer evaluated
+    band_fallback_columns: int = 0  # telemetry: I_pos samples counted by softmax + argmax
 
 
 def sample_positives(positive_pool: Batch, n_pos: int, seed: int) -> Batch:
@@ -173,14 +182,17 @@ class Scores(NamedTuple):
         )
 
 
-def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig) -> Scores:
+def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined) -> Scores:
     """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
-    mean losses, one column per candidate; non-finite raw fitness is -inf."""
+    mean losses, one column per candidate. A candidate that is `undefined`
+    (some sample's softmax is nan) or whose raw fitness is not finite scores
+    -inf, raw and gated, whether or not the objective reads the broken loss."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
         raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
-    raw = np.where(np.isfinite(raw), raw, -np.inf)
-    gated = np.where(cfg.perfect_intact & (counts[1] < sizes[1]), 0.0, raw)
+    scorable = np.isfinite(raw) & ~undefined
+    raw = np.where(scorable, raw, -np.inf)
+    gated = np.where(cfg.perfect_intact & (counts[1] < sizes[1]) & scorable, 0.0, raw)
     return Scores(*counts, *losses, raw, gated)
 
 
@@ -194,15 +206,17 @@ def fitness(
     """Score a candidate model against fixed I_neg / I_pos.
 
     base_losses are the pre-repair losses on (I_neg, I_pos), computed once.
-    A candidate with non-finite loss scores -inf instead of raising.
+    A candidate with non-finite loss on either set scores -inf instead of
+    raising, under both variants.
     """
     if len(i_neg) == 0 or len(i_pos) == 0:
         raise ValueError("fitness needs non-empty I_neg and I_pos")
     batches = (i_neg, i_pos)
     probs = [forward(candidate, b) for b in batches]
-    counts = [[(np.argmax(p, axis=1) == b.labels).sum()] for p, b in zip(probs, batches)]
-    losses = [[loss_from_probs(p, b.labels)] for p, b in zip(probs, batches)]
-    scores = _score(np.array(counts), np.array(losses), (len(i_neg), len(i_pos)), base_losses, cfg)
+    counts = np.array([[(np.argmax(p, axis=1) == b.labels).sum()] for p, b in zip(probs, batches)])
+    losses = np.array([[loss_from_probs(p, b.labels)] for p, b in zip(probs, batches)])
+    undefined = ~np.isfinite(losses).all(axis=0)
+    scores = _score(counts, losses, (len(i_neg), len(i_pos)), base_losses, cfg, undefined)
     return scores.breakdown(0, base_losses)
 
 
@@ -222,10 +236,19 @@ class BatchScorer:
 
     The inputs to the repair layer for I_neg and I_pos are computed once;
     each call runs only the layers from the repair layer up, on feature-major
-    (chunk, width, n) stacks of at most CHUNK_BYTES each. Each candidate gets
-    its own matrix products and reductions, so its scores do not depend on
-    its chunk and a candidate at the original weights scores exactly like
-    `identity`. A candidate with a non-finite value scores -inf.
+    (chunk, width, n) stacks of at most CHUNK_BYTES each, chunked per set by
+    its own sample count. Each candidate gets its own matrix products and
+    reductions, so its scores do not depend on its chunk and a candidate at
+    the original weights scores exactly like `identity`.
+
+    A set whose loss the objective reads (I_neg always, I_pos under eq1) goes
+    through softmax, argmax and the mean loss. I_pos under eq2 stops at the
+    logits: a sample counts as correct where its label logit beats every other
+    logit by more than BAND, and candidates with a sample inside the band or
+    with a non-finite margin take softmax + argmax, so the counts equal the
+    full path's bit for bit. Its loss is then left nan; `full=True` computes
+    every loss. A candidate with a non-finite value, or under which any
+    sample's softmax is nan (a +inf or nan logit), scores -inf.
     """
 
     def __init__(self, model: Model, refs, i_neg: Batch, i_pos: Batch, cfg: FitnessConfig):
@@ -237,42 +260,90 @@ class BatchScorer:
         layer = refs[0].layer
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
-        inputs = [layer_inputs(model, b, layer).T.copy() for b in (i_neg, i_pos)]
-        self.sets = [(a, b.labels, np.arange(len(b))) for a, b in zip(inputs, (i_neg, i_pos))]
         above = zip(model.layers[layer:], model.weights[layer:], model.biases[layer:])
         self.layers = [(spec.activation, w.T.copy(), b[:, None]) for spec, w, b in above]
         self.flat = np.array([r.j * model.layers[layer].input_size + r.i for r in refs])
+        bias = self.layers[-1][2]
+        self.sets = []
+        for b in (i_neg, i_pos):
+            samples = np.arange(len(b))
+            # the last bias with -inf at each sample's label: the best other logit in one max
+            others = np.repeat(bias, len(b), axis=1)
+            others[b.labels, samples] = -np.inf
+            at_label = b.labels * len(b) + samples  # flat index of each label logit
+            self.sets.append((layer_inputs(model, b, layer).T.copy(), b.labels, samples,
+                              at_label, others))
         widest = max(len(b) for _, _, b in self.layers)
-        self.chunk = max(1, CHUNK_BYTES // (8 * max(self.sizes) * widest))
-        self.base_losses = tuple(float(row[0]) for row in self._counts_and_losses(original)[1])
-        self.identity = self(original)
+        fan_in = model.layers[layer].input_size
+        self.chunks = [max(1, CHUNK_BYTES // (8 * widest * max(n, fan_in))) for n in self.sizes]
+        self.n_scored, self.n_fallback = 1, 0  # candidates scored; I_pos columns in the band
+        counts, losses, undefined = self._kernel(original, True)
+        self.base_losses = tuple(float(row[0]) for row in losses)
+        self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
 
-    def _counts_and_losses(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Correct counts and mean losses, rows (I_neg, I_pos) by candidate."""
+    def _kernel(self, positions: np.ndarray, full: bool):
+        """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
+        and which candidates are undefined."""
         counts = np.zeros((2, len(positions)), dtype=np.int64)
-        losses = np.empty((2, len(positions)))
+        losses = np.full((2, len(positions)), np.nan)
+        undefined = ~np.isfinite(positions).all(axis=1)
+        count_only = (False, not full and self.cfg.variant == "eq2")
+        last = len(self.layers) - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(positions), self.chunk):
-                block = positions[lo:lo + self.chunk]
-                weights = np.repeat(self.layers[0][1][None], len(block), axis=0)
-                weights.reshape(len(block), -1)[:, self.flat] = block
-                for s, (a, labels, samples) in enumerate(self.sets):
+            for s, (a, labels, samples, _, _) in enumerate(self.sets):
+                # scratch reused by every chunk: arrays this size freed and allocated
+                # again per chunk cost page faults that outweigh the arithmetic
+                chunk = max(1, min(self.chunks[s], len(positions)))
+                weight_stack = np.empty((chunk, *self.layers[0][1].shape))
+                z_stacks = [np.empty((chunk, len(b), a.shape[1])) for _, _, b in self.layers]
+                spare = np.empty_like(z_stacks[-1])
+                for lo in range(0, len(positions), chunk):
+                    block = positions[lo:lo + chunk]
+                    n, cols = len(block), slice(lo, lo + len(block))
+                    weights = weight_stack[:n]
+                    weights[...] = self.layers[0][1]
+                    weights.reshape(n, -1)[:, self.flat] = block
+                    out = a
                     for k, (activation, w, b) in enumerate(self.layers):
-                        z = np.matmul(weights if k == 0 else w, a) + b
-                        a = _activate(z, activation, axis=-2)
-                    counts[s, lo:lo + len(block)] = (a.argmax(axis=-2) == labels).sum(axis=-1)
-                    # C order, so each mean sums its samples as a 1-D batch would
-                    picked = np.ascontiguousarray(a[:, labels, samples])
-                    losses[s, lo:lo + len(block)] = loss_from_picked(picked)
-        return counts, losses
+                        z = np.matmul(weights if k == 0 else w, out, out=z_stacks[k][:n])
+                        if k < last or not count_only[s]:
+                            z += b
+                            out = _activate(z, activation, axis=-2, inplace=True)
+                    if count_only[s]:
+                        counts[s, cols], bad = self._count_from_logits(z, s, spare[:n])
+                    else:
+                        counts[s, cols] = (out.argmax(axis=-2) == labels).sum(axis=-1)
+                        # C order, so each mean sums its samples as a 1-D batch would
+                        losses[s, cols] = loss_from_picked(np.ascontiguousarray(out[:, labels, samples]))
+                        bad = np.isnan(losses[s, cols])
+                    undefined[cols] |= bad
+        return counts, losses, undefined
 
-    def __call__(self, positions: np.ndarray) -> Scores:
-        """Scores of a (P, D) array of candidate weight values."""
-        counts, losses = self._counts_and_losses(positions)
-        scores = _score(counts, losses, self.sizes, self.base_losses, self.cfg)
-        bad = ~np.isfinite(positions).all(axis=1)
-        scores.raw[bad] = scores.gated[bad] = -np.inf
-        return scores
+    def _count_from_logits(self, z: np.ndarray, s: int, spare: np.ndarray):
+        """Correct counts and undefined flags of set `s` from the last layer's
+        (chunk, classes, n) products before the bias, by label margin; `spare`
+        is scratch of z's shape."""
+        _, labels, _, at_label, others = self.sets[s]
+        bias = self.layers[-1][2]
+        label_z = np.take(z.reshape(len(z), -1), at_label, axis=1) + bias[labels, 0]
+        margin = label_z - np.add(z, others, out=spare).max(axis=-2)
+        correct = margin > BAND
+        unsure = ~np.isfinite(margin) | (np.abs(margin) <= BAND)
+        undefined = np.zeros(len(z), dtype=bool)
+        rows = np.flatnonzero(unsure.any(axis=1))
+        if rows.size:
+            probs = _activate(z[rows] + bias, "softmax", axis=-2, inplace=True)
+            correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == labels, correct[rows])
+            undefined[rows] = np.isnan(probs).any(axis=(-2, -1))
+            self.n_fallback += int(unsure.sum())
+        return correct.sum(axis=-1), undefined
+
+    def __call__(self, positions: np.ndarray, full: bool = False) -> Scores:
+        """Scores of a (P, D) array of candidate weight values; with `full`,
+        every loss is computed even where the objective does not read it."""
+        self.n_scored += len(positions)
+        counts, losses, undefined = self._kernel(positions, full)
+        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined)
 
 
 def init_swarm(
@@ -309,7 +380,9 @@ def repair(
     order (ties keep the incumbent). One stream seeded by `scfg.seed` draws
     the sampled initial positions, then per iteration a (P, D) uniform block
     for the cognitive term and one for the social term. If nothing strictly
-    beats the identity patch the original model is returned unchanged.
+    beats the identity patch the original model is returned unchanged. The
+    search scores only what the objective reads; the returned breakdown has
+    every loss.
     """
     if len(localized) == 0:
         base_losses = (loss(model, i_neg), loss(model, i_pos))
@@ -342,10 +415,12 @@ def repair(
                               n_gated, int(improved.sum())))
 
     if gbest.gated_fitness > scorer.identity.gated[0]:
-        patched = write_weights(model, refs, gbest_pos)
-        return RepairResult(patched, gbest, tuple(trace), gbest_pos, identity_fallback=False)
-    best = scorer.identity.breakdown(0, scorer.base_losses)
-    return RepairResult(model, best, tuple(trace), None, identity_fallback=True)
+        patched, best = write_weights(model, refs, gbest_pos), scorer(gbest_pos[None], full=True)
+    else:
+        patched, best, gbest_pos = model, scorer.identity, None
+    return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,
+                        identity_fallback=gbest_pos is None,
+                        candidates_scored=scorer.n_scored, band_fallback_columns=scorer.n_fallback)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -250,7 +250,14 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
         for ri in range(3):
             run_dir = out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}"
             assert (run_dir / "run.json").exists()
-            assert (run_dir / "timing.json").exists()
+            timing = json.loads((run_dir / "timing.json").read_text())
+            record = json.loads((run_dir / "run.json").read_text())
+            # every particle of every iteration, the identity, and a winner's full breakdown
+            searched = exp.grid[ci].n_particles * (exp.n_iterations + 1)
+            winner = 0 if record["identity_fallback"] else 1
+            assert timing["candidates_scored"] == searched + 1 + winner
+            assert 0 <= timing["band_fallback_columns"] <= timing["candidates_scored"] * exp.grid[ci].n_pos
+            assert 0 < timing["repair_s"] <= timing["runtime_seconds"]
     assert (out / "sweep.json").exists()
     assert (out / "aggregate.json").exists()
     assert (out / "subject" / "model.json").exists()

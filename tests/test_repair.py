@@ -8,6 +8,7 @@ from nnpatch import (
     Batch,
     FitnessConfig,
     LocalizedSet,
+    Model,
     SwarmConfig,
     WeightRef,
     fitness,
@@ -294,26 +295,112 @@ def test_batch_scorer_matches_fitness_reference():
         positions[5, 0] = -np.inf
         finite = np.isfinite(positions).all(axis=1)
 
-        scores = scorer(positions)
+        scores, full = scorer(positions), scorer(positions, full=True)
         for chunk in (1, 7, p):
-            scorer.chunk = chunk
+            scorer.chunks = [chunk, chunk]
             for a, b in zip(scorer(positions), scores):
                 np.testing.assert_array_equal(a, b)
-        assert (scores.raw[~finite] == -np.inf).all()
-        assert (scores.gated[~finite] == -np.inf).all()
+            for a, b in zip(scorer(positions, full=True), full):
+                np.testing.assert_array_equal(a, b)
+        for s in (scores, full):
+            assert (s.raw[~finite] == -np.inf).all()
+            assert (s.gated[~finite] == -np.inf).all()
+        reads_pos_loss = cfg.variant == "eq1"
+        assert np.isnan(scores.loss_pos).all() != reads_pos_loss
 
         for k in np.flatnonzero(finite):
             candidate = write_weights(m, refs, positions[k])
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = fitness(candidate, neg, pos, scorer.base_losses, cfg)
-            assert scores.n_patched[k] == ref.n_patched
-            assert scores.n_intact[k] == ref.n_intact
-            assert (scores.gated[k] != scores.raw[k]) == (ref.gated_fitness != ref.raw_fitness)
-            got = [scores.loss_neg[k], scores.loss_pos[k], scores.raw[k], scores.gated[k]]
             want = [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            for s in (scores, full):
+                assert s.n_patched[k] == ref.n_patched
+                assert s.n_intact[k] == ref.n_intact
+                assert (s.gated[k] != s.raw[k]) == (ref.gated_fitness != ref.raw_fitness)
+                got = [s.loss_neg[k], s.loss_pos[k], s.raw[k], s.gated[k]]
+                read = [True, s is full or reads_pos_loss, True, True]
+                np.testing.assert_allclose(np.array(got)[read], np.array(want)[read],
+                                           rtol=1e-12, atol=0)
         base = scorer.base_losses
-        assert scores.breakdown(0, base) == scorer.identity.breakdown(0, base)
+        assert full.breakdown(0, base) == scorer.identity.breakdown(0, base)
+        assert (scores.raw[0], scores.gated[0]) == (scorer.identity.raw[0], scorer.identity.gated[0])
+
+
+def test_count_path_matches_full_path_on_ties_band_and_extremes():
+    rng = np.random.default_rng(57)
+    n_fallback = 0
+    for trial in range(24):
+        m, localized, neg, pos = repair_scenario(rng, any_layer=True)
+        w, b = m.weights[-1].copy(), m.biases[-1].copy()
+        c1, c2 = sorted(int(c) for c in rng.choice(m.n_classes, size=2, replace=False))
+        kind = trial % 4
+        if kind < 3:
+            # two output columns that lead every sample, equal or a bias apart inside the band
+            w[:, c2] = w[:, c1]
+            b[c1] += 10.0
+            b[c2] = b[c1] + (0.0, 1e-12, -1e-12)[kind]
+        else:
+            # leading logits near zero and 1e-20 apart: their softmax rounds to a tie
+            w[:, [c1, c2]] = 0.0
+            b -= 1e3
+            b[c1], b[c2] = 0.0, 1e-20
+        m = Model(m.layers, m.weights[:-1] + (w,), m.biases[:-1] + (b,))
+        # the label sits on the later column for about half of I_pos
+        on_later = rng.random(len(pos)) < 0.5
+        pred = np.argmax(forward(m, pos), axis=1)
+        pos = Batch(pos.inputs, np.where(on_later, c2, pred), pos.sample_ids)
+        cfg = FitnessConfig(
+            variant="eq2",
+            alpha=float(rng.uniform(0.5, 8)),
+            perfect_intact=bool(trial // 4 % 2),
+            loss_ratio_orientation=ORIENTATIONS[trial // 8 % 2],
+        )
+        refs = localized.refs
+        scorer = BatchScorer(m, refs, neg, pos, cfg)
+        original = np.array([m.weights[r.layer][r.i, r.j] for r in refs])
+        p = int(rng.integers(12, 24))
+        scale = np.array([0.0, 1e-14, 1e-12, 1e-10, 1.0])[np.arange(p) % 5][:, None]
+        positions = original + scale * rng.normal(size=(p, len(refs)))
+        positions[5, 0] = 1e308
+        positions[6, -1] = -1e308
+        positions[7, 0] = np.nan
+        positions[8, -1] = np.inf
+        positions[9, 0] = -np.inf
+        positions[10] = 1e308
+
+        want = scorer(positions, full=True)
+        fallback_before = scorer.n_fallback
+        scorer(positions)
+        n_fallback += scorer.n_fallback - fallback_before
+        for chunk in (1, 7, p):
+            scorer.chunks = [chunk, chunk]
+            for got in (scorer(positions), scorer(positions, full=True)):
+                for name in ("n_patched", "n_intact", "raw", "gated"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert (got.gated != got.raw).sum() == (want.gated != want.raw).sum()
+    assert n_fallback > 0
+
+
+def test_overflowing_candidate_scores_minus_inf():
+    # W[0,1] = 1e308 sends the class-1 logit of I_pos sample [3, 0.2] to +inf, so its
+    # softmax is nan, while the I_neg sample is patched by a finite logit
+    model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
+    i_neg = Batch([[1.0, 0.5]], [1], ("n0",))
+    i_pos = Batch([[0.5, 1.0], [3.0, 0.2]], [0, 0], ("p0", "p1"))
+    refs = [WeightRef(0, 0, 1)]
+    base = (loss(model, i_neg), loss(model, i_pos))
+    huge = write_weights(model, refs, [1e308])
+    for variant in ("eq1", "eq2"):
+        for gate in (False, True):
+            cfg = FitnessConfig(variant=variant, perfect_intact=gate)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bd = fitness(huge, i_neg, i_pos, base, cfg)
+            assert bd.n_patched == 1
+            assert bd.raw_fitness == bd.gated_fitness == -np.inf
+            scorer = BatchScorer(model, refs, i_neg, i_pos, cfg)
+            for full in (False, True):
+                scores = scorer(np.array([[1e308]]), full=full)
+                assert scores.raw[0] == scores.gated[0] == -np.inf
 
 
 def test_tie_with_identity_returns_the_original_model():
