@@ -297,6 +297,8 @@ def run_repair_pipeline(
         "repair_s": time.perf_counter() - t_repair,
         "candidates_scored": rr.candidates_scored,
         "band_fallback_columns": rr.band_fallback_columns,
+        "units_recomputed": rr.units_recomputed,
+        "units_total": rr.units_total,
     }
     after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 
@@ -331,11 +333,18 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path) -> None:
     _write_json({"runtime_seconds": result.runtime, **result.telemetry}, out_dir / "timing.json")
 
 
-def _load_run(run_dir: Path) -> RunResult:
-    result = RunResult.from_dict(_read_json(run_dir / "run.json"))
-    timing = run_dir / "timing.json"
-    if timing.exists():
-        result.runtime = float(_read_json(timing).get("runtime_seconds", 0.0))
+def _load_run(run_dir: Path) -> RunResult | None:
+    """The persisted record of a run, or None when it is missing or unreadable
+    (a truncated or malformed run.json or timing.json): such a run is not done."""
+    if not (run_dir / "run.json").exists():
+        return None
+    try:
+        result = RunResult.from_dict(_read_json(run_dir / "run.json"))
+        timing = run_dir / "timing.json"
+        if timing.exists():
+            result.runtime = float(_read_json(timing).get("runtime_seconds", 0.0))
+    except (ValueError, TypeError, AttributeError):
+        return None
     return result
 
 
@@ -457,7 +466,8 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
     """Train the subject once, run grid x repetitions, aggregate.
 
-    Completed runs (run.json present) are reused. Failures are isolated:
+    Completed runs (a readable run.json) are reused; a run whose record is
+    missing or unreadable is run again. Failures are isolated:
     they become status="error" records and the sweep continues. Results are
     identical at any worker count because every run owns its directory and
     its RNG streams.
@@ -485,8 +495,9 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
 
     def job(ci: int, ri: int) -> RunResult:
         run_dir = out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}"
-        if (run_dir / "run.json").exists():
-            return _load_run(run_dir)
+        done = _load_run(run_dir)
+        if done is not None:
+            return done
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
             run_repair_pipeline(model, splits, exp.grid[ci], exp, ci, ri, out_dir=run_dir)
@@ -526,9 +537,9 @@ def load_sweep_dir(out_dir) -> tuple[ExperimentSpec, AggregateResult]:
     runs = []
     for ci in range(len(exp.grid)):
         for ri in range(exp.repetitions):
-            run_json = out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}" / "run.json"
-            if run_json.exists():
-                runs.append(_load_run(run_json.parent))
+            run = _load_run(out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}")
+            if run is not None:
+                runs.append(run)
     return exp, aggregate_runs(exp, runs)
 
 

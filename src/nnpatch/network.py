@@ -153,13 +153,15 @@ def build_mlp(layer_sizes, seed: int = 0, hidden_activation: str = "relu") -> Mo
     return Model(tuple(specs), tuple(ws), tuple(bs))
 
 
-def _activate(z: np.ndarray, activation: str, axis: int = -1, inplace: bool = False) -> np.ndarray:
-    """The activation of z; with `inplace`, written over z (same values)."""
-    out = z if inplace else None
+def _activate(z: np.ndarray, activation: str, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written to `out` when given (which may be z itself)."""
     if activation == "relu":
         return np.maximum(z, 0.0, out=out)
     if activation == "identity":
-        return z
+        if out is None or out is z:
+            return z
+        np.copyto(out, z)
+        return out
     # softmax over the class axis, stabilized; an empty batch stays empty
     if not z.size:
         return np.exp(z)

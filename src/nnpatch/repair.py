@@ -32,9 +32,10 @@ from .network import (
 VARIANTS = ("eq1", "eq2")
 ORIENTATIONS = ("prose", "literal")
 
-# Cap on each stacked weight or activation array in BatchScorer: bounds its memory;
-# the chunk it implies depends only on sample counts and layer widths, never on the
-# machine.
+# Cap on each stacked weight or activation array that BatchScorer computes on the
+# objective's path (a `full=True` call on a count-only set may pass it by C/|K|):
+# bounds its memory; the chunk it implies depends only on sample counts and layer
+# widths, never on the machine.
 CHUNK_BYTES = 512 * 1024
 
 # A sample whose label logit beats every other logit by more than BAND is classified
@@ -126,6 +127,8 @@ class RepairResult:
     no_search_space: bool = False
     candidates_scored: int = 0  # telemetry: rows the batch scorer evaluated
     band_fallback_columns: int = 0  # telemetry: I_pos samples counted by softmax + argmax
+    units_recomputed: int = 0  # telemetry: repair-layer units each candidate recomputes
+    units_total: int = 0  # telemetry: the repair layer's width
 
 
 def sample_positives(positive_pool: Batch, n_pos: int, seed: int) -> Batch:
@@ -231,15 +234,39 @@ def layer_weight_stats(model: Model, layer: int) -> tuple[float, float]:
     return mu, sigma
 
 
+class _Cached(NamedTuple):
+    """What one sample set puts into every candidate's scores that no candidate
+    changes: the repair layer's inputs and the share of its untouched units."""
+
+    a: np.ndarray  # repair-layer inputs, (fan_in, n)
+    labels: np.ndarray
+    samples: np.ndarray
+    adds: list  # added to each stage's product: a bias, or c0 just above a hidden repair layer
+    others: np.ndarray  # the last add on the computed logit rows, -inf at each label
+    at_label: np.ndarray  # flat index of each label logit in a (rows, n) product
+    label_add: np.ndarray  # the last add at each label
+    fixed: np.ndarray | None  # logits of the untouched rows, under last-layer repair
+    fixed_best: np.ndarray | None  # best untouched logit other than the label, per sample
+    label_is_fixed: np.ndarray | None  # samples whose label row is untouched
+    fixed_label: np.ndarray | None  # their label logit
+
+
 class BatchScorer:
     """Scores many values of the localized weights at once.
 
-    The inputs to the repair layer for I_neg and I_pos are computed once;
-    each call runs only the layers from the repair layer up, on feature-major
-    (chunk, width, n) stacks of at most CHUNK_BYTES each, chunked per set by
-    its own sample count. Each candidate gets its own matrix products and
-    reductions, so its scores do not depend on its chunk and a candidate at
-    the original weights scores exactly like `identity`.
+    A patch changes only the repair layer's units (rows of its transposed
+    weights) that own a localized weight, the touched units K. Everything else
+    is computed once per set: the repair layer's inputs, the untouched units'
+    outputs and, when the repair layer is hidden, their share of the next
+    layer's pre-activation, c0 = W[:, U] @ h_U + b. Each call then runs, per
+    candidate, the K rows of the repair layer, the next layer as
+    c0 + W[:, K] @ act(z_K), and the layers above as they are, on feature-major
+    (chunk, width, n) stacks of at most CHUNK_BYTES each, chunked per set by its
+    own sample count. Under last-layer repair only the K logit rows are
+    multiplied; the untouched rows come from the original logits, in class
+    order. Each candidate gets its own matrix products and reductions, so its
+    scores do not depend on its chunk and a candidate at the original weights
+    scores exactly like `identity`.
 
     A set whose loss the objective reads (I_neg always, I_pos under eq1) goes
     through softmax, argmax and the mean loss. I_pos under eq2 stops at the
@@ -258,24 +285,59 @@ class BatchScorer:
             raise ValueError("label out of range for this model")
         original = read_weights(model, refs)[None]
         layer = refs[0].layer
+        w, b = model.weights[layer].T.copy(), model.biases[layer][:, None]
+        is_touched = np.zeros(len(w), dtype=bool)
+        is_touched[[r.j for r in refs]] = True
+        touched, untouched = np.flatnonzero(is_touched), np.flatnonzero(~is_touched)
+        above = list(zip(model.layers[layer + 1:], model.weights[layer + 1:], model.biases[layer + 1:]))
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
-        above = zip(model.layers[layer:], model.weights[layer:], model.biases[layer:])
-        self.layers = [(spec.activation, w.T.copy(), b[:, None]) for spec, w, b in above]
-        self.flat = np.array([r.j * model.layers[layer].input_size + r.i for r in refs])
-        bias = self.layers[-1][2]
+        self.units = (len(touched), len(w))  # units recomputed per candidate, of the layer's
+        self.n_classes = model.n_classes
+        self.weights = w[touched]  # every candidate's rows before its localized values
+        self.flat = np.searchsorted(touched, [r.j for r in refs]) * w.shape[1] + [r.i for r in refs]
+        # stage 0 is the candidates' K rows; the stage above reads only their columns
+        self.stages = [(model.layers[layer].activation, None)] + [
+            (spec.activation, wk.T[:, touched].copy() if k == 0 else wk.T.copy())
+            for k, (spec, wk, _) in enumerate(above)]
+        self.widths = [len(touched)] + [spec.output_size for spec, _, _ in above]
+        # the logit rows each candidate computes; under last-layer repair the rest are fixed
+        self.rows = np.arange(model.n_classes) if above else touched
+        self.fixed_rows = untouched if not above and untouched.size else None
         self.sets = []
-        for b in (i_neg, i_pos):
-            samples = np.arange(len(b))
-            # the last bias with -inf at each sample's label: the best other logit in one max
-            others = np.repeat(bias, len(b), axis=1)
-            others[b.labels, samples] = -np.inf
-            at_label = b.labels * len(b) + samples  # flat index of each label logit
-            self.sets.append((layer_inputs(model, b, layer).T.copy(), b.labels, samples,
-                              at_label, others))
-        widest = max(len(b) for _, _, b in self.layers)
-        fan_in = model.layers[layer].input_size
-        self.chunks = [max(1, CHUNK_BYTES // (8 * widest * max(n, fan_in))) for n in self.sizes]
+        for batch in (i_neg, i_pos):
+            n, labels = len(batch), batch.labels
+            samples = np.arange(n)
+            a = layer_inputs(model, batch, layer).T.copy()
+            z0 = w @ a + b
+            adds = [b[touched]]
+            if above:
+                h = _activate(z0[untouched], model.layers[layer].activation)
+                adds.append(above[0][1].T[:, untouched] @ h + above[0][2][:, None])
+                adds += [bk[:, None] for _, _, bk in above[1:]]
+            row = np.minimum(np.searchsorted(self.rows, labels), len(self.rows) - 1)
+            computed = self.rows[row] == labels
+            others = np.empty((len(self.rows), n))
+            others[...] = adds[-1]
+            label_add = others[row, samples]
+            others[row[computed], samples[computed]] = -np.inf
+            fixed = fixed_best = label_is_fixed = fixed_label = None
+            if self.fixed_rows is not None:
+                fixed = z0[untouched]
+                label_is_fixed = ~computed
+                urow = np.minimum(np.searchsorted(untouched, labels), len(untouched) - 1)
+                fixed_label = fixed[urow, samples]
+                fixed_others = fixed.copy()
+                fixed_others[urow[label_is_fixed], samples[label_is_fixed]] = -np.inf
+                fixed_best = fixed_others.max(axis=0)
+            self.sets.append(_Cached(a, labels, samples, adds, others, row * n + samples,
+                                     label_add, fixed, fixed_best, label_is_fixed, fixed_label))
+        # each set's chunk is sized by the widest array its objective's path computes
+        # per candidate: the K rows and the layers above, and all classes for softmax
+        widest = (max(*self.widths, self.n_classes), max(self.widths))
+        count_only = (False, cfg.variant == "eq2")
+        self.chunks = [max(1, CHUNK_BYTES // (8 * widest[c] * max(n, w.shape[1])))
+                       for n, c in zip(self.sizes, count_only)]
         self.n_scored, self.n_fallback = 1, 0  # candidates scored; I_pos columns in the band
         counts, losses, undefined = self._kernel(original, True)
         self.base_losses = tuple(float(row[0]) for row in losses)
@@ -288,52 +350,75 @@ class BatchScorer:
         losses = np.full((2, len(positions)), np.nan)
         undefined = ~np.isfinite(positions).all(axis=1)
         count_only = (False, not full and self.cfg.variant == "eq2")
-        last = len(self.layers) - 1
+        last = len(self.stages) - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, (a, labels, samples, _, _) in enumerate(self.sets):
+            for s, c in enumerate(self.sets):
                 # scratch reused by every chunk: arrays this size freed and allocated
-                # again per chunk cost page faults that outweigh the arithmetic
+                # again per chunk cost page faults that outweigh the arithmetic; the
+                # entries no candidate changes are written once per call
                 chunk = max(1, min(self.chunks[s], len(positions)))
-                weight_stack = np.empty((chunk, *self.layers[0][1].shape))
-                z_stacks = [np.empty((chunk, len(b), a.shape[1])) for _, _, b in self.layers]
-                spare = np.empty_like(z_stacks[-1])
+                n_samples = len(c.labels)
+                weight_stack = np.empty((chunk, *self.weights.shape))
+                weight_stack[...] = self.weights
+                z_stacks = [np.empty((chunk, width, n_samples)) for width in self.widths]
+                logits = None
+                if count_only[s]:
+                    spare = np.empty_like(z_stacks[-1])
+                else:  # softmax output; the logits keep their fixed rows
+                    spare = np.empty((chunk, self.n_classes, n_samples))
+                    if self.fixed_rows is not None:
+                        logits = np.empty_like(spare)
+                        logits[:, self.fixed_rows] = c.fixed
                 for lo in range(0, len(positions), chunk):
                     block = positions[lo:lo + chunk]
                     n, cols = len(block), slice(lo, lo + len(block))
                     weights = weight_stack[:n]
-                    weights[...] = self.layers[0][1]
                     weights.reshape(n, -1)[:, self.flat] = block
-                    out = a
-                    for k, (activation, w, b) in enumerate(self.layers):
+                    out = c.a
+                    for k, ((activation, w), add) in enumerate(zip(self.stages, c.adds)):
                         z = np.matmul(weights if k == 0 else w, out, out=z_stacks[k][:n])
-                        if k < last or not count_only[s]:
-                            z += b
-                            out = _activate(z, activation, axis=-2, inplace=True)
+                        if k < last:
+                            z += add
+                            out = _activate(z, activation, axis=-2, out=z)
                     if count_only[s]:
-                        counts[s, cols], bad = self._count_from_logits(z, s, spare[:n])
+                        counts[s, cols], bad = self._count_from_logits(z, c, spare[:n])
                     else:
-                        counts[s, cols] = (out.argmax(axis=-2) == labels).sum(axis=-1)
+                        z += c.adds[-1]
+                        if logits is not None:
+                            logits[:n, self.rows] = z
+                            z = logits[:n]
+                        out = _activate(z, "softmax", axis=-2, out=spare[:n])
+                        counts[s, cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
                         # C order, so each mean sums its samples as a 1-D batch would
-                        losses[s, cols] = loss_from_picked(np.ascontiguousarray(out[:, labels, samples]))
+                        picked = np.ascontiguousarray(out[:, c.labels, c.samples])
+                        losses[s, cols] = loss_from_picked(picked)
                         bad = np.isnan(losses[s, cols])
                     undefined[cols] |= bad
         return counts, losses, undefined
 
-    def _count_from_logits(self, z: np.ndarray, s: int, spare: np.ndarray):
-        """Correct counts and undefined flags of set `s` from the last layer's
-        (chunk, classes, n) products before the bias, by label margin; `spare`
-        is scratch of z's shape."""
-        _, labels, _, at_label, others = self.sets[s]
-        bias = self.layers[-1][2]
-        label_z = np.take(z.reshape(len(z), -1), at_label, axis=1) + bias[labels, 0]
-        margin = label_z - np.add(z, others, out=spare).max(axis=-2)
+    def _count_from_logits(self, z: np.ndarray, c: _Cached, spare: np.ndarray):
+        """Correct counts and undefined flags of set `c` from the computed logit
+        rows' (chunk, rows, n) products before the last add, by label margin;
+        `spare` is scratch of z's shape."""
+        label_z = np.take(z.reshape(len(z), -1), c.at_label, axis=1) + c.label_add
+        best = np.add(z, c.others, out=spare).max(axis=-2)
+        if c.fixed is not None:
+            np.copyto(label_z, c.fixed_label, where=c.label_is_fixed)
+            np.maximum(best, c.fixed_best, out=best)
+        margin = label_z - best
         correct = margin > BAND
         unsure = ~np.isfinite(margin) | (np.abs(margin) <= BAND)
         undefined = np.zeros(len(z), dtype=bool)
         rows = np.flatnonzero(unsure.any(axis=1))
         if rows.size:
-            probs = _activate(z[rows] + bias, "softmax", axis=-2, inplace=True)
-            correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == labels, correct[rows])
+            logits = z[rows] + c.adds[-1]
+            if c.fixed is not None:
+                computed = logits
+                logits = np.empty((len(rows), self.n_classes, z.shape[-1]))
+                logits[:, self.fixed_rows] = c.fixed
+                logits[:, self.rows] = computed
+            probs = _activate(logits, "softmax", axis=-2, out=logits)
+            correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == c.labels, correct[rows])
             undefined[rows] = np.isnan(probs).any(axis=(-2, -1))
             self.n_fallback += int(unsure.sum())
         return correct.sum(axis=-1), undefined
@@ -420,7 +505,8 @@ def repair(
         patched, best, gbest_pos = model, scorer.identity, None
     return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,
                         identity_fallback=gbest_pos is None,
-                        candidates_scored=scorer.n_scored, band_fallback_columns=scorer.n_fallback)
+                        candidates_scored=scorer.n_scored, band_fallback_columns=scorer.n_fallback,
+                        units_recomputed=scorer.units[0], units_total=scorer.units[1])
 
 
 def write_trace_csv(trace, path) -> None:

@@ -7,9 +7,11 @@ from nnpatch import Batch, Model, LayerSpec, build_mlp
 from nnpatch.data import Dataset
 
 
-def random_model(rng, max_layers=3, max_width=8) -> Model:
-    """Random small MLP; weights drawn wide enough to exercise dead relus."""
-    n_layers = int(rng.integers(1, max_layers + 1))
+def random_model(rng, max_layers=3, max_width=8, n_layers=None) -> Model:
+    """Random small MLP, `n_layers` deep or 1..max_layers at random; weights
+    drawn wide enough to exercise dead relus."""
+    if n_layers is None:
+        n_layers = int(rng.integers(1, max_layers + 1))
     sizes = [int(rng.integers(2, max_width + 1)) for _ in range(n_layers + 1)]
     model = build_mlp(sizes, seed=int(rng.integers(0, 2**31)))
     # overwrite with a spread of magnitudes so gradients are not all tiny

@@ -25,6 +25,7 @@ from nnpatch import (
     run_sweep,
     train_subject,
 )
+from nnpatch.config import experiment_spec_from_config, load_config
 from nnpatch.harness import AggregateResult, _spec_dict, spec_from_dict
 from nnpatch.training import materialize_splits
 
@@ -258,6 +259,10 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
             assert timing["candidates_scored"] == searched + 1 + winner
             assert 0 <= timing["band_fallback_columns"] <= timing["candidates_scored"] * exp.grid[ci].n_pos
             assert 0 < timing["repair_s"] <= timing["runtime_seconds"]
+            # the repair layer is the last one; its units owning a localized weight
+            localized = (run_dir / "localized.csv").read_text().splitlines()[1:]
+            assert timing["units_total"] == exp.subject.layer_sizes[-1]
+            assert timing["units_recomputed"] == len({line.split(",")[3] for line in localized})
     assert (out / "sweep.json").exists()
     assert (out / "aggregate.json").exists()
     assert (out / "subject" / "model.json").exists()
@@ -306,6 +311,22 @@ def test_sweep_resume_matches_uninterrupted(tmp_path):
     assert ta.keys() == tb.keys()
     for name in ta:
         assert ta[name] == tb[name], f"{name} differs after resume"
+
+
+def test_sweep_reruns_a_truncated_record(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    exp = experiment_spec_from_config(load_config(root / "configs" / "quickstart.yaml"))
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    record = out / "runs" / "cfg001" / "rep01" / "run.json"
+    original = record.read_bytes()
+    record.write_bytes(original[: len(original) // 2])
+    # a report skips the unreadable record instead of crashing
+    assert len(load_sweep_dir(out)[1].runs) == len(exp.grid) * exp.repetitions - 1
+    # the resume treats it as not done and reruns that run
+    agg = run_sweep(exp, out)
+    assert len(agg.runs) == len(exp.grid) * exp.repetitions
+    assert record.read_bytes() == original
 
 
 def test_sweep_concurrency_is_byte_identical(tmp_path):

@@ -201,10 +201,18 @@ def test_raw_fitness_nondecreasing_in_alpha():
 
 
 def test_fitness_scores_nonfinite_loss_as_worst_candidate():
-    model, i_neg, i_pos, cfg, base = fixed_identity_setup()
+    model, i_neg, _, _, _ = fixed_identity_setup()
+    # a passed sample with feature 0 at 2: under W[0,0] = 1e308 its class-0 logit overflows
+    i_pos = Batch([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [0, 0, 0], ("p0", "p1", "p2"))
+    base = (loss(model, i_neg), loss(model, i_pos))
     huge = write_weights(model, [WeightRef(0, 0, 0)], [1e308])
-    bd = fitness(huge, i_neg, i_pos, base, cfg)
-    assert np.isfinite(bd.raw_fitness) or bd.raw_fitness == float("-inf")
+    with np.errstate(over="ignore"):
+        assert (i_pos.inputs @ huge.weights[0])[2, 0] == np.inf
+    for variant in ("eq1", "eq2"):
+        cfg = FitnessConfig(variant=variant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bd = fitness(huge, i_neg, i_pos, base, cfg)
+        assert bd.raw_fitness == bd.gated_fitness == -np.inf
 
 
 def test_init_swarm_half_half_two_particles():
@@ -379,6 +387,61 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
                 assert (got.gated != got.raw).sum() == (want.gated != want.raw).sum()
     assert n_fallback > 0
+
+
+def test_touched_units_kernel_matches_fitness_at_every_layer():
+    # random 3-layer subjects, repaired at each layer with the localized weights
+    # confined to one unit, to a strict subset of units, and spread over all units
+    rng = np.random.default_rng(73)
+    for trial in range(6):
+        m = random_model(rng, n_layers=3)
+        neg = random_batch(rng, m, prefix="n")
+        pos = random_batch(rng, m, prefix="p")
+        for layer in range(3):
+            n_in, n_out = m.weights[layer].shape
+            for n_units in (1, int(rng.integers(1, n_out)), n_out):
+                units = rng.choice(n_out, size=n_units, replace=False)
+                # every chosen unit owns a localized weight, some own more than one
+                refs = {WeightRef(layer, int(rng.integers(n_in)), int(j)) for j in units}
+                refs |= {WeightRef(layer, int(rng.integers(n_in)), int(rng.choice(units)))
+                         for _ in range(3)}
+                refs = sorted(refs, key=lambda r: r.sort_key)
+                cfg = FitnessConfig(variant=("eq1", "eq2")[(trial + layer) % 2],
+                                    alpha=float(rng.uniform(0.5, 8)),
+                                    perfect_intact=bool(trial % 2))
+                scorer = BatchScorer(m, refs, neg, pos, cfg)
+                assert scorer.units == (n_units, n_out)
+                original = np.array([m.weights[layer][r.i, r.j] for r in refs])
+                p = int(rng.integers(8, 16))
+                positions = original + rng.normal(0.0, 1.0, size=(p, len(refs)))
+                positions[0] = original
+
+                scores, full = scorer(positions), scorer(positions, full=True)
+                for chunk in (1, 7, p):
+                    scorer.chunks = [chunk, chunk]
+                    for got in (scorer(positions), scorer(positions, full=True)):
+                        for name in ("n_patched", "n_intact", "raw", "gated"):
+                            np.testing.assert_array_equal(getattr(got, name), getattr(scores, name))
+                            np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
+                    for a, b in zip(scorer(positions, full=True), full):
+                        np.testing.assert_array_equal(a, b)
+
+                for k in range(p):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        ref = fitness(write_weights(m, refs, positions[k]), neg, pos,
+                                      scorer.base_losses, cfg)
+                    assert (full.n_patched[k], full.n_intact[k]) == (ref.n_patched, ref.n_intact)
+                    np.testing.assert_allclose(
+                        [full.loss_neg[k], full.loss_pos[k], full.raw[k], full.gated[k]],
+                        [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness],
+                        rtol=1e-12, atol=0)
+                base = scorer.base_losses
+                assert full.breakdown(0, base) == scorer.identity.breakdown(0, base)
+                assert (scores.raw[0], scores.gated[0]) == (scorer.identity.raw[0],
+                                                            scorer.identity.gated[0])
+                # no margin of these random candidates lies in the band, so every
+                # count came from the margins, not from the softmax fallback
+                assert scorer.n_fallback == 0
 
 
 def test_overflowing_candidate_scores_minus_inf():
