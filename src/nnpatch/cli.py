@@ -29,7 +29,7 @@ from .data import (
     select_repair_inputs,
     split,
 )
-from .harness import emit_report, load_sweep_dir, run_repair_pipeline, run_sweep
+from .harness import as_dict, emit_report, load_sweep_dir, run_repair_pipeline, run_sweep
 from .localization import localize_to_count, compute_impacts, write_impact_csv, write_localized_csv
 from .metrics import evaluate
 from .training import materialize_splits, train_subject
@@ -127,7 +127,7 @@ def _cmd_repair(args) -> int:
     result = run_repair_pipeline(
         model, splits, exp.grid[0], exp, config_idx=0, rep_idx=0, out_dir=Path(args.out_dir)
     )
-    print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
 
 
@@ -147,7 +147,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
-    agg = run_sweep(exp, Path(args.out_dir), n_workers=args.workers)
+    try:
+        agg = run_sweep(exp, Path(args.out_dir), n_workers=args.workers)
+    except ValueError as exc:  # e.g. a directory that holds a sweep of another spec
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     emit_report(agg, Path(args.out_dir) / "report")
     failed = [r for r in agg.runs if r.status == "error"]
     for r in failed:

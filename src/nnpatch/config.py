@@ -3,14 +3,16 @@
 Configs are versioned YAML documents with sections: dataset, split,
 subject, experiment, and optionally drift, repair (search knobs) and
 localization. They are the single source of hyperparameters; CLI --seed
-only overrides the seed relevant to the verb at hand.
+only overrides the seed relevant to the verb at hand. Every section but
+dataset and localization is read by `from_dict`, so an omitted key takes the
+spec's default and a key that names no field is an error.
 """
 from __future__ import annotations
 
 import yaml
 
 from .data import DriftSpec, SplitSpec
-from .harness import ExperimentSpec, GridEntry
+from .harness import ExperimentSpec, from_dict
 from .training import SubjectSpec, load_source
 
 CONFIG_VERSION = 1
@@ -36,72 +38,47 @@ def _section(cfg: dict, name: str) -> dict:
     return sect
 
 
+def _seeded(sect: dict, seed: int | None) -> dict:
+    return sect if seed is None else {**sect, "seed": seed}
+
+
 def dataset_from_config(cfg: dict, seed: int | None = None):
-    sect = dict(_section(cfg, "dataset"))
-    if seed is not None:
-        sect["seed"] = seed
-    return load_source(sect)
+    return load_source(_seeded(_section(cfg, "dataset"), seed))
 
 
 def split_spec_from_config(cfg: dict, seed: int | None = None) -> SplitSpec:
-    sect = dict(_section(cfg, "split"))
-    if seed is not None:
-        sect["seed"] = seed
-    return SplitSpec(
-        train=float(sect["train"]),
-        validation=float(sect["validation"]),
-        repair=float(sect["repair"]),
-        test=float(sect["test"]),
-        seed=int(sect.get("seed", 0)),
-        stratified=bool(sect.get("stratified", True)),
-    )
+    return from_dict(SplitSpec, _seeded(_section(cfg, "split"), seed))
 
 
 def drift_spec_from_config(cfg: dict, seed: int | None = None) -> DriftSpec | None:
-    if "drift" not in cfg or cfg["drift"] is None:
+    if cfg.get("drift") is None:
         return None
-    sect = dict(_section(cfg, "drift"))
-    if seed is not None:
-        sect["seed"] = seed
-    return DriftSpec(
-        target_class=int(sect["target_class"]),
-        train_fraction_of_class=float(sect["train_fraction_of_class"]),
-        repair_fraction_of_class=float(sect["repair_fraction_of_class"]),
-        seed=int(sect.get("seed", 0)),
-    )
+    return from_dict(DriftSpec, _seeded(_section(cfg, "drift"), seed))
 
 
 def subject_spec_from_config(cfg: dict, seed: int | None = None) -> SubjectSpec:
-    sect = _section(cfg, "subject")
-    return SubjectSpec(
-        layer_sizes=tuple(int(s) for s in sect["layer_sizes"]),
-        epochs=int(sect["epochs"]),
-        learning_rate=float(sect["learning_rate"]),
-        batch_size=int(sect["batch_size"]),
-        seed=int(sect["seed"] if seed is None else seed),
-        source=dict(_section(cfg, "dataset")),
-        split=split_spec_from_config(cfg),
-        drift=drift_spec_from_config(cfg),
+    sect = _seeded(_section(cfg, "subject"), seed)
+    return from_dict(
+        SubjectSpec,
+        {
+            **sect,
+            "source": _section(cfg, "dataset"),
+            "split": split_spec_from_config(cfg),
+            "drift": drift_spec_from_config(cfg),
+        },
     )
 
 
 def experiment_spec_from_config(cfg: dict, master_seed: int | None = None) -> ExperimentSpec:
+    """The experiment section plus the optional repair section, whose `layer`
+    is the spec's `repair_layer`."""
     sect = _section(cfg, "experiment")
-    search = cfg.get("repair", {}) or {}
-    grid = tuple(GridEntry.from_dict(e) for e in sect["grid"])
-    return ExperimentSpec(
-        subject=subject_spec_from_config(cfg),
-        target_class=int(sect["target_class"]),
-        grid=grid,
-        repetitions=int(sect.get("repetitions", 10)),
-        master_seed=int(sect.get("master_seed", 0) if master_seed is None else master_seed),
-        repair_layer=int(search.get("layer", -1)),
-        n_iterations=int(search.get("n_iterations", 100)),
-        inertia=float(search.get("inertia", 0.7298)),
-        cognitive=float(search.get("cognitive", 1.49618)),
-        social=float(search.get("social", 1.49618)),
-        velocity_clamp=float(search.get("velocity_clamp", 3.0)),
-        beta=float(search.get("beta", 0.25)),
-        delta=float(search.get("delta", 1e-6)),
-        orientation=str(search.get("orientation", "prose")),
-    )
+    if master_seed is not None:
+        sect = {**sect, "master_seed": master_seed}
+    search = {} if cfg.get("repair") is None else dict(_section(cfg, "repair"))
+    if "layer" in search:
+        search["repair_layer"] = search.pop("layer")
+    both = sorted(sect.keys() & search.keys())
+    if both:
+        raise ValueError(f"config sections 'experiment' and 'repair' both set {', '.join(both)}")
+    return from_dict(ExperimentSpec, {**sect, **search, "subject": subject_spec_from_config(cfg)})

@@ -9,9 +9,12 @@ runtimes live in timing.json sidecars so everything else is byte-stable.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
+import functools
 import hashlib
 import json
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +30,6 @@ from .metrics import diff, evaluate
 from .network import Model
 from .repair import (
     VARIANTS,
-    FitnessBreakdown,
     FitnessConfig,
     SwarmConfig,
     repair,
@@ -35,7 +37,7 @@ from .repair import (
     write_trace_csv,
 )
 from .training import SubjectSpec, materialize_splits, train_subject
-from .data import DriftSpec, SplitSpec, select_repair_inputs
+from .data import select_repair_inputs
 
 
 @dataclass(frozen=True)
@@ -59,31 +61,11 @@ class GridEntry:
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "pi": self.pi,
-            "target_lw": self.target_lw,
-            "n_pos": self.n_pos,
-            "n_particles": self.n_particles,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridEntry":
-        return cls(
-            variant=str(d["variant"]),
-            alpha=float(d["alpha"]),
-            pi=bool(d["pi"]),
-            target_lw=int(d["target_lw"]),
-            n_pos=int(d["n_pos"]),
-            n_particles=int(d["n_particles"]),
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A subject plus the grid and seeds of a full sweep."""
+    """A subject plus the grid and seeds of a full sweep. The search knobs
+    default to those of SwarmConfig and FitnessConfig."""
 
     subject: SubjectSpec
     target_class: int
@@ -91,19 +73,17 @@ class ExperimentSpec:
     repetitions: int = 10
     master_seed: int = 0
     repair_layer: int = -1
-    n_iterations: int = 100
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
-    velocity_clamp: float = 3.0
-    beta: float = 0.25
-    delta: float = 1e-6
-    orientation: str = "prose"
+    n_iterations: int = SwarmConfig.n_iterations
+    inertia: float = SwarmConfig.inertia
+    cognitive: float = SwarmConfig.cognitive
+    social: float = SwarmConfig.social
+    velocity_clamp: float = SwarmConfig.velocity_clamp
+    beta: float = FitnessConfig.beta
+    delta: float = FitnessConfig.delta
+    orientation: str = FitnessConfig.loss_ratio_orientation
 
     def __post_init__(self) -> None:
-        grid = tuple(
-            e if isinstance(e, GridEntry) else GridEntry.from_dict(e) for e in self.grid
-        )
+        grid = tuple(e if isinstance(e, GridEntry) else from_dict(GridEntry, e) for e in self.grid)
         object.__setattr__(self, "grid", grid)
         if not grid:
             raise ValueError("grid must not be empty")
@@ -113,8 +93,9 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
-    """One (config, repetition) outcome. runtime and telemetry are kept out of
-    to_dict so persisted records stay byte-identical across reruns."""
+    """One (config, repetition) outcome, exactly as run.json holds it. Wall-clock
+    time and search telemetry go to timing.json instead, so that records stay
+    byte-identical across reruns."""
 
     config_id: str
     config: dict
@@ -132,32 +113,6 @@ class RunResult:
     no_search_space: bool = False
     best: dict | None = None
     splits: dict = field(default_factory=dict)
-    runtime: float = 0.0
-    telemetry: dict = field(default_factory=dict)  # extra timing.json fields
-
-    def to_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "config": self.config,
-            "rep": self.rep,
-            "pos_seed": self.pos_seed,
-            "swarm_seed": self.swarm_seed,
-            "status": self.status,
-            "error": self.error,
-            "note": self.note,
-            "n_neg": self.n_neg,
-            "n_pos": self.n_pos,
-            "n_localized": self.n_localized,
-            "localization_warning": self.localization_warning,
-            "identity_fallback": self.identity_fallback,
-            "no_search_space": self.no_search_space,
-            "best": self.best,
-            "splits": self.splits,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunResult":
-        return cls(**{k: d[k] for k in d if k != "runtime"})
 
 
 @dataclass(frozen=True)
@@ -167,16 +122,56 @@ class AggregateResult:
     configs: tuple[dict, ...]
     runs: tuple[RunResult, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "configs": list(self.configs),
-            "runs": [r.to_dict() for r in self.runs],
-        }
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def as_dict(obj) -> dict:
+    """A dataclass as the dict of its fields, unconverted: the `default=` hook of
+    every JSON record written here, so nested dataclasses are encoded in place
+    and tuples become lists. Raises TypeError on anything else, as json expects."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+def _converter(hint):
+    """A function that turns a JSON or YAML value into a value of type `hint`."""
+    if dataclasses.is_dataclass(hint):
+        return lambda v: v if isinstance(v, hint) else from_dict(hint, v)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        item = _converter(args[0])
+        return lambda v: tuple(map(item, v))
+    if type(None) in args:  # X | None
+        (inner,) = (a for a in args if a is not type(None))
+        inner = _converter(inner)
+        return lambda v: None if v is None else inner(v)
+    return hint  # int, float, str, bool, dict
+
+
+@functools.cache
+def _converters(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {name: _converter(hints[name]) for name in _field_names(cls)}
+
+
+def from_dict(cls, d):
+    """Build dataclass `cls`, nested dataclasses included, from a JSON or YAML
+    mapping. Each value is converted by its field's type hint; an omitted key
+    takes the field's default; a key that names no field raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
+    convert = _converters(cls)
+    unknown = d.keys() - convert.keys()
+    if unknown:
+        raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
+    return cls(**{k: convert[k](v) for k, v in d.items()})
 
 
 def _write_json(obj, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        fh.write(json.dumps(obj, default=as_dict, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 
@@ -195,21 +190,8 @@ def derive_run_seeds(master_seed: int, config_idx: int, rep_idx: int) -> tuple[i
     )
 
 
-def _breakdown_dict(b: FitnessBreakdown) -> dict:
-    return {
-        "n_patched": b.n_patched,
-        "n_intact": b.n_intact,
-        "loss_neg_before": b.loss_neg_before,
-        "loss_neg_after": b.loss_neg_after,
-        "loss_pos_before": b.loss_pos_before,
-        "loss_pos_after": b.loss_pos_after,
-        "raw_fitness": b.raw_fitness,
-        "gated_fitness": b.gated_fitness,
-    }
-
-
 def _config_hash(entry: GridEntry) -> str:
-    blob = json.dumps(entry.to_dict(), sort_keys=True).encode("ascii")
+    blob = json.dumps(entry, default=as_dict, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -251,7 +233,7 @@ def run_repair_pipeline(
 
     result = RunResult(
         config_id=config_id,
-        config=entry.to_dict(),
+        config=as_dict(entry),
         rep=rep_idx,
         pos_seed=pos_seed,
         swarm_seed=swarm_seed,
@@ -265,9 +247,8 @@ def run_repair_pipeline(
         result.note = str(exc)
         result.identity_fallback = True
         result.splits = _split_records(before, before)
-        result.runtime = time.perf_counter() - t0
         if out_dir is not None:
-            _persist_run(result, None, None, out_dir)
+            _persist_run(result, None, None, out_dir, {"runtime_seconds": time.perf_counter() - t0})
         return result
 
     localized = localize_to_count(
@@ -293,7 +274,7 @@ def run_repair_pipeline(
     )
     t_repair = time.perf_counter()
     rr = repair(model, localized, inputs.negative_set, i_pos, fcfg, scfg)
-    result.telemetry = {
+    telemetry = {
         "repair_s": time.perf_counter() - t_repair,
         "candidates_scored": rr.candidates_scored,
         "band_fallback_columns": rr.band_fallback_columns,
@@ -308,19 +289,20 @@ def run_repair_pipeline(
     result.localization_warning = localized.warning
     result.identity_fallback = rr.identity_fallback
     result.no_search_space = rr.no_search_space
-    result.best = _breakdown_dict(rr.best)
+    result.best = as_dict(rr.best)
     result.splits = _split_records(before, after)
-    result.runtime = time.perf_counter() - t0
     if out_dir is not None:
-        _persist_run(result, rr, localized, out_dir)
+        timing = {"runtime_seconds": time.perf_counter() - t0, **telemetry}
+        _persist_run(result, rr, localized, out_dir, timing)
     return result
 
 
-def _persist_run(result: RunResult, rr, localized, out_dir: Path) -> None:
+def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) -> None:
+    """The run's files, with run.json, the completion marker, written last."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rr is not None:
-        entry = GridEntry.from_dict(result.config)
+        entry = from_dict(GridEntry, result.config)
         save_model(
             rr.model,
             out_dir / "model.json",
@@ -329,8 +311,8 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path) -> None:
         write_trace_csv(rr.trace, out_dir / "trace.csv")
     if localized is not None:
         write_localized_csv(localized, out_dir / "localized.csv")
-    _write_json(result.to_dict(), out_dir / "run.json")  # written last: completion marker
-    _write_json({"runtime_seconds": result.runtime, **result.telemetry}, out_dir / "timing.json")
+    _write_json(timing, out_dir / "timing.json")
+    _write_json(result, out_dir / "run.json")
 
 
 def _load_run(run_dir: Path) -> RunResult | None:
@@ -339,88 +321,13 @@ def _load_run(run_dir: Path) -> RunResult | None:
     if not (run_dir / "run.json").exists():
         return None
     try:
-        result = RunResult.from_dict(_read_json(run_dir / "run.json"))
+        result = from_dict(RunResult, _read_json(run_dir / "run.json"))
         timing = run_dir / "timing.json"
         if timing.exists():
-            result.runtime = float(_read_json(timing).get("runtime_seconds", 0.0))
+            float(_read_json(timing).get("runtime_seconds", 0.0))  # it must read back
     except (ValueError, TypeError, AttributeError):
         return None
     return result
-
-
-def _spec_dict(exp: ExperimentSpec) -> dict:
-    subj = exp.subject
-    return {
-        "subject": {
-            "layer_sizes": list(subj.layer_sizes),
-            "epochs": subj.epochs,
-            "learning_rate": subj.learning_rate,
-            "batch_size": subj.batch_size,
-            "seed": subj.seed,
-            "source": subj.source,
-            "split": {
-                "train": subj.split.train,
-                "validation": subj.split.validation,
-                "repair": subj.split.repair,
-                "test": subj.split.test,
-                "seed": subj.split.seed,
-                "stratified": subj.split.stratified,
-            },
-            "drift": None
-            if subj.drift is None
-            else {
-                "target_class": subj.drift.target_class,
-                "train_fraction_of_class": subj.drift.train_fraction_of_class,
-                "repair_fraction_of_class": subj.drift.repair_fraction_of_class,
-                "seed": subj.drift.seed,
-            },
-        },
-        "target_class": exp.target_class,
-        "grid": [e.to_dict() for e in exp.grid],
-        "repetitions": exp.repetitions,
-        "master_seed": exp.master_seed,
-        "repair_layer": exp.repair_layer,
-        "n_iterations": exp.n_iterations,
-        "inertia": exp.inertia,
-        "cognitive": exp.cognitive,
-        "social": exp.social,
-        "velocity_clamp": exp.velocity_clamp,
-        "beta": exp.beta,
-        "delta": exp.delta,
-        "orientation": exp.orientation,
-    }
-
-
-def spec_from_dict(d: dict) -> ExperimentSpec:
-    s = d["subject"]
-    split_spec = SplitSpec(**s["split"])
-    drift = None if s.get("drift") is None else DriftSpec(**s["drift"])
-    subject = SubjectSpec(
-        layer_sizes=tuple(s["layer_sizes"]),
-        epochs=int(s["epochs"]),
-        learning_rate=float(s["learning_rate"]),
-        batch_size=int(s["batch_size"]),
-        seed=int(s["seed"]),
-        source=dict(s["source"]),
-        split=split_spec,
-        drift=drift,
-    )
-    return ExperimentSpec(
-        subject=subject,
-        target_class=int(d["target_class"]),
-        grid=tuple(GridEntry.from_dict(e) for e in d["grid"]),
-        repetitions=int(d["repetitions"]),
-        master_seed=int(d["master_seed"]),
-        repair_layer=int(d["repair_layer"]),
-        n_iterations=int(d["n_iterations"]),
-        inertia=float(d["inertia"]),
-        cognitive=float(d["cognitive"]),
-        social=float(d["social"]),
-        velocity_clamp=float(d["velocity_clamp"]),
-        beta=float(d["beta"]),
-        delta=float(d["delta"]),
-        orientation=str(d["orientation"]),
-    )
 
 
 def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
@@ -451,7 +358,7 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
         configs.append(
             {
                 "config_id": config_id,
-                "config": entry.to_dict(),
+                "config": as_dict(entry),
                 "n_runs": len(config_runs),
                 "n_usable": len(usable),
                 "statuses": [r.status for r in config_runs],
@@ -467,14 +374,26 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     """Train the subject once, run grid x repetitions, aggregate.
 
     Completed runs (a readable run.json) are reused; a run whose record is
-    missing or unreadable is run again. Failures are isolated:
+    missing or unreadable is run again. A directory whose readable sweep.json
+    holds a spec that differs from `exp` in anything but `repetitions` is
+    refused with ValueError before anything is written: its runs were made by
+    another spec. `repetitions` only decides how many runs exist, since each
+    run's seeds come from (master_seed, config, rep). Failures are isolated:
     they become status="error" records and the sweep continues. Results are
     identical at any worker count because every run owns its directory and
     its RNG streams.
     """
     out = Path(out_dir)
+    try:
+        previous = from_dict(ExperimentSpec, _read_json(out / "sweep.json"))
+    except (OSError, ValueError, TypeError, AttributeError):
+        previous = None  # no sweep here yet, or an unreadable spec, rewritten below
+    if previous is not None and dataclasses.replace(previous, repetitions=exp.repetitions) != exp:
+        raise ValueError(
+            f"{out} holds a sweep of another spec; only repetitions may change on a resume"
+        )
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(_spec_dict(exp), out / "sweep.json")
+    _write_json(exp, out / "sweep.json")
 
     _, splits = materialize_splits(exp.subject)
     subject_dir = out / "subject"
@@ -505,15 +424,15 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
             pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, ci, ri)
             failed = RunResult(
                 config_id=f"cfg{ci:03d}",
-                config=exp.grid[ci].to_dict(),
+                config=as_dict(exp.grid[ci]),
                 rep=ri,
                 pos_seed=pos_seed,
                 swarm_seed=swarm_seed,
                 status="error",
                 error=f"{type(exc).__name__}: {exc}",
             )
-            _write_json(failed.to_dict(), run_dir / "run.json")
             _write_json({"runtime_seconds": 0.0}, run_dir / "timing.json")
+            _write_json(failed, run_dir / "run.json")
         # reload from disk so resumed and fresh sweeps aggregate identical bytes
         return _load_run(run_dir)
 
@@ -526,14 +445,14 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         results = [job(ci, ri) for ci, ri in jobs]
 
     agg = aggregate_runs(exp, results)
-    _write_json(agg.to_dict(), out / "aggregate.json")
+    _write_json(agg, out / "aggregate.json")
     return agg
 
 
 def load_sweep_dir(out_dir) -> tuple[ExperimentSpec, AggregateResult]:
     """Rebuild the aggregate from persisted run records."""
     out = Path(out_dir)
-    exp = spec_from_dict(_read_json(out / "sweep.json"))
+    exp = from_dict(ExperimentSpec, _read_json(out / "sweep.json"))
     runs = []
     for ci in range(len(exp.grid)):
         for ri in range(exp.repetitions):
@@ -556,7 +475,7 @@ def emit_report(agg: AggregateResult, out_dir) -> list[Path]:
     written = []
 
     path = out / "report.json"
-    _write_json(agg.to_dict(), path)
+    _write_json(agg, path)
     written.append(path)
 
     rows = []

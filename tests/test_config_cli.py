@@ -90,6 +90,10 @@ def test_experiment_spec_parsing(config_path):
     assert exp.subject.drift is None
     # master seed override
     assert experiment_spec_from_config(cfg, master_seed=7).master_seed == 7
+    # the repair section's `layer` is the spec's repair_layer
+    assert exp.repair_layer == -1
+    cfg["repair"] = {**cfg["repair"], "layer": 0}
+    assert experiment_spec_from_config(cfg).repair_layer == 0
 
 
 def test_reference_grid_row_parses(tmp_path):
@@ -104,6 +108,27 @@ def test_reference_grid_row_parses(tmp_path):
     assert (e.variant, e.alpha, e.pi, e.target_lw, e.n_pos, e.n_particles) == (
         "eq2", 8.0, True, 32, 500, 200,
     )
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("repair:\n  n_iterations: 3", "repair:\n  n_iteration: 5", "n_iteration"),
+        ("  master_seed: 42\n", "  master_seed: 42\n  master_sed: 1\n", "master_sed"),
+        ("  batch_size: 16\n", "  batch_size: 16\n  batchsize: 8\n", "batchsize"),
+        ("  test: 0.2\n", "  test: 0.2\n  stratify: false\n", "stratify"),
+        ("n_particles: 4}", "n_particles: 4, n_particle: 9}", "n_particle"),
+        # a search knob set in both sections would silently take one of the values
+        ("  master_seed: 42\n", "  master_seed: 42\n  n_iterations: 7\n", "n_iterations"),
+    ],
+    ids=["repair", "experiment", "subject", "split", "grid_row", "both_sections"],
+)
+def test_config_rejects_unknown_keys(tmp_path, old, new, key):
+    assert BASE_CONFIG.count(old) == 1
+    path = tmp_path / "typo.yaml"
+    path.write_text(BASE_CONFIG.replace(old, new))
+    with pytest.raises(ValueError, match=key):
+        experiment_spec_from_config(load_config(path))
 
 
 def test_drift_section_parsing(tmp_path):
@@ -208,3 +233,8 @@ def test_cli_sweep_and_report(config_path, tmp_path):
     (report_dir / "runs_long.csv").unlink()
     assert main(["report", "--sweep-dir", str(sweep_dir)]) == 0
     assert (report_dir / "runs_long.csv").exists()
+
+    # a sweep of another spec into the same directory is refused
+    assert main([
+        "sweep", "--config", str(config_path), "--out-dir", str(sweep_dir), "--seed", "7",
+    ]) == 2

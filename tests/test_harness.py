@@ -11,6 +11,7 @@ import pytest
 
 from nnpatch import (
     Dataset,
+    DriftSpec,
     ExperimentSpec,
     GridEntry,
     RunResult,
@@ -26,10 +27,12 @@ from nnpatch import (
     train_subject,
 )
 from nnpatch.config import experiment_spec_from_config, load_config
-from nnpatch.harness import AggregateResult, _spec_dict, spec_from_dict
+from nnpatch.harness import AggregateResult, _write_json, as_dict, from_dict
 from nnpatch.training import materialize_splits
 
 from helpers import perceptron_separable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_subject(**overrides):
@@ -98,7 +101,7 @@ def test_grid_entry_validation():
     with pytest.raises(ValueError):
         GridEntry("eq1", 1.0, True, 4, 10, 1)
     e = GridEntry("eq2", 8.0, True, 32, 500, 200)
-    assert GridEntry.from_dict(e.to_dict()) == e
+    assert from_dict(GridEntry, as_dict(e)) == e
 
 
 def test_experiment_spec_validation():
@@ -233,13 +236,16 @@ def test_run_result_roundtrip_excludes_runtime():
         pos_seed=11,
         swarm_seed=22,
         status="ok",
-        runtime=123.456,
     )
-    d = r.to_dict()
+    d = as_dict(r)
     assert "runtime" not in d
-    back = RunResult.from_dict(json.loads(json.dumps(d)))
-    assert back.runtime == 0.0
+    back = from_dict(RunResult, json.loads(json.dumps(r, default=as_dict)))
+    # the runtime lives in timing.json only, and a record carrying one is not a RunResult
+    assert not hasattr(back, "runtime")
+    with pytest.raises(ValueError, match="runtime"):
+        from_dict(RunResult, {**d, "runtime": 123.456})
     assert back.config_id == "cfg000" and back.swarm_seed == 22
+    assert back == r
 
 
 def test_sweep_writes_everything_and_aggregates(tmp_path):
@@ -286,11 +292,44 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
         ) == min(breaks)
 
 
-def test_sweep_spec_roundtrip():
-    exp = small_experiment(subject=small_subject(drift=None))
-    d = _spec_dict(exp)
-    back = spec_from_dict(json.loads(json.dumps(d)))
+def _bundled(name, edit=lambda text: text):
+    def make(tmp_path):
+        path = tmp_path / name
+        path.write_text(edit((ROOT / "configs" / name).read_text()))
+        return experiment_spec_from_config(load_config(path))
+
+    return make
+
+
+def _yaml_ints(text):
+    text = text.replace("alpha: 8.0,", "alpha: 8,").replace("learning_rate: 0.1", "learning_rate: 1")
+    assert "alpha: 8," in text and "learning_rate: 1\n" in text
+    return text
+
+
+@pytest.mark.parametrize(
+    "make_exp, persisted",
+    [
+        (lambda _: small_experiment(subject=small_subject(drift=None)), ()),
+        (lambda _: small_experiment(subject=small_subject(drift=DriftSpec(1, 0.5, 1.0, seed=9))), ()),
+        (_bundled("quickstart.yaml"), ()),
+        (_bundled("exp_c.yaml"), ()),
+        # YAML ints in float fields are converted, so they persist as floats
+        (_bundled("quickstart.yaml", _yaml_ints), (b'"alpha":8.0', b'"learning_rate":1.0')),
+    ],
+    ids=["no_drift", "drift", "quickstart", "exp_c", "yaml_ints"],
+)
+def test_sweep_spec_roundtrip(make_exp, persisted, tmp_path):
+    exp = make_exp(tmp_path)
+    path = tmp_path / "sweep.json"
+    _write_json(exp, path)
+    data = path.read_bytes()
+    back = from_dict(ExperimentSpec, json.loads(data))
     assert back == exp
+    for snippet in persisted:
+        assert snippet in data
+    _write_json(back, path)
+    assert path.read_bytes() == data
 
 
 def test_sweep_resume_matches_uninterrupted(tmp_path):
@@ -314,8 +353,7 @@ def test_sweep_resume_matches_uninterrupted(tmp_path):
 
 
 def test_sweep_reruns_a_truncated_record(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    exp = experiment_spec_from_config(load_config(root / "configs" / "quickstart.yaml"))
+    exp = experiment_spec_from_config(load_config(ROOT / "configs" / "quickstart.yaml"))
     out = tmp_path / "sweep"
     run_sweep(exp, out)
     record = out / "runs" / "cfg001" / "rep01" / "run.json"
@@ -327,6 +365,28 @@ def test_sweep_reruns_a_truncated_record(tmp_path):
     agg = run_sweep(exp, out)
     assert len(agg.runs) == len(exp.grid) * exp.repetitions
     assert record.read_bytes() == original
+
+
+def test_sweep_refuses_a_directory_of_another_spec(tmp_path):
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    before = tree_bytes(out, skip=())
+    for other in (small_experiment(master_seed=999), small_experiment(n_iterations=0)):
+        with pytest.raises(ValueError, match=str(out)):
+            run_sweep(other, out)
+        assert tree_bytes(out, skip=()) == before
+    # an unreadable spec is rewritten, as on a fresh directory
+    (out / "sweep.json").write_text("{")
+    run_sweep(exp, out)
+    assert tree_bytes(out, skip=()) == before
+    # more repetitions reuse every old run byte for byte, timing.json included
+    run_sweep(small_experiment(repetitions=4), out)
+    after = tree_bytes(out, skip=())
+    old_runs = {k: v for k, v in before.items() if k.startswith("runs")}
+    assert {k: after[k] for k in old_runs} == old_runs
+    assert (out / "runs" / "cfg001" / "rep03" / "run.json").exists()
+    assert load_sweep_dir(out)[0] == small_experiment(repetitions=4)
 
 
 def test_sweep_concurrency_is_byte_identical(tmp_path):
@@ -380,8 +440,8 @@ def test_load_sweep_dir_reproduces_aggregate(tmp_path):
     agg = run_sweep(exp, out)
     loaded_exp, loaded_agg = load_sweep_dir(out)
     assert loaded_exp == exp
-    assert json.dumps(loaded_agg.to_dict(), sort_keys=True) == json.dumps(
-        agg.to_dict(), sort_keys=True
+    assert json.dumps(loaded_agg, default=as_dict, sort_keys=True) == json.dumps(
+        agg, default=as_dict, sort_keys=True
     )
 
 
@@ -444,7 +504,7 @@ def test_aggregate_min_regression_tie_goes_to_lower_rep():
     runs = [
         RunResult(
             config_id="cfg000",
-            config=exp.grid[0].to_dict(),
+            config=as_dict(exp.grid[0]),
             rep=rep,
             pos_seed=rep,
             swarm_seed=rep,
