@@ -114,7 +114,7 @@ def _cmd_localize(args) -> int:
     table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, layer)
     write_impact_csv(table, out / "impacts.csv")
     write_localized_csv(localized, out / "localized.csv")
-    print(f"localized {len(localized)} weights in layer {layer}")
+    print(f"localized {len(localized)} weights in layer {layer} at n_g={localized.n_g}")
     if localized.warning:
         print(f"warning: {localized.warning}", file=sys.stderr)
     return 0

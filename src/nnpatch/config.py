@@ -5,9 +5,12 @@ subject, experiment, and optionally drift, repair (search knobs) and
 localization. They are the single source of hyperparameters; CLI --seed
 only overrides the seed relevant to the verb at hand. Every section but
 dataset and localization is read by `from_dict`, so an omitted key takes the
-spec's default and a key that names no field is an error.
+spec's default and a key that names no field is an error, as is a key set in
+a section other than its own.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import yaml
 
@@ -56,8 +59,23 @@ def drift_spec_from_config(cfg: dict, seed: int | None = None) -> DriftSpec | No
     return from_dict(DriftSpec, _seeded(_section(cfg, "drift"), seed))
 
 
+def _refuse(sect: dict, name: str, keys) -> None:
+    """Each key has one section: raise on the keys of section `name` that
+    another section sets, which would otherwise be silently replaced or read
+    from the wrong place."""
+    misplaced = sorted(sect.keys() & set(keys))
+    if misplaced:
+        raise ValueError(f"config section '{name}' must not set {', '.join(misplaced)}")
+
+
+# ExperimentSpec's fields set in the experiment section; the others but
+# `subject` are search knobs, set in the repair section
+_EXPERIMENT_KEYS = frozenset({"target_class", "grid", "repetitions", "master_seed"})
+
+
 def subject_spec_from_config(cfg: dict, seed: int | None = None) -> SubjectSpec:
     sect = _seeded(_section(cfg, "subject"), seed)
+    _refuse(sect, "subject", ("source", "split", "drift"))
     return from_dict(
         SubjectSpec,
         {
@@ -73,12 +91,11 @@ def experiment_spec_from_config(cfg: dict, master_seed: int | None = None) -> Ex
     """The experiment section plus the optional repair section, whose `layer`
     is the spec's `repair_layer`."""
     sect = _section(cfg, "experiment")
+    _refuse(sect, "experiment", {f.name for f in dataclasses.fields(ExperimentSpec)} - _EXPERIMENT_KEYS)
     if master_seed is not None:
         sect = {**sect, "master_seed": master_seed}
     search = {} if cfg.get("repair") is None else dict(_section(cfg, "repair"))
+    _refuse(search, "repair", _EXPERIMENT_KEYS | {"subject", "repair_layer"})
     if "layer" in search:
         search["repair_layer"] = search.pop("layer")
-    both = sorted(sect.keys() & search.keys())
-    if both:
-        raise ValueError(f"config sections 'experiment' and 'repair' both set {', '.join(both)}")
     return from_dict(ExperimentSpec, {**sect, **search, "subject": subject_spec_from_config(cfg)})

@@ -280,6 +280,8 @@ def run_repair_pipeline(
         "band_fallback_columns": rr.band_fallback_columns,
         "units_recomputed": rr.units_recomputed,
         "units_total": rr.units_total,
+        "n_g": localized.n_g,
+        "localization_curve": localized.curve,
     }
     after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 

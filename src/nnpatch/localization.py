@@ -7,7 +7,6 @@ also rank high on both passed impacts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,21 +27,15 @@ class ImpactTable:
     fwd_passed: np.ndarray
 
     def __post_init__(self) -> None:
-        arrays = {}
-        shape = None
-        for name in IMPACT_NAMES:
+        for name in IMPACT_NAMES:  # back_failed first: the others must match its shape
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             if arr.ndim != 2:
                 raise ValueError(f"{name} must be 2-D (n_in, n_out)")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
+            if arr.shape != np.shape(self.back_failed):
                 raise ValueError("impact arrays must share one shape")
             if not np.isfinite(arr).all() or (arr < 0).any():
                 raise ValueError(f"{name} must be finite and non-negative")
-            arrays[name] = arr
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
     @property
@@ -51,25 +44,18 @@ class ImpactTable:
 
     @property
     def n_weights(self) -> int:
-        n_in, n_out = self.shape
-        return n_in * n_out
-
-    def refs(self) -> list[WeightRef]:
-        """Every weight of the layer, in WeightRef total order."""
-        n_in, n_out = self.shape
-        return [WeightRef(self.layer, i, j) for j in range(n_out) for i in range(n_in)]
-
-    def score(self, name: str, ref: WeightRef) -> float:
-        return float(getattr(self, name)[ref.i, ref.j])
+        return self.back_failed.size
 
 
 @dataclass(frozen=True)
 class LocalizedSet:
-    """Ordered suspicious weights plus how they were selected."""
+    """Ordered suspicious weights, the n_g that selected them and, when n_g
+    was searched for, |localize(n)| for n = 1..N at index n - 1."""
 
     refs: tuple[WeightRef, ...]
-    provenance: dict
+    n_g: int
     warning: str | None = None
+    curve: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         refs = tuple(self.refs)
@@ -104,126 +90,81 @@ def compute_impacts(model: Model, failed: Batch, passed: Batch, layer: int) -> I
     )
 
 
-def _ranked_flat(table: ImpactTable, name: str) -> np.ndarray:
-    """Flat weight indices sorted by (impact desc, j asc, i asc)."""
-    arr = getattr(table, name)
-    n_in, n_out = table.shape
-    flat = arr.ravel()  # C order: index = i*n_out + j
-    i_idx, j_idx = np.divmod(np.arange(flat.size), n_out)
-    # lexsort uses the last key as primary
-    return np.lexsort((i_idx, j_idx, -flat))
-
-
-def _flat_to_ref(table: ImpactTable, flat: int) -> WeightRef:
-    n_out = table.shape[1]
-    return WeightRef(table.layer, flat // n_out, flat % n_out)
-
-
-def top_sets(table: ImpactTable, n_g: int):
-    """Top-n_g weight sets for each of the four impacts.
-
-    Ties at the cut are broken by WeightRef total order, so the sets are
-    deterministic.
-    """
-    if not 1 <= n_g <= table.n_weights:
-        raise ValueError(f"n_g must lie in [1, {table.n_weights}], got {n_g}")
-    out = []
-    for name in IMPACT_NAMES:
-        order = _ranked_flat(table, name)
-        out.append(frozenset(_flat_to_ref(table, int(f)) for f in order[:n_g]))
-    return tuple(out)
-
-
-def _suspiciousness_order(table: ImpactTable):
-    """Sort key per flat index: a weight is as suspicious as the weaker of
-    its two failed-impact ranks (it must be high on both to be localized)."""
+def impact_ranks(table: ImpactTable) -> np.ndarray:
+    """(4, N) ranks, one row per impact in IMPACT_NAMES order: the position of
+    flat weight i*n_out + j when the weights are sorted by (impact desc, j asc,
+    i asc). A weight is in the top n_g of an impact exactly when its rank is
+    below n_g, so ties at the cut break by WeightRef total order."""
     n = table.n_weights
-    pos = {}
-    for name in ("back_failed", "fwd_failed"):
-        p = np.empty(n, dtype=np.int64)
-        p[_ranked_flat(table, name)] = np.arange(n)
-        pos[name] = p
-    binding = np.maximum(pos["back_failed"], pos["fwd_failed"])
+    i_idx, j_idx = np.divmod(np.arange(n), table.shape[1])
+    ranks = np.empty((len(IMPACT_NAMES), n), dtype=np.int64)
+    for row, name in zip(ranks, IMPACT_NAMES):
+        # lexsort uses the last key as primary
+        row[np.lexsort((i_idx, j_idx, -getattr(table, name).ravel()))] = np.arange(n)
+    return ranks
 
-    def key(ref: WeightRef):
-        flat = ref.i * table.shape[1] + ref.j
-        return (int(binding[flat]),) + ref.sort_key
 
-    return key
+def _binding_ranks(table: ImpactTable) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): a weight is in the top n_g of both failed impacts exactly when
+    a < n_g, and of both passed impacts exactly when b < n_g."""
+    back_f, fwd_f, back_p, fwd_p = impact_ranks(table)
+    return np.maximum(back_f, fwd_f), np.maximum(back_p, fwd_p)
+
+
+def localization_curve(table: ImpactTable) -> np.ndarray:
+    """|localize(table, n)| for n = 1..N, at index n - 1. A weight is localized
+    at n exactly when a < n <= max(a, b), so the curve is the count of a below
+    n minus the count of max(a, b) below n."""
+    a, b = _binding_ranks(table)
+    n = table.n_weights
+    return np.cumsum(np.bincount(a, minlength=n)) - np.cumsum(np.bincount(np.maximum(a, b), minlength=n))
 
 
 def localize(table: ImpactTable, n_g: int) -> LocalizedSet:
     """Suspicious set at one n_g: weights in the top-n_g of BOTH failed
-    impacts, minus those in the top-n_g of BOTH passed impacts."""
-    b_f, f_f, b_p, f_p = top_sets(table, n_g)
-    chosen = (b_f & f_f) - (b_p & f_p)
-    refs = tuple(sorted(chosen, key=_suspiciousness_order(table)))
-    provenance = {
-        "n_g": n_g,
-        "b_failed": len(b_f),
-        "f_failed": len(f_f),
-        "b_passed": len(b_p),
-        "f_passed": len(f_p),
-    }
-    warning = "localized set is empty" if not refs else None
-    return LocalizedSet(refs, provenance, warning)
+    impacts, minus those in the top-n_g of BOTH passed impacts. A weight is as
+    suspicious as the weaker of its two failed-impact ranks, a; the set is
+    ordered by a, then by WeightRef total order."""
+    if not 1 <= n_g <= table.n_weights:
+        raise ValueError(f"n_g must lie in [1, {table.n_weights}], got {n_g}")
+    a, b = _binding_ranks(table)
+    chosen = np.flatnonzero((a < n_g) & (b >= n_g))
+    i, j = np.divmod(chosen, table.shape[1])
+    order = np.lexsort((i, j, a[chosen]))
+    refs = tuple(WeightRef(table.layer, int(i[k]), int(j[k])) for k in order)
+    return LocalizedSet(refs, n_g, "localized set is empty" if not refs else None)
 
 
 def localize_to_count(
     model: Model, failed: Batch, passed: Batch, layer: int, target_lw: int
 ) -> LocalizedSet:
-    """Pick n_g so the suspicious set reaches target_lw weights, then truncate.
-
-    |localize(n_g)| is not monotone in n_g (the passed-side subtraction can
-    shrink it), so the doubling/bisection scan verifies its answer by direct
-    evaluation and falls back to a full scan when the target is never hit.
-    """
+    """The set at the smallest n_g whose suspicious set reaches target_lw
+    weights, truncated to target_lw. |localize(n_g)| is not monotone in n_g
+    (the passed-side subtraction can shrink it), so the whole curve is read.
+    When no n_g reaches the target, the set is the largest one, at its
+    smallest n_g, with a warning."""
     if target_lw < 1:
         raise ValueError("target_lw must be >= 1")
     table = compute_impacts(model, failed, passed, layer)
-    max_ng = table.n_weights
-    cache: dict[int, LocalizedSet] = {}
-
-    def at(n: int) -> LocalizedSet:
-        if n not in cache:
-            cache[n] = localize(table, n)
-        return cache[n]
-
-    hi = 1
-    while len(at(hi)) < target_lw and hi < max_ng:
-        hi = min(hi * 2, max_ng)
-
-    if len(at(hi)) < target_lw:
-        # doubling never hit the target; fall back to a full scan
-        reaching = [n for n in range(1, max_ng + 1) if len(at(n)) >= target_lw]
-        if not reaching:
-            best_n = max(range(1, max_ng + 1), key=lambda n: (len(at(n)), -n))
-            best = at(best_n)
-            return LocalizedSet(
-                best.refs,
-                best.provenance,
-                f"target_lw={target_lw} unreachable; best |W_localized| is {len(best)} at n_g={best_n}",
-            )
-        result = at(min(reaching))
-        return LocalizedSet(result.refs[:target_lw], result.provenance, result.warning)
-
-    lo = hi // 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if len(at(mid)) >= target_lw:
-            hi = mid
-        else:
-            lo = mid
-    result = at(hi)  # direct evaluation at the returned n_g
-    return LocalizedSet(result.refs[:target_lw], result.provenance, result.warning)
+    curve = localization_curve(table)
+    reaching = np.flatnonzero(curve >= target_lw)
+    n_g = int(reaching[0] if reaching.size else np.argmax(curve)) + 1
+    warning = None
+    if not reaching.size:
+        warning = f"target_lw={target_lw} unreachable; best |W_localized| is {curve[n_g - 1]} at n_g={n_g}"
+    result = localize(table, n_g)
+    return LocalizedSet(result.refs[:target_lw], n_g, warning, tuple(curve.tolist()))
 
 
 def write_impact_csv(table: ImpactTable, path) -> None:
     """Inspection dump: one row per weight with the four scores."""
     lines = ["layer,i,j," + ",".join(IMPACT_NAMES)]
-    for ref in table.refs():
-        scores = ",".join(repr(table.score(name, ref)) for name in IMPACT_NAMES)
-        lines.append(f"{ref.layer},{ref.i},{ref.j},{scores}")
+    arrays = [getattr(table, name) for name in IMPACT_NAMES]
+    n_in, n_out = table.shape
+    for j in range(n_out):  # WeightRef total order
+        for i in range(n_in):
+            scores = ",".join(repr(float(arr[i, j])) for arr in arrays)
+            lines.append(f"{table.layer},{i},{j},{scores}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

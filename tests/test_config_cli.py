@@ -110,6 +110,14 @@ def test_reference_grid_row_parses(tmp_path):
     )
 
 
+def moved_to_repair(key):
+    """(old, new) that move `key`'s line from the experiment section to the
+    repair section, which ends BASE_CONFIG."""
+    tail = BASE_CONFIG[BASE_CONFIG.index("experiment:"):]
+    (line,) = (line for line in tail.splitlines(keepends=True) if line.startswith(f"  {key}:"))
+    return tail, tail.replace(line, "") + line
+
+
 @pytest.mark.parametrize(
     "old, new, key",
     [
@@ -120,8 +128,20 @@ def test_reference_grid_row_parses(tmp_path):
         ("n_particles: 4}", "n_particles: 4, n_particle: 9}", "n_particle"),
         # a search knob set in both sections would silently take one of the values
         ("  master_seed: 42\n", "  master_seed: 42\n  n_iterations: 7\n", "n_iterations"),
+        # a key in a section other than its own would be replaced or read from the wrong place
+        ("  batch_size: 16\n", "  batch_size: 16\n  split: {train: 1.0}\n", "split"),
+        ("  batch_size: 16\n", "  batch_size: 16\n  source: {kind: clusters}\n", "source"),
+        ("  batch_size: 16\n", "  batch_size: 16\n  drift: {target_class: 1}\n", "drift"),
+        ("  master_seed: 42\n", "  master_seed: 42\n  inertia: 0.5\n", "inertia"),
+        ("  master_seed: 42\n", "  master_seed: 42\n  repair_layer: 0\n", "repair_layer"),
+        (*moved_to_repair("master_seed"), "master_seed"),
+        (*moved_to_repair("target_class"), "target_class"),
     ],
-    ids=["repair", "experiment", "subject", "split", "grid_row", "both_sections"],
+    ids=[
+        "repair", "experiment", "subject", "split", "grid_row", "both_sections",
+        "subject_split", "subject_source", "subject_drift", "experiment_knob",
+        "experiment_layer", "repair_master_seed", "repair_target_class",
+    ],
 )
 def test_config_rejects_unknown_keys(tmp_path, old, new, key):
     assert BASE_CONFIG.count(old) == 1

@@ -269,6 +269,12 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
             localized = (run_dir / "localized.csv").read_text().splitlines()[1:]
             assert timing["units_total"] == exp.subject.layer_sizes[-1]
             assert timing["units_recomputed"] == len({line.split(",")[3] for line in localized})
+            # |W_localized| for every n_g of the repair layer; n_g is the first to reach target_lw
+            curve, n_g = timing["localization_curve"], timing["n_g"]
+            assert len(curve) == exp.subject.layer_sizes[-2] * exp.subject.layer_sizes[-1]
+            if record["localization_warning"] is None:
+                assert curve[n_g - 1] >= record["n_localized"] == exp.grid[ci].target_lw
+                assert all(size < exp.grid[ci].target_lw for size in curve[: n_g - 1])
     assert (out / "sweep.json").exists()
     assert (out / "aggregate.json").exists()
     assert (out / "subject" / "model.json").exists()

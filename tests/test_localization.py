@@ -11,11 +11,12 @@ from nnpatch import (
     WeightRef,
     build_mlp,
     compute_impacts,
+    localization_curve,
     localize,
     localize_to_count,
-    top_sets,
 )
-from nnpatch.localization import write_impact_csv, write_localized_csv
+from nnpatch import localization
+from nnpatch.localization import IMPACT_NAMES, impact_ranks, write_impact_csv, write_localized_csv
 from nnpatch.network import forward, loss, write_weights
 
 from helpers import random_batch, random_model
@@ -137,35 +138,44 @@ def test_compute_impacts_rejects_empty_batches():
         compute_impacts(m, b, empty, 0)
 
 
-def test_top_sets_saturation_and_exact_sort():
+def ranked_top(table, k, n_g):
+    """The weights whose rank under impact k is below n_g."""
+    n_out = table.shape[1]
+    return frozenset(
+        WeightRef(table.layer, int(f) // n_out, int(f) % n_out)
+        for f in np.flatnonzero(impact_ranks(table)[k] < n_g)
+    )
+
+
+def test_impact_ranks_saturation_and_exact_sort():
     rng = np.random.default_rng(8)
     t = random_table(rng, 4, 5)
-    full = top_sets(t, 20)
+    ranks = impact_ranks(t)
+    # every row is a permutation of 0..N-1, so at n_g = N every weight is in
+    assert all(sorted(row) == list(range(20)) for row in ranks)
     all_refs = frozenset(WeightRef(0, i, j) for i in range(4) for j in range(5))
-    assert all(s == all_refs for s in full)
+    assert all(ranked_top(t, k, 20) == all_refs for k in range(4))
 
-    sets = top_sets(t, 7)
-    for name, got in zip(("back_failed", "fwd_failed", "back_passed", "fwd_passed"), sets):
-        assert got == brute_top(t, name, 7)
+    for k, name in enumerate(IMPACT_NAMES):
+        assert ranked_top(t, k, 7) == brute_top(t, name, 7)
 
 
-def test_top_sets_ties_at_the_cut():
+def test_impact_ranks_ties_at_the_cut():
     back = np.array([[3.0, 1.0], [1.0, 1.0]])  # 3-way tie at the n_g=2 cut
     t = ImpactTable(0, back, back, back, back)
-    sets = top_sets(t, 2)
-    for name, got in zip(("back_failed", "fwd_failed", "back_passed", "fwd_passed"), sets):
-        assert got == brute_top(t, name, 2)
-    # ref order (layer, j, i): (0,1) before (1,0)? sort_key (0,j,i)
-    assert sets[0] == frozenset({WeightRef(0, 0, 0), WeightRef(0, 1, 0)})
+    for k, name in enumerate(IMPACT_NAMES):
+        assert ranked_top(t, k, 2) == brute_top(t, name, 2)
+    # ties break by ref order (layer, j, i): (i=1, j=0) before (i=0, j=1)
+    assert ranked_top(t, 0, 2) == frozenset({WeightRef(0, 0, 0), WeightRef(0, 1, 0)})
 
 
-def test_top_sets_range_errors():
+def test_localize_range_errors():
     rng = np.random.default_rng(9)
     t = random_table(rng, 3, 3)
     with pytest.raises(ValueError):
-        top_sets(t, 0)
+        localize(t, 0)
     with pytest.raises(ValueError):
-        top_sets(t, 10)
+        localize(t, 10)
 
 
 def test_localize_trivial_cases():
@@ -194,18 +204,21 @@ def test_localize_matches_brute_force_everywhere():
     for trial in range(40):
         t = random_table(rng, ties=bool(trial % 2))
         n = t.back_failed.size
+        curve = localization_curve(t)
         for n_g in range(1, n + 1):
             got = localize(t, n_g)
-            assert set(got.refs) == brute_localized(t, n_g)
+            want = brute_localized(t, n_g)
+            assert set(got.refs) == want
             assert len(got.refs) <= n_g
-            assert got.provenance["n_g"] == n_g
+            assert got.n_g == n_g
+            assert curve[n_g - 1] == len(want)
 
 
 def test_localize_set_algebra_soundness():
     rng = np.random.default_rng(11)
     t = random_table(rng, 8, 8, ties=True)
     n_g = 13
-    bf, ff, bp, fp = top_sets(t, n_g)
+    bf, ff, bp, fp = (ranked_top(t, k, n_g) for k in range(4))
     out = localize(t, n_g)
     for r in out.refs:
         assert r in bf and r in ff
@@ -218,7 +231,7 @@ def test_localize_determinism_including_order():
     a = localize(t, 11)
     b = localize(t, 11)
     assert a.refs == b.refs
-    assert a.provenance == b.provenance
+    assert a.n_g == b.n_g
 
 
 def test_localize_to_count_truncation_and_subset():
@@ -233,7 +246,7 @@ def test_localize_to_count_truncation_and_subset():
 
     out32 = localize_to_count(m, failed, passed, layer=1, target_lw=32)
     assert len(out32.refs) == 32
-    n_g = out32.provenance["n_g"]
+    n_g = out32.n_g
     table = compute_impacts(m, failed, passed, 1)
     assert set(out32.refs) <= set(localize(table, n_g).refs)
 
@@ -248,7 +261,7 @@ def test_localize_to_count_saturation_warning():
     assert 0 < len(out.refs) <= 6  # layer has 3*2 weights
 
 
-def test_localize_to_count_result_is_smallest_reaching_ng():
+def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
     # the chosen n_g must be minimal among those reaching target_lw
     m = build_mlp([3, 10, 3], seed=17)
     rng = np.random.default_rng(18)
@@ -258,10 +271,32 @@ def test_localize_to_count_result_is_smallest_reaching_ng():
     out = localize_to_count(m, failed, passed, layer=1, target_lw=target)
     assert len(out.refs) == target
     table = compute_impacts(m, failed, passed, 1)
-    n_star = out.provenance["n_g"]
+    n_star = out.n_g
     assert len(localize(table, n_star).refs) >= target
     for smaller in range(1, n_star):
         assert len(localize(table, smaller).refs) < target
+
+    # |localize(n_g)| is not monotone in n_g: here it is [0,0,0,0,1,0,0,2,0]
+    # over n_g = 1..9, so a doubling scan lands on 8 while 5 is the smallest
+    pinned = ImpactTable(
+        0,
+        back_failed=[[6, 3, 9], [7, 2, 1], [4, 1, 6]],
+        fwd_failed=[[0, 4, 6], [6, 6, 0], [6, 7, 6]],
+        back_passed=[[8, 5, 8], [9, 4, 4], [6, 1, 7]],
+        fwd_passed=[[2, 3, 4], [9, 6, 4], [3, 3, 4]],
+    )
+    shapes = rng.integers(2, 9, size=(100, 2))
+    tables = [pinned]
+    tables += [random_table(rng, n_in, n_out, ties=bool(k % 2)) for k, (n_in, n_out) in enumerate(shapes)]
+    for table in tables:
+        monkeypatch.setattr(localization, "compute_impacts", lambda *_, table=table: table)
+        sizes = [len(brute_localized(table, n)) for n in range(1, table.n_weights + 1)]
+        for target in range(1, max(sizes) + 1):
+            out = localize_to_count(m, failed, passed, layer=0, target_lw=target)
+            assert out.warning is None and len(out.refs) == target
+            assert out.n_g == next(n for n, size in enumerate(sizes, 1) if size >= target)
+    monkeypatch.setattr(localization, "compute_impacts", lambda *_: pinned)
+    assert localize_to_count(m, failed, passed, layer=0, target_lw=1).n_g == 5
 
 
 def test_csv_dumps(tmp_path):

@@ -30,7 +30,7 @@ from helpers import random_batch, random_model, single_layer_model, toy_dataset
 
 
 def localized_over(refs):
-    return LocalizedSet(refs=tuple(refs), provenance={}, warning=None)
+    return LocalizedSet(refs=tuple(refs), n_g=len(refs), warning=None)
 
 
 def repair_scenario(rng, pin_labels=True, any_layer=False):
@@ -533,7 +533,7 @@ def test_repair_empty_localized_set_flags_no_search_space():
     model, _, i_neg, i_pos = threshold_setup()
     out = repair(
         model,
-        LocalizedSet(refs=(), provenance={}, warning="localized set is empty"),
+        LocalizedSet(refs=(), n_g=1, warning="localized set is empty"),
         i_neg,
         i_pos,
         FitnessConfig(),
