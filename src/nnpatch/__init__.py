@@ -41,7 +41,6 @@ from .localization import (
 )
 from .metrics import EvalReport, RepairDiff, check_regression, diff, evaluate
 from .network import (
-    Batch,
     LayerSpec,
     Model,
     ShapeError,
@@ -50,7 +49,6 @@ from .network import (
     forward,
     loss,
     read_weights,
-    weight_gradients,
     write_weights,
 )
 from .repair import (
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
-    "Batch",
     "Dataset",
     "DriftSpec",
     "EvalReport",
@@ -123,6 +120,5 @@ __all__ = [
     "select_repair_inputs",
     "split",
     "train_subject",
-    "weight_gradients",
     "write_weights",
 ]

@@ -16,6 +16,7 @@ from .config import (
     drift_spec_from_config,
     experiment_spec_from_config,
     load_config,
+    localization_target_lw,
     split_spec_from_config,
     subject_spec_from_config,
 )
@@ -101,11 +102,10 @@ def _subject_and_splits(cfg, args):
 def _cmd_localize(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
+    target_lw = localization_target_lw(cfg, exp.grid[0].target_lw)
     model, splits = _subject_and_splits(cfg, args)
     inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
     layer = exp.repair_layer % model.n_layers
-    loc_sect = cfg.get("localization", {}) or {}
-    target_lw = int(loc_sect.get("target_lw", exp.grid[0].target_lw))
     localized = localize_to_count(
         model, inputs.negative_set, inputs.positive_pool, layer, target_lw
     )

@@ -1,6 +1,11 @@
 """Datasets, four-way splitting, drift scenarios, repair-input selection,
 and the on-disk formats for models and datasets.
 
+``Dataset`` is the one container for samples that carry ids: every split,
+repair input set and sampled I_pos is one, cut from its parent with
+``Dataset.subset``. The network functions take its ``features`` and
+``labels`` arrays.
+
 Formats are deliberately boring: CSV with a version comment for datasets,
 JSON with inline base64 float64 arrays for models. Both are diffable and
 round-trip bit-exactly.
@@ -11,11 +16,11 @@ import base64
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Batch, LayerSpec, Model, WeightRef, forward, _frozen_array
+from .network import LayerSpec, Model, forward, _frozen_array
 
 DATASET_MAGIC = "# nnpatch-dataset v1"
 MODEL_FORMAT = "nnpatch-model"
@@ -76,9 +81,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def as_batch(self) -> Batch:
-        return Batch(self.features, self.labels, self.sample_ids)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes)
@@ -147,8 +149,8 @@ class RepairInputs:
     """Sample sets driving a repair: passing train samples and the failing
     target-class samples from the repair split."""
 
-    positive_pool: Batch
-    negative_set: Batch
+    positive_pool: Dataset
+    negative_set: Dataset
     target_class: int
 
     def __post_init__(self) -> None:
@@ -240,11 +242,9 @@ def apply_drift(dataset: Dataset, split_spec: SplitSpec, drift: DriftSpec):
     return train, val, rep, test
 
 
-def predictions(model: Model, batch: Batch) -> np.ndarray:
-    """Predicted class per sample; argmax ties resolve to the lowest ordinal."""
-    if len(batch) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.argmax(forward(model, batch), axis=1).astype(np.int64)
+def predictions(model: Model, inputs) -> np.ndarray:
+    """Predicted class per input row; argmax ties resolve to the lowest ordinal."""
+    return np.argmax(forward(model, inputs), axis=1).astype(np.int64)
 
 
 def select_repair_inputs(
@@ -257,43 +257,20 @@ def select_repair_inputs(
     """
     if not 0 <= target_class < train_split.n_classes:
         raise ValueError(f"target class {target_class} out of range")
-    train_batch = train_split.as_batch()
-    pass_mask = predictions(model, train_batch) == train_batch.labels
+    pass_mask = predictions(model, train_split.features) == train_split.labels
     if not pass_mask.any():
         raise RepairInputError("positive pool is empty: the model passes no training sample")
-    pos_idx = np.flatnonzero(pass_mask)
 
-    repair_batch = repair_split.as_batch()
-    pred = predictions(model, repair_batch)
-    neg_mask = (repair_batch.labels == target_class) & (pred != repair_batch.labels)
+    labels = repair_split.labels
+    neg_mask = (labels == target_class) & (predictions(model, repair_split.features) != labels)
     if not neg_mask.any():
         raise NothingToRepairError(
             f"nothing to repair: no misclassified class-{target_class} samples in the repair split"
         )
-    neg_idx = np.flatnonzero(neg_mask)
-
-    def _take(batch: Batch, idx: np.ndarray) -> Batch:
-        return Batch(
-            batch.inputs[idx],
-            batch.labels[idx],
-            tuple(batch.sample_ids[k] for k in idx),
-        )
-
-    return RepairInputs(_take(train_batch, pos_idx), _take(repair_batch, neg_idx), target_class)
-
-
-def take_sample(batch: Batch, n: int, seed: int) -> Batch:
-    """Uniform sample of min(n, len) members without replacement, original order."""
-    if n < 0:
-        raise ValueError("sample size must be >= 0")
-    if n >= len(batch):
-        return batch
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(batch), size=n, replace=False))
-    return Batch(
-        batch.inputs[idx],
-        batch.labels[idx],
-        tuple(batch.sample_ids[k] for k in idx),
+    return RepairInputs(
+        train_split.subset(np.flatnonzero(pass_mask)),
+        repair_split.subset(np.flatnonzero(neg_mask)),
+        target_class,
     )
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Batch, Model, WeightRef, layer_inputs, weight_gradient_matrix
+from .data import Dataset
+from .network import Model, WeightRef, layer_inputs, weight_gradient_matrix
 
 IMPACT_NAMES = ("back_failed", "fwd_failed", "back_passed", "fwd_passed")
 
@@ -67,25 +68,28 @@ class LocalizedSet:
         return len(self.refs)
 
 
-def compute_impacts(model: Model, failed: Batch, passed: Batch, layer: int) -> ImpactTable:
+def compute_impacts(model: Model, failed: Dataset, passed: Dataset, layer: int) -> ImpactTable:
     """Score every weight of `layer` on both data subsets.
 
     back_X[i,j] = |d(mean loss over X)/dw_ij|; fwd_X[i,j] = mean over X of
     |o_i * w_ij| where o is the input feeding the layer.
     """
     if len(failed) == 0 or len(passed) == 0:
-        raise ValueError("impact computation needs non-empty failed and passed batches")
+        raise ValueError("impact computation needs non-empty failed and passed sets")
     w = model.weights[layer]
 
-    def _fwd(batch: Batch) -> np.ndarray:
-        o = layer_inputs(model, batch, layer)
+    def _back(ds: Dataset) -> np.ndarray:
+        return np.abs(weight_gradient_matrix(model, ds.features, ds.labels, layer))
+
+    def _fwd(ds: Dataset) -> np.ndarray:
+        o = layer_inputs(model, ds.features, layer)
         return np.abs(o).mean(axis=0)[:, None] * np.abs(w)
 
     return ImpactTable(
         layer=layer,
-        back_failed=np.abs(weight_gradient_matrix(model, failed, layer)),
+        back_failed=_back(failed),
         fwd_failed=_fwd(failed),
-        back_passed=np.abs(weight_gradient_matrix(model, passed, layer)),
+        back_passed=_back(passed),
         fwd_passed=_fwd(passed),
     )
 
@@ -136,7 +140,7 @@ def localize(table: ImpactTable, n_g: int) -> LocalizedSet:
 
 
 def localize_to_count(
-    model: Model, failed: Batch, passed: Batch, layer: int, target_lw: int
+    model: Model, failed: Dataset, passed: Dataset, layer: int, target_lw: int
 ) -> LocalizedSet:
     """The set at the smallest n_g whose suspicious set reaches target_lw
     weights, truncated to target_lw. |localize(n_g)| is not monotone in n_g

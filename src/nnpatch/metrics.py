@@ -1,57 +1,65 @@
 """Evaluation reports, before/after diffs, and regression checks at the
-overall-accuracy and instance level."""
+overall-accuracy and instance level.
+
+A report holds one model's verdicts as arrays aligned with the dataset's
+sample ids; accuracies, diffs and class scopes are mask arithmetic over
+them. Two reports compare by position, so they must list the same ids in
+the same order, as two evaluations of one Dataset do.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .data import Dataset, predictions
-from .network import Batch, Model
+from .network import Model, _frozen_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Per-sample verdicts for one model on one dataset."""
 
     sample_ids: tuple[str, ...]
-    labels: tuple[int, ...]
-    predicted: tuple[int, ...]
+    labels: np.ndarray
+    predicted: np.ndarray
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not (len(self.sample_ids) == len(self.labels) == len(self.predicted)):
+        labels = _frozen_array(self.labels, np.int64)
+        predicted = _frozen_array(self.predicted, np.int64)
+        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "predicted", predicted)
+        n = len(self.sample_ids)
+        if labels.shape != (n,) or predicted.shape != (n,):
             raise ValueError("ids, labels and predictions must align")
-        if len(set(self.sample_ids)) != len(self.sample_ids):
+        if len(set(self.sample_ids)) != n:
             raise ValueError("sample_ids must be unique")
 
     def __len__(self) -> int:
         return len(self.sample_ids)
 
-    def passed(self, idx: int) -> bool:
-        return self.labels[idx] == self.predicted[idx]
+    @property
+    def passed(self) -> np.ndarray:
+        """Boolean mask of the samples classified correctly."""
+        return self.labels == self.predicted
 
     @property
     def verdicts(self) -> dict[str, bool]:
-        return {
-            sid: l == p for sid, l, p in zip(self.sample_ids, self.labels, self.predicted)
-        }
+        return dict(zip(self.sample_ids, self.passed.tolist()))
 
     @property
     def overall_accuracy(self) -> float:
-        if len(self) == 0:
-            return 1.0  # degenerate: no sample failed
-        return sum(l == p for l, p in zip(self.labels, self.predicted)) / len(self)
+        return _accuracy(self.passed)
 
     @property
     def per_class_accuracy(self) -> dict[int, float]:
         """Accuracy per true class, for classes present in the data."""
-        totals: dict[int, int] = {}
-        hits: dict[int, int] = {}
-        for l, p in zip(self.labels, self.predicted):
-            totals[l] = totals.get(l, 0) + 1
-            hits[l] = hits.get(l, 0) + (l == p)
-        return {c: hits[c] / totals[c] for c in sorted(totals)}
+        totals = np.bincount(self.labels)
+        hits = np.bincount(self.labels[self.passed], minlength=len(totals))
+        return {int(c): int(hits[c]) / int(totals[c]) for c in np.flatnonzero(totals)}
 
     def to_dict(self) -> dict:
         return {
@@ -60,9 +68,15 @@ class EvalReport:
             "degenerate": self.degenerate,
             "verdicts": {
                 sid: {"label": l, "predicted": p, "passed": l == p}
-                for sid, l, p in zip(self.sample_ids, self.labels, self.predicted)
+                for sid, l, p in zip(self.sample_ids, self.labels.tolist(), self.predicted.tolist())
             },
         }
+
+
+def _accuracy(passed: np.ndarray) -> float:
+    if not len(passed):
+        return 1.0  # degenerate: no sample failed
+    return int(np.count_nonzero(passed)) / len(passed)
 
 
 @dataclass(frozen=True)
@@ -83,32 +97,40 @@ class RepairDiff:
         return len(self.broken) + len(self.repaired) + self.unchanged_pass + self.unchanged_fail
 
 
-def evaluate(model: Model, data) -> EvalReport:
-    """Verdicts for a Dataset or Batch; argmax ties go to the lowest class."""
-    batch = data.as_batch() if isinstance(data, Dataset) else data
-    if not isinstance(batch, Batch):
-        raise TypeError("expected a Dataset or Batch")
-    pred = predictions(model, batch)
+def evaluate(model: Model, data: Dataset) -> EvalReport:
+    """Verdicts on a Dataset; argmax ties go to the lowest class."""
     return EvalReport(
-        batch.sample_ids,
-        tuple(int(l) for l in batch.labels),
-        tuple(int(p) for p in pred),
-        degenerate=len(batch) == 0,
+        data.sample_ids,
+        data.labels,
+        predictions(model, data.features),
+        degenerate=len(data) == 0,
+    )
+
+
+def _check_aligned(before: EvalReport, after: EvalReport) -> None:
+    """Reports compare by position: they must list the same ids in the same order."""
+    if before.sample_ids == after.sample_ids:
+        return
+    differ = set(before.sample_ids) ^ set(after.sample_ids)
+    if differ:
+        raise ValueError(f"reports cover different samples: {sorted(differ)}")
+    k = next(k for k, (b, a) in enumerate(zip(before.sample_ids, after.sample_ids)) if b != a)
+    raise ValueError(
+        f"reports list their samples in different orders: position {k} holds "
+        f"{before.sample_ids[k]!r} before and {after.sample_ids[k]!r} after"
     )
 
 
 def diff(before: EvalReport, after: EvalReport) -> RepairDiff:
-    """Exact verdict diff. Reports must cover the same sample ids."""
-    if set(before.sample_ids) != set(after.sample_ids):
-        missing = sorted(set(before.sample_ids) ^ set(after.sample_ids))
-        raise ValueError(f"reports cover different samples: {missing}")
-    b = before.verdicts
-    a = after.verdicts
-    broken = frozenset(sid for sid in b if b[sid] and not a[sid])
-    repaired = frozenset(sid for sid in b if not b[sid] and a[sid])
-    unchanged_pass = sum(1 for sid in b if b[sid] and a[sid])
-    unchanged_fail = sum(1 for sid in b if not b[sid] and not a[sid])
-    return RepairDiff(broken, repaired, unchanged_pass, unchanged_fail)
+    """Exact verdict diff of two reports that list the same ids in the same order."""
+    _check_aligned(before, after)
+    b, a = before.passed, after.passed
+    return RepairDiff(
+        frozenset(compress(before.sample_ids, b & ~a)),
+        frozenset(compress(before.sample_ids, ~b & a)),
+        int(np.count_nonzero(b & a)),
+        int(np.count_nonzero(~b & ~a)),
+    )
 
 
 @dataclass(frozen=True)
@@ -121,41 +143,28 @@ class RegressionCheck:
     evidence: dict
 
 
-def _scope_ids(report: EvalReport, scope) -> set[str]:
-    if scope == "all":
-        return set(report.sample_ids)
-    c = int(scope)
-    return {sid for sid, l in zip(report.sample_ids, report.labels) if l == c}
-
-
-def _scoped_accuracy(report: EvalReport, ids: set[str]) -> float:
-    rows = [(l, p) for sid, l, p in zip(report.sample_ids, report.labels, report.predicted) if sid in ids]
-    if not rows:
-        return 1.0
-    return sum(l == p for l, p in rows) / len(rows)
-
-
 def check_regression(before: EvalReport, after: EvalReport, level: str, scope="all") -> RegressionCheck:
-    """Suppression check.
+    """Suppression check over the samples in scope: every sample, or those
+    whose label in `before` is the class `scope`.
 
     level "overall": accuracy within scope did not drop. level "instance":
     no individual in-scope sample flipped from pass to fail.
     """
     if level not in ("overall", "instance"):
         raise ValueError(f"unknown level {level!r}")
-    ids = _scope_ids(before, scope)
+    _check_aligned(before, after)
+    in_scope = np.ones(len(before), dtype=bool) if scope == "all" else before.labels == int(scope)
     scope_name = "all" if scope == "all" else f"class {int(scope)}"
     if level == "overall":
-        acc_before = _scoped_accuracy(before, ids)
-        acc_after = _scoped_accuracy(after, ids)
+        acc_before = _accuracy(before.passed[in_scope])
+        acc_after = _accuracy(after.passed[in_scope])
         return RegressionCheck(
             ok=acc_after >= acc_before,
             level=level,
             scope=scope_name,
             evidence={"before_accuracy": acc_before, "after_accuracy": acc_after},
         )
-    d = diff(before, after)
-    violating = sorted(d.broken & ids)
+    violating = sorted(compress(before.sample_ids, in_scope & before.passed & ~after.passed))
     return RegressionCheck(
         ok=not violating,
         level=level,

@@ -1,9 +1,13 @@
 """Dense feedforward classifier core: forward pass, loss, and exact
 per-weight gradients for a designated layer.
 
-Models are immutable values. Editing weights goes through ``write_weights``,
-which returns a patched copy and leaves the original untouched. All
-arithmetic is float64 so finite-difference checks have headroom.
+Every function here takes plain arrays: an (n_samples, n_features) input
+matrix and, where a loss is involved, one integer label per row. Sample ids
+belong to ``data.Dataset``, which callers unpack into ``features`` and
+``labels``. Models are immutable values. Editing weights goes through
+``write_weights``, which returns a patched copy and leaves the original
+untouched. All arithmetic is float64 so finite-difference checks have
+headroom.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ _ACTIVATIONS = ("relu", "identity", "softmax")
 
 
 class ShapeError(ValueError):
-    """Batch dimensions do not match the model."""
+    """Input or label dimensions do not match the model or each other."""
 
 
 @dataclass(frozen=True)
@@ -56,38 +60,6 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Batch:
-    """A fixed set of samples: inputs, integer labels, stable ids."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-    sample_ids: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        inputs = _frozen_array(self.inputs, np.float64)
-        labels = _frozen_array(self.labels, np.int64)
-        ids = tuple(str(s) for s in self.sample_ids)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sample_ids", ids)
-        if inputs.ndim != 2:
-            raise ShapeError("batch inputs must be 2-D (n_samples, n_features)")
-        n = inputs.shape[0]
-        if labels.shape != (n,) or len(ids) != n:
-            raise ShapeError("inputs, labels and sample_ids must agree on sample count")
-        if len(set(ids)) != n:
-            raise ValueError("sample_ids must be unique")
-        if n:
-            if not np.isfinite(inputs).all():
-                raise ValueError("batch inputs must be finite")
-            if labels.min() < 0:
-                raise ValueError("labels must be non-negative")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -162,7 +134,7 @@ def _activate(z: np.ndarray, activation: str, axis: int = -1, out: np.ndarray | 
             return z
         np.copyto(out, z)
         return out
-    # softmax over the class axis, stabilized; an empty batch stays empty
+    # softmax over the class axis, stabilized; an empty input stays empty
     if not z.size:
         return np.exp(z)
     e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
@@ -179,12 +151,30 @@ def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
     raise ValueError("no elementwise gradient for softmax")
 
 
-def _check_batch(model: Model, batch: Batch) -> np.ndarray:
-    if batch.inputs.shape[1] != model.input_size:
-        raise ShapeError(
-            f"batch has {batch.inputs.shape[1]} features, model expects {model.input_size}"
-        )
-    return batch.inputs
+def _check_inputs(model: Model, inputs) -> np.ndarray:
+    """`inputs` as a finite float64 (n_samples, model.input_size) matrix."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ShapeError("inputs must be 2-D (n_samples, n_features)")
+    if inputs.shape[1] != model.input_size:
+        raise ShapeError(f"inputs have {inputs.shape[1]} features, model expects {model.input_size}")
+    if not np.isfinite(inputs).all():
+        raise ValueError("inputs must be finite")
+    return inputs
+
+
+def _check_labelled(model: Model, inputs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Checked inputs and int64 labels of a non-empty set, one label per row,
+    each in [0, model.n_classes)."""
+    inputs = _check_inputs(model, inputs)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (len(inputs),):
+        raise ShapeError("inputs and labels must agree on sample count")
+    if not len(labels):
+        raise ValueError("loss and gradients of an empty set are undefined")
+    if labels.min() < 0 or labels.max() >= model.n_classes:
+        raise ValueError("label out of range for this model")
+    return inputs, labels
 
 
 def _trace(model: Model, inputs: np.ndarray):
@@ -199,12 +189,9 @@ def _trace(model: Model, inputs: np.ndarray):
     return pre, post
 
 
-def forward(model: Model, batch: Batch) -> np.ndarray:
-    """Class probabilities, one row per sample (rows sum to 1)."""
-    inputs = _check_batch(model, batch)
-    if len(batch) == 0:
-        return np.zeros((0, model.n_classes))
-    return _trace(model, inputs)[1][-1]
+def forward(model: Model, inputs) -> np.ndarray:
+    """Class probabilities, one row per input row (rows sum to 1)."""
+    return _trace(model, _check_inputs(model, inputs))[1][-1]
 
 
 def loss_from_picked(picked: np.ndarray) -> np.ndarray:
@@ -218,13 +205,10 @@ def loss_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(loss_from_picked(probs[np.arange(len(labels)), labels]))
 
 
-def loss(model: Model, batch: Batch) -> float:
-    """Mean cross-entropy of the batch; rejects empty batches."""
-    if len(batch) == 0:
-        raise ValueError("loss of an empty batch is undefined")
-    if batch.labels.max() >= model.n_classes:
-        raise ValueError("label out of range for this model")
-    return loss_from_probs(forward(model, batch), batch.labels)
+def loss(model: Model, inputs, labels) -> float:
+    """Mean cross-entropy over the rows; rejects an empty set."""
+    inputs, labels = _check_labelled(model, inputs, labels)
+    return loss_from_probs(forward(model, inputs), labels)
 
 
 def _check_layer(model: Model, layer: int) -> None:
@@ -238,19 +222,16 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def weight_gradient_matrix(model: Model, batch: Batch, layer: int) -> np.ndarray:
+def weight_gradient_matrix(model: Model, inputs, labels, layer: int) -> np.ndarray:
     """d(mean loss)/dW for one layer, as an (input_size, output_size) array.
 
     Exact backpropagation from the softmax/cross-entropy head down to the
     requested layer.
     """
     _check_layer(model, layer)
-    if len(batch) == 0:
-        raise ValueError("cannot take gradients over an empty batch")
-    inputs = _check_batch(model, batch)
+    inputs, labels = _check_labelled(model, inputs, labels)
     pre, post = _trace(model, inputs)
-    n = len(batch)
-    delta = (post[-1] - _one_hot(batch.labels, model.n_classes)) / n
+    delta = (post[-1] - _one_hot(labels, model.n_classes)) / len(inputs)
     for k in range(model.n_layers - 1, layer, -1):
         upstream = delta @ model.weights[k].T
         delta = upstream * _activation_grad(pre[k - 1], model.layers[k - 1].activation)
@@ -258,25 +239,13 @@ def weight_gradient_matrix(model: Model, batch: Batch, layer: int) -> np.ndarray
     return layer_in.T @ delta
 
 
-def weight_gradients(model: Model, batch: Batch, layer: int) -> dict[WeightRef, float]:
-    """Gradient of the batch-mean loss for every weight of one layer."""
-    g = weight_gradient_matrix(model, batch, layer)
-    n_in, n_out = g.shape
-    return {
-        WeightRef(layer, i, j): float(g[i, j])
-        for j in range(n_out)
-        for i in range(n_in)
-    }
-
-
-def layer_inputs(model: Model, batch: Batch, layer: int) -> np.ndarray:
+def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
     """Per-sample inputs feeding `layer`: post-activations of the layer
-    before it, or the raw batch inputs when layer == 0."""
+    before it, or a copy of the inputs when layer == 0."""
     _check_layer(model, layer)
-    inputs = _check_batch(model, batch)
+    a = _check_inputs(model, inputs)
     if layer == 0:
-        return inputs.copy()
-    a = inputs
+        return a.copy()
     for k in range(layer):
         z = a @ model.weights[k] + model.biases[k]
         a = _activate(z, model.layers[k].activation)
@@ -320,14 +289,11 @@ def write_weights(model: Model, refs, values) -> Model:
     return Model(model.layers, tuple(new_weights), model.biases)
 
 
-def full_gradients(model: Model, batch: Batch):
+def full_gradients(model: Model, inputs, labels):
     """Weight and bias gradients for every layer (training support)."""
-    if len(batch) == 0:
-        raise ValueError("cannot take gradients over an empty batch")
-    inputs = _check_batch(model, batch)
+    inputs, labels = _check_labelled(model, inputs, labels)
     pre, post = _trace(model, inputs)
-    n = len(batch)
-    delta = (post[-1] - _one_hot(batch.labels, model.n_classes)) / n
+    delta = (post[-1] - _one_hot(labels, model.n_classes)) / len(inputs)
     grad_w = [None] * model.n_layers
     grad_b = [None] * model.n_layers
     for k in range(model.n_layers - 1, -1, -1):

@@ -14,10 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import take_sample
+from .data import Dataset
 from .localization import LocalizedSet
 from .network import (
-    Batch,
     Model,
     _activate,
     forward,
@@ -131,13 +130,18 @@ class RepairResult:
     units_total: int = 0  # telemetry: the repair layer's width
 
 
-def sample_positives(positive_pool: Batch, n_pos: int, seed: int) -> Batch:
-    """Fixed I_pos for a repair run: min(n_pos, pool) without replacement."""
+def sample_positives(positive_pool: Dataset, n_pos: int, seed: int) -> Dataset:
+    """Fixed I_pos for a repair run: a uniform sample of min(n_pos, pool)
+    members without replacement, in pool order; the pool itself when it
+    has no more than n_pos members."""
     if len(positive_pool) == 0:
         raise ValueError("positive pool is empty")
     if n_pos < 1:
         raise ValueError("n_pos must be >= 1")
-    return take_sample(positive_pool, n_pos, seed)
+    if n_pos >= len(positive_pool):
+        return positive_pool
+    rng = np.random.default_rng(seed)
+    return positive_pool.subset(np.sort(rng.choice(len(positive_pool), size=n_pos, replace=False)))
 
 
 def loss_ratio(before: float, after: float, cfg: FitnessConfig) -> float:
@@ -201,8 +205,8 @@ def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined) ->
 
 def fitness(
     candidate: Model,
-    i_neg: Batch,
-    i_pos: Batch,
+    i_neg: Dataset,
+    i_pos: Dataset,
     base_losses: tuple[float, float],
     cfg: FitnessConfig,
 ) -> FitnessBreakdown:
@@ -214,10 +218,10 @@ def fitness(
     """
     if len(i_neg) == 0 or len(i_pos) == 0:
         raise ValueError("fitness needs non-empty I_neg and I_pos")
-    batches = (i_neg, i_pos)
-    probs = [forward(candidate, b) for b in batches]
-    counts = np.array([[(np.argmax(p, axis=1) == b.labels).sum()] for p, b in zip(probs, batches)])
-    losses = np.array([[loss_from_probs(p, b.labels)] for p, b in zip(probs, batches)])
+    sets = (i_neg, i_pos)
+    probs = [forward(candidate, s.features) for s in sets]
+    counts = np.array([[(np.argmax(p, axis=1) == s.labels).sum()] for p, s in zip(probs, sets)])
+    losses = np.array([[loss_from_probs(p, s.labels)] for p, s in zip(probs, sets)])
     undefined = ~np.isfinite(losses).all(axis=0)
     scores = _score(counts, losses, (len(i_neg), len(i_pos)), base_losses, cfg, undefined)
     return scores.breakdown(0, base_losses)
@@ -278,7 +282,7 @@ class BatchScorer:
     sample's softmax is nan (a +inf or nan logit), scores -inf.
     """
 
-    def __init__(self, model: Model, refs, i_neg: Batch, i_pos: Batch, cfg: FitnessConfig):
+    def __init__(self, model: Model, refs, i_neg: Dataset, i_pos: Dataset, cfg: FitnessConfig):
         if len(i_neg) == 0 or len(i_pos) == 0:
             raise ValueError("fitness needs non-empty I_neg and I_pos")
         if max(i_neg.labels.max(), i_pos.labels.max()) >= model.n_classes:
@@ -305,10 +309,10 @@ class BatchScorer:
         self.rows = np.arange(model.n_classes) if above else touched
         self.fixed_rows = untouched if not above and untouched.size else None
         self.sets = []
-        for batch in (i_neg, i_pos):
-            n, labels = len(batch), batch.labels
+        for ds in (i_neg, i_pos):
+            n, labels = len(ds), ds.labels
             samples = np.arange(n)
-            a = layer_inputs(model, batch, layer).T.copy()
+            a = layer_inputs(model, ds.features, layer).T.copy()
             z0 = w @ a + b
             adds = [b[touched]]
             if above:
@@ -453,8 +457,8 @@ def init_swarm(
 def repair(
     model: Model,
     localized: LocalizedSet,
-    i_neg: Batch,
-    i_pos: Batch,
+    i_neg: Dataset,
+    i_pos: Dataset,
     fcfg: FitnessConfig,
     scfg: SwarmConfig,
 ) -> RepairResult:
@@ -470,7 +474,7 @@ def repair(
     every loss.
     """
     if len(localized) == 0:
-        base_losses = (loss(model, i_neg), loss(model, i_pos))
+        base_losses = tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
         best = fitness(model, i_neg, i_pos, base_losses, fcfg)
         return RepairResult(model, best, (), None, identity_fallback=True, no_search_space=True)
     refs = localized.refs

@@ -3,12 +3,12 @@ data source, with the four-way split (and optional drift) baked into the
 spec so the same spec always yields the same subject."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
-from .network import Batch, Model, build_mlp, full_gradients, loss
+from .network import Model, build_mlp, full_gradients, loss
 from .synth import make_clusters
 
 
@@ -76,7 +76,6 @@ def train_subject(spec: SubjectSpec, splits=None) -> Model:
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
-    full = train.as_batch()
     n = len(train)
 
     def snapshot(epoch: int) -> Model:
@@ -90,16 +89,11 @@ def train_subject(spec: SubjectSpec, splits=None) -> Model:
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            batch = Batch(
-                train.features[idx],
-                train.labels[idx],
-                tuple(train.sample_ids[k] for k in idx),
-            )
-            grad_w, grad_b = full_gradients(snapshot(epoch), batch)
+            grad_w, grad_b = full_gradients(snapshot(epoch), train.features[idx], train.labels[idx])
             for k in range(len(weights)):
                 weights[k] -= spec.learning_rate * grad_w[k]
                 biases[k] -= spec.learning_rate * grad_b[k]
-        if not np.isfinite(loss(snapshot(epoch), full)):
+        if not np.isfinite(loss(snapshot(epoch), train.features, train.labels)):
             raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
 
     return snapshot(spec.epochs)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nnpatch import Batch, Model, LayerSpec, build_mlp
+from nnpatch import Model, LayerSpec, build_mlp
 from nnpatch.data import Dataset
 
 
@@ -20,11 +20,20 @@ def random_model(rng, max_layers=3, max_width=8, n_layers=None) -> Model:
     return Model(model.layers, weights, biases)
 
 
-def random_batch(rng, model: Model, max_samples=16, prefix="b") -> Batch:
+def samples(inputs, labels, ids, n_classes=None) -> Dataset:
+    """A Dataset of explicit rows; n_classes defaults to one past the largest label."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if n_classes is None:
+        n_classes = int(labels.max(initial=0)) + 1
+    return Dataset(inputs, labels, tuple(ids), n_classes, tuple(f"c{c}" for c in range(n_classes)))
+
+
+def random_batch(rng, model: Model, max_samples=16, prefix="b") -> Dataset:
+    """1..max_samples random rows labelled over the model's classes."""
     n = int(rng.integers(1, max_samples + 1))
     x = rng.normal(0.0, 1.5, size=(n, model.input_size))
     y = rng.integers(0, model.n_classes, size=n)
-    return Batch(x, y, tuple(f"{prefix}{k}" for k in range(n)))
+    return samples(x, y, (f"{prefix}{k}" for k in range(n)), model.n_classes)
 
 
 def toy_dataset(n=40, n_classes=4, seed=0, prefix="t") -> Dataset:

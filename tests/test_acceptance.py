@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_batch, random_model, single_layer_model
+from helpers import random_batch, random_model, samples, single_layer_model
 from test_harness import small_experiment, tree_bytes
 from test_localization import brute_localized, random_table
 from test_repair import fixed_identity_setup, localized_over, repair_scenario
@@ -26,7 +26,7 @@ from nnpatch.data import Dataset
 from nnpatch.harness import GridEntry, run_sweep, emit_report
 from nnpatch.localization import WeightRef, localize
 from nnpatch.metrics import diff, evaluate
-from nnpatch.network import Batch, forward, loss, weight_gradients, write_weights
+from nnpatch.network import forward, loss, weight_gradient_matrix, write_weights
 from nnpatch.repair import (
     FitnessConfig,
     SwarmConfig,
@@ -65,7 +65,7 @@ def _manual_trace(model, inputs):
 def _fd_valid(model, batch, eps):
     """Central differences lie where the loss is locally smooth: away from
     relu kinks and from the probability clamp."""
-    hidden_z, probs = _manual_trace(model, batch.inputs)
+    hidden_z, probs = _manual_trace(model, batch.features)
     for z in hidden_z:
         if np.abs(z).min() < 10 * eps:
             return False
@@ -87,10 +87,12 @@ def test_criterion_01_gradient_oracle():
         if not _fd_valid(model, batch, eps):
             continue
         for layer in range(model.n_layers):
-            for ref, grad in weight_gradients(model, batch, layer).items():
+            grads = weight_gradient_matrix(model, batch.features, batch.labels, layer)
+            for (i, j), grad in np.ndenumerate(grads):
+                ref = WeightRef(layer, i, j)
                 w0 = float(model.weights[ref.layer][ref.i, ref.j])
-                up = loss(write_weights(model, [ref], [w0 + eps]), batch)
-                dn = loss(write_weights(model, [ref], [w0 - eps]), batch)
+                up = loss(write_weights(model, [ref], [w0 + eps]), batch.features, batch.labels)
+                dn = loss(write_weights(model, [ref], [w0 - eps]), batch.features, batch.labels)
                 fd = (up - dn) / (2 * eps)
                 err = abs(grad - fd)
                 tol = 1e-6 + 1e-4 * abs(fd)
@@ -155,7 +157,7 @@ def test_criterion_03_gate_soundness(gate_battery):
         if res.identity_fallback:
             fallbacks += 1
             continue
-        preds = np.argmax(forward(res.model, i_pos), axis=1)
+        preds = np.argmax(forward(res.model, i_pos.features), axis=1)
         broken = int((preds != i_pos.labels).sum())
         if broken != 0:
             violations += 1
@@ -268,19 +270,19 @@ def _two_branch_setup():
     this weight, which keeps the loss-ratio reward bounded, so the branch
     preference crosses between alpha=4 and alpha=6."""
     model = single_layer_model([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
-    i_neg = Batch(
+    i_neg = samples(
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.866, 0.0, 0.0]],
         [1, 1, 1],
         ("fix_easy", "fix_costly", "unfixable"),
     )
     pos_inputs = [[1.0, 0.0, 0.0]] * 9 + [[0.0, 1.0, 1.0]]
-    i_pos = Batch(pos_inputs, [0] * 10, tuple(f"p{k}" for k in range(9)) + ("frag",))
+    i_pos = samples(pos_inputs, [0] * 10, tuple(f"p{k}" for k in range(9)) + ("frag",))
     loc = localized_over([WeightRef(0, 2, 1)])
     return model, loc, i_neg, i_pos
 
 
 def _trend_eval_set(i_neg, i_pos) -> Dataset:
-    feats = np.vstack([i_pos.inputs, i_neg.inputs])
+    feats = np.vstack([i_pos.features, i_neg.features])
     labels = np.concatenate([i_pos.labels, i_neg.labels])
     return Dataset(feats, labels, i_pos.sample_ids + i_neg.sample_ids, 2, ("c0", "c1"))
 

@@ -237,6 +237,23 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     assert len(rep["verdicts"]) == 40
 
 
+@pytest.mark.parametrize(
+    "section, match",
+    [("localization:\n  target_w: 3\n", "'target_w'"), ("localization: [3]\n", "mapping")],
+    ids=["unknown_key", "not_a_mapping"],
+)
+def test_cli_localize_checks_localization_section(tmp_path, section, match):
+    path = tmp_path / "loc.yaml"
+    path.write_text(BASE_CONFIG + section)
+    with pytest.raises(ValueError, match=match):
+        main(["localize", "--config", str(path), "--out-dir", str(tmp_path / "bad")])
+    assert not (tmp_path / "bad").exists()
+
+    path.write_text(BASE_CONFIG + "localization:\n  target_lw: 3\n")
+    assert main(["localize", "--config", str(path), "--out-dir", str(tmp_path / "good")]) == 0
+    assert len((tmp_path / "good" / "localized.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_cli_sweep_and_report(config_path, tmp_path):
     sweep_dir = tmp_path / "sweep"
     assert main([

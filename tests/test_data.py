@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from nnpatch import (
-    Batch,
     Dataset,
     DriftSpec,
     NothingToRepairError,
@@ -23,7 +22,7 @@ from nnpatch import (
     select_repair_inputs,
     split,
 )
-from nnpatch.data import apply_drift, predictions, take_sample
+from nnpatch.data import apply_drift, predictions
 from nnpatch.synth import make_clusters
 
 from helpers import single_layer_model, toy_dataset
@@ -205,8 +204,8 @@ def test_select_repair_inputs_matches_argmax_filter():
     target = 2
     inputs = select_repair_inputs(model, train, repair, target)
 
-    pred_train = np.argmax(forward(model, train.as_batch()), axis=1)
-    pred_repair = np.argmax(forward(model, repair.as_batch()), axis=1)
+    pred_train = np.argmax(forward(model, train.features), axis=1)
+    pred_repair = np.argmax(forward(model, repair.features), axis=1)
     want_pos = {i for i, ok in zip(train.sample_ids, pred_train == train.labels) if ok}
     want_neg = {
         i
@@ -218,19 +217,8 @@ def test_select_repair_inputs_matches_argmax_filter():
     assert want_pos.isdisjoint(want_neg)
 
     # soundness: re-evaluating the model confirms the verdicts
-    assert (predictions(model, inputs.positive_pool) == inputs.positive_pool.labels).all()
-    assert (predictions(model, inputs.negative_set) != inputs.negative_set.labels).all()
-
-
-def test_take_sample_behaviour():
-    ds = toy_dataset(n=30, n_classes=3, seed=4)
-    b = ds.as_batch()
-    assert take_sample(b, 50, seed=1) is b  # saturation
-    s1 = take_sample(b, 10, seed=7)
-    s2 = take_sample(b, 10, seed=7)
-    assert s1.sample_ids == s2.sample_ids
-    assert len(set(s1.sample_ids)) == 10
-    assert set(s1.sample_ids) <= set(b.sample_ids)
+    assert (predictions(model, inputs.positive_pool.features) == inputs.positive_pool.labels).all()
+    assert (predictions(model, inputs.negative_set.features) != inputs.negative_set.labels).all()
 
 
 def test_model_roundtrip_bit_identical(tmp_path):
@@ -239,8 +227,8 @@ def test_model_roundtrip_bit_identical(tmp_path):
     save_model(m, path)
     m2 = load_model(path)
     rng = np.random.default_rng(0)
-    b = Batch(rng.normal(size=(6, 3)), rng.integers(0, 4, 6), tuple(f"x{k}" for k in range(6)))
-    np.testing.assert_array_equal(forward(m, b), forward(m2, b))
+    x = rng.normal(size=(6, 3))
+    np.testing.assert_array_equal(forward(m, x), forward(m2, x))
     for wa, wb in zip(m.weights, m2.weights):
         np.testing.assert_array_equal(wa, wb)
 
@@ -313,6 +301,13 @@ def test_dataset_validation():
             n_classes=1,
             class_names=("x",),
         )
+    with pytest.raises(ValueError, match="sample count"):
+        Dataset(np.zeros((2, 1)), np.zeros(3, dtype=int), ("a", "b"), 1, ("x",))
+    ds = Dataset(np.zeros((2, 1)), np.zeros(2, dtype=int), ("a", "b"), 1, ("x",))
+    with pytest.raises(ValueError):
+        ds.features[0, 0] = 1.0  # frozen storage
+    with pytest.raises(ValueError):
+        ds.labels[0] = 0
 
 
 def test_make_clusters_shape_and_determinism():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nnpatch import (
-    Batch,
     ImpactTable,
     WeightRef,
     build_mlp,
@@ -19,7 +18,7 @@ from nnpatch import localization
 from nnpatch.localization import IMPACT_NAMES, impact_ranks, write_impact_csv, write_localized_csv
 from nnpatch.network import forward, loss, write_weights
 
-from helpers import random_batch, random_model
+from helpers import random_batch, random_model, samples
 
 
 def random_table(rng, n_in=None, n_out=None, ties=False):
@@ -103,16 +102,16 @@ def test_impacts_match_per_sample_loop_oracle():
     # explicit per-sample loops, no shared code with compute_impacts
     m = build_mlp([2, 3, 2], seed=6)
     rng = np.random.default_rng(7)
-    failed = Batch(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), ("f0", "f1", "f2", "f3"))
-    passed = Batch(rng.normal(size=(3, 2)), rng.integers(0, 2, 3), ("p0", "p1", "p2"))
+    failed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), ("f0", "f1", "f2", "f3"))
+    passed = samples(rng.normal(size=(3, 2)), rng.integers(0, 2, 3), ("p0", "p1", "p2"))
     layer = 1
     t = compute_impacts(m, failed, passed, layer)
 
     def fd_grad_mean(batch, i, j, eps=1e-7):
         ref = WeightRef(layer, i, j)
         w0 = float(m.weights[layer][i, j])
-        up = loss(write_weights(m, [ref], [w0 + eps]), batch)
-        dn = loss(write_weights(m, [ref], [w0 - eps]), batch)
+        up = loss(write_weights(m, [ref], [w0 + eps]), batch.features, batch.labels)
+        dn = loss(write_weights(m, [ref], [w0 - eps]), batch.features, batch.labels)
         return (up - dn) / (2 * eps)
 
     n_in, n_out = m.weights[layer].shape
@@ -122,7 +121,7 @@ def test_impacts_match_per_sample_loop_oracle():
                 assert abs(back[i, j] - abs(fd_grad_mean(batch, i, j))) <= 1e-6
                 acc = 0.0
                 for s in range(len(batch)):
-                    x = batch.inputs[s]
+                    x = batch.features[s]
                     h = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
                     acc += abs(h[i] * m.weights[layer][i, j])
                 assert abs(fwd[i, j] - acc / len(batch)) <= 1e-8
@@ -130,8 +129,8 @@ def test_impacts_match_per_sample_loop_oracle():
 
 def test_compute_impacts_rejects_empty_batches():
     m = build_mlp([2, 2], seed=0)
-    empty = Batch(np.zeros((0, 2)), np.zeros(0, dtype=int), ())
-    b = Batch(np.zeros((1, 2)), [0], ("a",))
+    empty = samples(np.zeros((0, 2)), np.zeros(0, dtype=int), ())
+    b = samples(np.zeros((1, 2)), [0], ("a",))
     with pytest.raises(ValueError):
         compute_impacts(m, empty, b, 0)
     with pytest.raises(ValueError):
@@ -239,8 +238,8 @@ def test_localize_to_count_truncation_and_subset():
     # localized set to exist at any n_g
     m = build_mlp([4, 16, 8], seed=13)
     rng = np.random.default_rng(14)
-    failed = Batch(rng.normal(size=(8, 4)) + 2.5, rng.integers(0, 8, 8), tuple(f"f{k}" for k in range(8)))
-    passed = Batch(rng.normal(size=(9, 4)) - 1.0, rng.integers(0, 8, 9), tuple(f"p{k}" for k in range(9)))
+    failed = samples(rng.normal(size=(8, 4)) + 2.5, rng.integers(0, 8, 8), tuple(f"f{k}" for k in range(8)))
+    passed = samples(rng.normal(size=(9, 4)) - 1.0, rng.integers(0, 8, 9), tuple(f"p{k}" for k in range(9)))
     out = localize_to_count(m, failed, passed, layer=1, target_lw=1)
     assert len(out.refs) == 1
 
@@ -254,8 +253,8 @@ def test_localize_to_count_truncation_and_subset():
 def test_localize_to_count_saturation_warning():
     m = build_mlp([2, 3, 2], seed=15)
     rng = np.random.default_rng(16)
-    failed = Batch(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"f{k}" for k in range(4)))
-    passed = Batch(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"p{k}" for k in range(4)))
+    failed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"f{k}" for k in range(4)))
+    passed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"p{k}" for k in range(4)))
     out = localize_to_count(m, failed, passed, layer=1, target_lw=500)
     assert out.warning is not None
     assert 0 < len(out.refs) <= 6  # layer has 3*2 weights
@@ -265,8 +264,8 @@ def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
     # the chosen n_g must be minimal among those reaching target_lw
     m = build_mlp([3, 10, 3], seed=17)
     rng = np.random.default_rng(18)
-    failed = Batch(rng.normal(size=(6, 3)) + 2.0, rng.integers(0, 3, 6), tuple(f"f{k}" for k in range(6)))
-    passed = Batch(rng.normal(size=(7, 3)) - 1.0, rng.integers(0, 3, 7), tuple(f"p{k}" for k in range(7)))
+    failed = samples(rng.normal(size=(6, 3)) + 2.0, rng.integers(0, 3, 6), tuple(f"f{k}" for k in range(6)))
+    passed = samples(rng.normal(size=(7, 3)) - 1.0, rng.integers(0, 3, 7), tuple(f"p{k}" for k in range(7)))
     target = 6
     out = localize_to_count(m, failed, passed, layer=1, target_lw=target)
     assert len(out.refs) == target

@@ -2,11 +2,12 @@
 granularities."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from nnpatch import (
-    Batch,
     Dataset,
     EvalReport,
     build_mlp,
@@ -52,7 +53,7 @@ def test_accuracy_matches_per_sample_loop():
     ds = toy_dataset(n=37, n_classes=3, seed=5)
     m = build_mlp([ds.features.shape[1], 6, 3], seed=2)
     rep = evaluate(m, ds)
-    probs = forward(m, ds.as_batch())
+    probs = forward(m, ds.features)
     hits = 0
     per_class = {}
     for k in range(len(ds)):
@@ -71,14 +72,6 @@ def test_accuracy_matches_per_sample_loop():
     assert rep.overall_accuracy == hits / len(ds)
     for c, (good, total) in per_class.items():
         assert rep.per_class_accuracy[c] == good / total
-
-
-def test_evaluate_accepts_batch_input():
-    ds = toy_dataset(n=8, n_classes=2, seed=1)
-    m = build_mlp([ds.features.shape[1], 2], seed=3)
-    a = evaluate(m, ds)
-    b = evaluate(m, ds.as_batch())
-    assert a.predicted == b.predicted
 
 
 def test_verdict_counts_partition_in_diff():
@@ -199,3 +192,73 @@ def test_report_dict_includes_verdicts():
     assert d["verdicts"]["a"]["passed"] is True
     assert d["verdicts"]["b"]["passed"] is False
     assert d["verdicts"]["b"]["predicted"] == 0
+
+
+def test_diff_rejects_permuted_report():
+    # same ids, another order: reports compare by position, so this is refused
+    a = report_from(["x", "y", "z"], [0, 1, 0], [0, 1, 1])
+    b = report_from(["x", "z", "y"], [0, 0, 1], [0, 1, 1])
+    for compare in (diff, lambda r, s: check_regression(r, s, level="overall")):
+        with pytest.raises(ValueError, match="order") as exc:
+            compare(a, b)
+        assert "'y'" in str(exc.value) and "'z'" in str(exc.value)
+
+
+def _accuracy_loop(labels, predicted, keep):
+    """Per-sample loop oracle: the share of kept samples whose prediction
+    equals their label, 1.0 when none is kept."""
+    rows = [labels[k] == predicted[k] for k in range(len(labels)) if keep(k)]
+    return sum(rows) / len(rows) if rows else 1.0
+
+
+def test_eval_report_matches_per_sample_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n = 0 if trial == 0 else int(rng.integers(1, 30))
+        n_classes = int(rng.integers(1, 7))
+        # draw labels from a subset of the classes, so some never occur
+        present = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)), replace=False)
+        labels = rng.choice(present, size=n).tolist()
+        predicted = rng.integers(0, n_classes, size=n).tolist()
+        after_predicted = [p if rng.random() < 0.6 else int(rng.integers(0, n_classes)) for p in predicted]
+        ids = [f"s{k}" for k in rng.permutation(n)]
+        before = report_from(ids, labels, predicted)
+        after = report_from(ids, labels, after_predicted)
+
+        overall = _accuracy_loop(labels, predicted, lambda k: True)
+        per_class = {
+            c: _accuracy_loop(labels, predicted, lambda k: labels[k] == c) for c in sorted(set(labels))
+        }
+        assert before.overall_accuracy == overall
+        assert before.per_class_accuracy == per_class
+
+        for scope in ["all", *range(n_classes)]:
+            def in_scope(k):
+                return scope == "all" or labels[k] == scope
+
+            acc_before = _accuracy_loop(labels, predicted, in_scope)
+            acc_after = _accuracy_loop(labels, after_predicted, in_scope)
+            broken = sorted(
+                ids[k] for k in range(n)
+                if in_scope(k) and labels[k] == predicted[k] and labels[k] != after_predicted[k]
+            )
+            got = check_regression(before, after, level="overall", scope=scope)
+            assert got.evidence == {"before_accuracy": acc_before, "after_accuracy": acc_after}
+            assert got.ok == (acc_after >= acc_before)
+            got = check_regression(before, after, level="instance", scope=scope)
+            assert got.evidence == {"broken_ids": broken}
+            assert got.ok == (not broken)
+            assert got.scope == ("all" if scope == "all" else f"class {scope}")
+
+        want = {
+            "overall_accuracy": overall,
+            "per_class_accuracy": {str(c): a for c, a in per_class.items()},
+            "degenerate": False,
+            "verdicts": {
+                sid: {"label": l, "predicted": p, "passed": l == p}
+                for sid, l, p in zip(ids, labels, predicted)
+            },
+        }
+        assert before.to_dict() == want
+        # the same JSON text too, so every value is a plain Python type
+        assert json.dumps(before.to_dict(), sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nnpatch import (
-    Batch,
     LayerSpec,
     Model,
     ShapeError,
@@ -15,7 +14,6 @@ from nnpatch import (
     forward,
     loss,
     read_weights,
-    weight_gradients,
     write_weights,
 )
 from nnpatch.network import (
@@ -60,16 +58,28 @@ def test_model_construction_rules():
         Model((LayerSpec(2, 2, "softmax"),), (np.array([[1.0, np.nan], [0, 0]]),), (np.zeros(2),))
 
 
-def test_batch_validation():
-    with pytest.raises(ValueError, match="unique"):
-        Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), ("a", "a"))
+def layer_refs(model, layer):
+    """Every weight of one layer, in WeightRef total order."""
+    n_in, n_out = model.weights[layer].shape
+    return [WeightRef(layer, i, j) for j in range(n_out) for i in range(n_in)]
+
+
+def test_input_and_label_validation():
+    m = build_mlp([3, 2], seed=0)
+    x, y = np.zeros((2, 3)), np.zeros(2, dtype=int)
     with pytest.raises(ShapeError):
-        Batch(np.zeros((2, 3)), np.zeros(3, dtype=int), ("a", "b"))
+        forward(m, np.zeros(3))
     with pytest.raises(ShapeError):
-        Batch(np.zeros(3), np.zeros(3, dtype=int), ("a", "b", "c"))
-    b = Batch(np.zeros((2, 3)), np.zeros(2, dtype=int), ("a", "b"))
-    with pytest.raises(ValueError):
-        b.inputs[0, 0] = 1.0  # frozen storage
+        loss(m, x, np.zeros(3, dtype=int))
+    with pytest.raises(ShapeError):
+        full_gradients(m, x, np.zeros((2, 1), dtype=int))
+    with pytest.raises(ValueError, match="finite"):
+        forward(m, np.array([[0.0, np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="out of range"):
+        weight_gradient_matrix(m, x, [0, -1], 0)
+    with pytest.raises(ValueError, match="out of range"):
+        full_gradients(m, x, [0, 2])
+    assert np.isfinite(loss(m, x, y))
 
 
 def test_forward_rows_are_distributions():
@@ -77,7 +87,7 @@ def test_forward_rows_are_distributions():
     for _ in range(10):
         m = random_model(rng)
         b = random_batch(rng, m)
-        p = forward(m, b)
+        p = forward(m, b.features)
         assert p.shape == (len(b), m.n_classes)
         assert np.all(p >= 0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -85,19 +95,17 @@ def test_forward_rows_are_distributions():
 
 def test_forward_empty_batch_and_dim_mismatch():
     m = build_mlp([3, 2], seed=1)
-    empty = Batch(np.zeros((0, 3)), np.zeros(0, dtype=int), ())
+    empty = np.zeros((0, 3))
     assert forward(m, empty).shape == (0, 2)
     with pytest.raises(ValueError):
-        loss(m, empty)
-    bad = Batch(np.zeros((2, 4)), np.zeros(2, dtype=int), ("a", "b"))
+        loss(m, empty, np.zeros(0, dtype=int))
     with pytest.raises(ShapeError):
-        forward(m, bad)
+        forward(m, np.zeros((2, 4)))
 
 
 def test_softmax_is_stable_for_large_logits():
     m = single_layer_model([[1000.0, -1000.0]])
-    b = Batch([[1.0]], [0], ("a",))
-    p = forward(m, b)
+    p = forward(m, [[1.0]])
     assert np.isfinite(p).all()
     np.testing.assert_allclose(p[0, 0], 1.0)
 
@@ -110,15 +118,14 @@ def test_loss_clamps_probabilities():
 
 def test_loss_label_out_of_range():
     m = build_mlp([2, 3], seed=0)
-    b = Batch(np.zeros((1, 2)), [5], ("a",))
     with pytest.raises(ValueError, match="out of range"):
-        loss(m, b)
+        loss(m, np.zeros((1, 2)), [5])
 
 
-def _fd_gradient(model, batch, ref, eps=1e-6):
+def _fd_gradient(model, x, y, ref, eps=1e-6):
     w0 = float(model.weights[ref.layer][ref.i, ref.j])
-    up = loss(write_weights(model, [ref], [w0 + eps]), batch)
-    dn = loss(write_weights(model, [ref], [w0 - eps]), batch)
+    up = loss(write_weights(model, [ref], [w0 + eps]), x, y)
+    dn = loss(write_weights(model, [ref], [w0 - eps]), x, y)
     return (up - dn) / (2 * eps)
 
 
@@ -131,51 +138,37 @@ def test_gradients_match_finite_differences_spot_checks():
         layer = int(rng.integers(0, m.n_layers))
         # the loss clamp flattens samples whose true-class probability
         # underflows; FD disagrees with the analytic gradient there
-        probs = forward(m, b)
+        probs = forward(m, b.features)
         if probs[np.arange(len(b)), b.labels].min() < 1e-9:
             continue
-        grads = weight_gradients(m, b, layer)
-        refs = list(grads)
+        grads = weight_gradient_matrix(m, b.features, b.labels, layer)
+        refs = layer_refs(m, layer)
         for ref in [refs[0], refs[len(refs) // 2], refs[-1]]:
-            fd = _fd_gradient(m, b, ref)
-            assert abs(grads[ref] - fd) <= 1e-6 + 1e-6 * abs(fd)
+            fd = _fd_gradient(m, b.features, b.labels, ref)
+            assert abs(grads[ref.i, ref.j] - fd) <= 1e-6 + 1e-6 * abs(fd)
             checked += 1
     assert checked >= 9
 
 
-def test_weight_gradients_cover_layer_in_ref_order():
-    m = build_mlp([3, 4, 2], seed=2)
-    b = Batch(np.ones((2, 3)), [0, 1], ("a", "b"))
-    grads = weight_gradients(m, b, 0)
-    assert len(grads) == 3 * 4
-    keys = list(grads)
-    assert keys == sorted(keys, key=lambda r: r.sort_key)
-    mat = weight_gradient_matrix(m, b, 0)
-    for ref, g in grads.items():
-        assert g == mat[ref.i, ref.j]
-
-
 def test_gradient_rejects_bad_layer_and_empty_batch():
     m = build_mlp([2, 2], seed=0)
-    b = Batch(np.zeros((1, 2)), [0], ("a",))
     with pytest.raises(ValueError):
-        weight_gradients(m, b, 5)
-    empty = Batch(np.zeros((0, 2)), np.zeros(0, dtype=int), ())
+        weight_gradient_matrix(m, np.zeros((1, 2)), [0], 5)
     with pytest.raises(ValueError):
-        weight_gradients(m, empty, 0)
+        weight_gradient_matrix(m, np.zeros((0, 2)), np.zeros(0, dtype=int), 0)
 
 
 def test_layer_inputs_match_manual_forward():
     rng = np.random.default_rng(3)
     m = random_model(rng)
     b = random_batch(rng, m)
-    np.testing.assert_array_equal(layer_inputs(m, b, 0), b.inputs)
+    np.testing.assert_array_equal(layer_inputs(m, b.features, 0), b.features)
     for layer in range(1, m.n_layers):
-        a = b.inputs
+        a = b.features
         for k in range(layer):
             z = a @ m.weights[k] + m.biases[k]
             a = np.maximum(z, 0) if m.layers[k].activation == "relu" else z
-        np.testing.assert_array_equal(layer_inputs(m, b, layer), a)
+        np.testing.assert_array_equal(layer_inputs(m, b.features, layer), a)
 
 
 def test_read_write_weights_roundtrip_and_isolation():
@@ -210,10 +203,10 @@ def test_full_gradients_agree_with_per_layer_gradients():
     rng = np.random.default_rng(11)
     m = random_model(rng)
     b = random_batch(rng, m)
-    grad_w, grad_b = full_gradients(m, b)
+    grad_w, grad_b = full_gradients(m, b.features, b.labels)
     assert len(grad_w) == len(grad_b) == m.n_layers
     for layer in range(m.n_layers):
-        np.testing.assert_array_equal(grad_w[layer], weight_gradient_matrix(m, b, layer))
+        np.testing.assert_array_equal(grad_w[layer], weight_gradient_matrix(m, b.features, b.labels, layer))
 
 
 def test_build_mlp_is_deterministic():
@@ -227,8 +220,7 @@ def test_build_mlp_is_deterministic():
 
 def test_identity_weights_on_zero_input_give_uniform_output():
     m = single_layer_model(np.eye(2))
-    b = Batch([[0.0, 0.0]], [0], ("a",))
-    np.testing.assert_allclose(forward(m, b)[0], [0.5, 0.5])
+    np.testing.assert_allclose(forward(m, [[0.0, 0.0]])[0], [0.5, 0.5])
 
 
 def test_forward_matches_straight_line_recomputation():
@@ -240,8 +232,7 @@ def test_forward_matches_straight_line_recomputation():
     z2 = a1 @ m.weights[1] + m.biases[1]
     e = np.exp(z2 - z2.max(axis=1, keepdims=True))
     expected = e / e.sum(axis=1, keepdims=True)
-    b = Batch(x, [0, 1], ("a", "b"))
-    np.testing.assert_allclose(forward(m, b), expected, atol=1e-6)
+    np.testing.assert_allclose(forward(m, x), expected, atol=1e-6)
 
 
 def test_loss_matches_straight_line_recomputation():
@@ -253,7 +244,7 @@ def test_loss_matches_straight_line_recomputation():
     e = np.exp(z2 - z2.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     expected = -np.log(p[np.arange(4), y]).mean()
-    got = loss(m, Batch(x, y, ("a", "b", "c", "d")))
+    got = loss(m, x, y)
     assert abs(got - expected) <= 1e-6
 
 
@@ -262,45 +253,35 @@ def test_loss_trivial_values():
     assert loss_from_probs(np.array([[1.0, 0.0]]), np.array([0])) == 0.0
     # zero weights produce the uniform 2-class prediction
     m = single_layer_model([[0.0, 0.0]])
-    b = Batch([[3.0]], [1], ("a",))
-    assert abs(loss(m, b) - np.log(2)) <= 1e-6
+    assert abs(loss(m, [[3.0]], [1]) - np.log(2)) <= 1e-6
 
 
 def test_gradient_fd_on_seeded_2_3_2_single_sample():
     m = build_mlp([2, 3, 2], seed=4)
-    b = Batch([[0.7, -0.2]], [1], ("a",))
+    x, y = [[0.7, -0.2]], [1]
     for layer in range(2):
-        grads = weight_gradients(m, b, layer)
-        for ref, g in grads.items():
-            fd = _fd_gradient(m, b, ref, eps=1e-4)
-            assert abs(g - fd) <= 1e-6 + 1e-4 * abs(fd)
+        grads = weight_gradient_matrix(m, x, y, layer)
+        for ref in layer_refs(m, layer):
+            fd = _fd_gradient(m, x, y, ref, eps=1e-4)
+            assert abs(grads[ref.i, ref.j] - fd) <= 1e-6 + 1e-4 * abs(fd)
 
 
 def test_zero_inputs_zero_biases_kill_first_layer_gradients():
     m = build_mlp([3, 4, 2], seed=1)  # biases are zero at init
-    b = Batch(np.zeros((2, 3)), [0, 1], ("a", "b"))
-    grads = weight_gradients(m, b, 0)
-    assert all(g == 0.0 for g in grads.values())
+    grads = weight_gradient_matrix(m, np.zeros((2, 3)), [0, 1], 0)
+    assert (grads == 0.0).all()
 
 
 def test_batch_gradient_is_mean_of_per_sample_gradients():
     rng = np.random.default_rng(6)
     m = random_model(rng)
     b = random_batch(rng, m, max_samples=2)
+    x, y = b.features, b.labels
     if len(b) < 2:
-        b = Batch(
-            np.vstack([b.inputs, b.inputs + 0.5]),
-            np.concatenate([b.labels, b.labels]),
-            (b.sample_ids[0], b.sample_ids[0] + "x"),
-        )
+        x, y = np.vstack([x, x + 0.5]), np.concatenate([y, y])
     layer = m.n_layers - 1
-    whole = weight_gradient_matrix(m, b, layer)
-    parts = [
-        weight_gradient_matrix(
-            m, Batch(b.inputs[k : k + 1], b.labels[k : k + 1], (b.sample_ids[k],)), layer
-        )
-        for k in range(len(b))
-    ]
+    whole = weight_gradient_matrix(m, x, y, layer)
+    parts = [weight_gradient_matrix(m, x[k : k + 1], y[k : k + 1], layer) for k in range(len(x))]
     np.testing.assert_allclose(whole, np.mean(parts, axis=0), atol=1e-8)
 
 
@@ -322,9 +303,9 @@ def test_write_original_values_back_is_identity():
     m = random_model(rng)
     b = random_batch(rng, m)
     layer = m.n_layers - 1
-    refs = list(weight_gradients(m, b, layer))
+    refs = layer_refs(m, layer)
     m2 = write_weights(m, refs, read_weights(m, refs))
-    np.testing.assert_array_equal(forward(m, b), forward(m2, b))
+    np.testing.assert_array_equal(forward(m, b.features), forward(m2, b.features))
 
 
 def test_relu_layer_with_negative_preactivations_outputs_zero():
@@ -334,12 +315,11 @@ def test_relu_layer_with_negative_preactivations_outputs_zero():
         (w0, np.zeros((3, 2))),
         (np.zeros(3), np.zeros(2)),
     )
-    b = Batch([[1.0, 2.0]], [0], ("a",))
-    np.testing.assert_array_equal(layer_inputs(m, b, 1), np.zeros((1, 3)))
+    np.testing.assert_array_equal(layer_inputs(m, [[1.0, 2.0]], 1), np.zeros((1, 3)))
 
 
 def test_repeated_forward_calls_are_bit_identical():
     rng = np.random.default_rng(13)
     m = random_model(rng)
     b = random_batch(rng, m)
-    np.testing.assert_array_equal(forward(m, b), forward(m, b))
+    np.testing.assert_array_equal(forward(m, b.features), forward(m, b.features))

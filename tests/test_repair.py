@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from nnpatch import (
-    Batch,
     FitnessConfig,
     LocalizedSet,
     Model,
@@ -26,7 +25,11 @@ from nnpatch.repair import (
     write_trace_csv,
 )
 
-from helpers import random_batch, random_model, single_layer_model, toy_dataset
+from helpers import random_batch, random_model, samples, single_layer_model, toy_dataset
+
+
+def base_losses(model, i_neg, i_pos):
+    return tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
 
 
 def localized_over(refs):
@@ -40,10 +43,10 @@ def repair_scenario(rng, pin_labels=True, any_layer=False):
     neg = random_batch(rng, m, prefix="n")
     pos = random_batch(rng, m, prefix="p")
     if pin_labels:
-        pred_n = np.argmax(forward(m, neg), axis=1)
-        pred_p = np.argmax(forward(m, pos), axis=1)
-        neg = Batch(neg.inputs, (pred_n + 1) % m.n_classes, neg.sample_ids)
-        pos = Batch(pos.inputs, pred_p, pos.sample_ids)
+        pred_n = np.argmax(forward(m, neg.features), axis=1)
+        pred_p = np.argmax(forward(m, pos.features), axis=1)
+        neg = samples(neg.features, (pred_n + 1) % m.n_classes, neg.sample_ids)
+        pos = samples(pos.features, pred_p, pos.sample_ids)
     layer = int(rng.integers(0, m.n_layers)) if any_layer else m.n_layers - 1
     n_in, n_out = m.weights[layer].shape
     all_refs = [WeightRef(layer, i, j) for i in range(n_in) for j in range(n_out)]
@@ -77,22 +80,22 @@ def test_swarm_config_validation():
 
 
 def test_sample_positives_saturation_and_determinism():
-    ds = toy_dataset(n=20, n_classes=2, seed=0)
-    pool = ds.as_batch()
+    pool = toy_dataset(n=20, n_classes=2, seed=0)
     assert sample_positives(pool, 100, seed=1) is pool
     a = sample_positives(pool, 7, seed=5)
     b = sample_positives(pool, 7, seed=5)
     assert a.sample_ids == b.sample_ids
+    assert list(a.sample_ids) == sorted(a.sample_ids, key=pool.sample_ids.index)  # pool order
     with pytest.raises(ValueError):
         sample_positives(pool, 0, seed=1)
-    empty = Batch(np.zeros((0, pool.inputs.shape[1])), np.zeros(0, dtype=int), ())
+    empty = samples(np.zeros((0, pool.features.shape[1])), np.zeros(0, dtype=int), ())
     with pytest.raises(ValueError):
         sample_positives(empty, 5, seed=1)
 
 
 def test_sample_positives_large_pool_scan():
     rng = np.random.default_rng(2)
-    pool = Batch(
+    pool = samples(
         rng.normal(size=(2000, 3)),
         rng.integers(0, 4, 2000),
         tuple(f"s{k}" for k in range(2000)),
@@ -131,11 +134,11 @@ def fixed_identity_setup(alpha=8.0, n_pos=16):
     drives one passing sample, so edits to row 1 touch exactly that sample.
     """
     model = single_layer_model([[1.0, 0.0], [1.0, 0.0]])
-    i_neg = Batch([[1.0, 0.0]], [1], ("neg0",))
+    i_neg = samples([[1.0, 0.0]], [1], ("neg0",))
     pos_inputs = [[1.0, 0.0]] * (n_pos - 1) + [[0.0, 1.0]]
-    i_pos = Batch(pos_inputs, [0] * n_pos, tuple(f"pos{k}" for k in range(n_pos)))
+    i_pos = samples(pos_inputs, [0] * n_pos, tuple(f"pos{k}" for k in range(n_pos)))
     cfg = FitnessConfig(variant="eq2", alpha=alpha, beta=0.25, perfect_intact=False)
-    base = (loss(model, i_neg), loss(model, i_pos))
+    base = base_losses(model, i_neg, i_pos)
     return model, i_neg, i_pos, cfg, base
 
 
@@ -148,7 +151,7 @@ def test_identity_patch_scores_alpha_plus_beta_exactly():
     assert bd.gated_fitness == bd.raw_fitness
     # default coefficients too
     cfg_default = FitnessConfig()
-    bd2 = fitness(model, i_neg, i_pos, (loss(model, i_neg), loss(model, i_pos)), cfg_default)
+    bd2 = fitness(model, i_neg, i_pos, base_losses(model, i_neg, i_pos), cfg_default)
     assert bd2.raw_fitness == cfg_default.alpha + cfg_default.beta
 
 
@@ -203,11 +206,11 @@ def test_raw_fitness_nondecreasing_in_alpha():
 def test_fitness_scores_nonfinite_loss_as_worst_candidate():
     model, i_neg, _, _, _ = fixed_identity_setup()
     # a passed sample with feature 0 at 2: under W[0,0] = 1e308 its class-0 logit overflows
-    i_pos = Batch([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [0, 0, 0], ("p0", "p1", "p2"))
-    base = (loss(model, i_neg), loss(model, i_pos))
+    i_pos = samples([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [0, 0, 0], ("p0", "p1", "p2"))
+    base = base_losses(model, i_neg, i_pos)
     huge = write_weights(model, [WeightRef(0, 0, 0)], [1e308])
     with np.errstate(over="ignore"):
-        assert (i_pos.inputs @ huge.weights[0])[2, 0] == np.inf
+        assert (i_pos.features @ huge.weights[0])[2, 0] == np.inf
     for variant in ("eq1", "eq2"):
         cfg = FitnessConfig(variant=variant)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,7 +239,7 @@ def test_init_swarm_original_half_matches_identity_fitness():
     rng = np.random.default_rng(5)
     m, localized, neg, pos = repair_scenario(rng)
     cfg = FitnessConfig()
-    base = (loss(m, neg), loss(m, pos))
+    base = base_losses(m, neg, pos)
     identity = fitness(m, neg, pos, base, cfg)
     original = np.array([m.weights[r.layer][r.i, r.j] for r in localized.refs])
     positions, _ = init_swarm(localized, m, SwarmConfig(n_particles=5), np.random.default_rng(7))
@@ -291,7 +294,7 @@ def test_batch_scorer_matches_fitness_reference():
             loss_ratio_orientation=ORIENTATIONS[trial // 4 % 2],
         )
         scorer = BatchScorer(m, refs, neg, pos, cfg)
-        assert scorer.base_losses == pytest.approx((loss(m, neg), loss(m, pos)), rel=1e-12)
+        assert scorer.base_losses == pytest.approx(base_losses(m, neg, pos), rel=1e-12)
         original = np.array([m.weights[r.layer][r.i, r.j] for r in refs])
         p = int(rng.integers(8, 20))
         positions = original + rng.normal(0.0, 1.0, size=(p, len(refs)))
@@ -355,8 +358,8 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
         m = Model(m.layers, m.weights[:-1] + (w,), m.biases[:-1] + (b,))
         # the label sits on the later column for about half of I_pos
         on_later = rng.random(len(pos)) < 0.5
-        pred = np.argmax(forward(m, pos), axis=1)
-        pos = Batch(pos.inputs, np.where(on_later, c2, pred), pos.sample_ids)
+        pred = np.argmax(forward(m, pos.features), axis=1)
+        pos = samples(pos.features, np.where(on_later, c2, pred), pos.sample_ids)
         cfg = FitnessConfig(
             variant="eq2",
             alpha=float(rng.uniform(0.5, 8)),
@@ -448,10 +451,10 @@ def test_overflowing_candidate_scores_minus_inf():
     # W[0,1] = 1e308 sends the class-1 logit of I_pos sample [3, 0.2] to +inf, so its
     # softmax is nan, while the I_neg sample is patched by a finite logit
     model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
-    i_neg = Batch([[1.0, 0.5]], [1], ("n0",))
-    i_pos = Batch([[0.5, 1.0], [3.0, 0.2]], [0, 0], ("p0", "p1"))
+    i_neg = samples([[1.0, 0.5]], [1], ("n0",))
+    i_pos = samples([[0.5, 1.0], [3.0, 0.2]], [0, 0], ("p0", "p1"))
     refs = [WeightRef(0, 0, 1)]
-    base = (loss(model, i_neg), loss(model, i_pos))
+    base = base_losses(model, i_neg, i_pos)
     huge = write_weights(model, refs, [1e308])
     for variant in ("eq1", "eq2"):
         for gate in (False, True):
@@ -469,8 +472,8 @@ def test_overflowing_candidate_scores_minus_inf():
 def test_tie_with_identity_returns_the_original_model():
     # feature 1 is 0 on every sample, so its outgoing weights change nothing
     model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
-    i_neg = Batch([[1.0, 0.0], [2.0, 0.0]], [1, 1], ("n0", "n1"))
-    i_pos = Batch([[0.5, 0.0], [3.0, 0.0]], [0, 0], ("p0", "p1"))
+    i_neg = samples([[1.0, 0.0], [2.0, 0.0]], [1, 1], ("n0", "n1"))
+    i_pos = samples([[0.5, 0.0], [3.0, 0.0]], [0, 0], ("p0", "p1"))
     localized = localized_over([WeightRef(0, 1, 0), WeightRef(0, 1, 1)])
     for gate in (False, True):
         out = repair(
@@ -487,8 +490,8 @@ def test_tie_with_identity_returns_the_original_model():
 def threshold_setup():
     """1-weight landscape: pushing w[0,1] past 0.5 flips the I_neg sample."""
     model = single_layer_model([[0.5, 0.0], [0.0, 0.0]])
-    i_neg = Batch([[1.0, 0.0]], [1], ("n0",))
-    i_pos = Batch([[0.0, 1.0]], [0], ("p0",))
+    i_neg = samples([[1.0, 0.0]], [1], ("n0",))
+    i_pos = samples([[0.0, 1.0]], [0], ("p0",))
     localized = localized_over([WeightRef(0, 0, 1)])
     return model, localized, i_neg, i_pos
 
@@ -511,7 +514,7 @@ def test_zero_iterations_returns_best_initial_particle():
     fcfg = FitnessConfig(variant="eq2", alpha=1.0, perfect_intact=True)
     result = repair(model, localized, i_neg, i_pos, fcfg, SwarmConfig(n_particles=4, n_iterations=0, seed=6))
     assert len(result.trace) == 1
-    identity = fitness(model, i_neg, i_pos, (loss(model, i_neg), loss(model, i_pos)), fcfg)
+    identity = fitness(model, i_neg, i_pos, base_losses(model, i_neg, i_pos), fcfg)
     assert result.best.gated_fitness >= identity.gated_fitness
     assert identity.gated_fitness > 0  # pi gate keeps the identity patch positive
 
@@ -560,7 +563,7 @@ def test_repair_invariants_over_random_scenarios():
             n_iterations=int(rng.integers(0, 5)),
             seed=trial,
         )
-        base = (loss(m, neg), loss(m, pos))
+        base = base_losses(m, neg, pos)
         identity = fitness(m, neg, pos, base, fcfg)
         result = repair(m, localized, neg, pos, fcfg, scfg)
 
