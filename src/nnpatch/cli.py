@@ -30,7 +30,8 @@ from .data import (
     select_repair_inputs,
     split,
 )
-from .harness import as_dict, emit_report, load_sweep_dir, run_repair_pipeline, run_sweep
+from .formats import as_dict
+from .harness import emit_report, load_sweep_dir, run_repair_pipeline, run_sweep
 from .localization import localize_to_count, compute_impacts, write_impact_csv, write_localized_csv
 from .metrics import evaluate
 from .training import materialize_splits, train_subject

@@ -14,7 +14,8 @@ import dataclasses
 import yaml
 
 from .data import DriftSpec, SplitSpec
-from .harness import ExperimentSpec, from_dict
+from .formats import from_dict
+from .harness import ExperimentSpec
 from .training import SubjectSpec, load_source
 
 CONFIG_VERSION = 1

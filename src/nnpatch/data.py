@@ -7,8 +7,8 @@ repair input set and sampled I_pos is one, cut from its parent with
 ``labels`` arrays.
 
 Formats are deliberately boring: CSV with a version comment for datasets,
-JSON with inline base64 float64 arrays for models. Both are diffable and
-round-trip bit-exactly.
+JSON with inline base64 float64 arrays for models. Both are diffable,
+round-trip bit-exactly, and are written by `nnpatch.formats`.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formats import read_json, write_csv, write_json
 from .network import LayerSpec, Model, forward, _frozen_array
 
 DATASET_MAGIC = "# nnpatch-dataset v1"
@@ -313,19 +314,16 @@ def save_model(model: Model, path, provenance: dict | None = None) -> None:
     }
     if provenance is not None:
         manifest["provenance"] = provenance
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+    write_json(path, manifest)
 
 
 def load_model(path) -> Model:
     """Inverse of save_model. Rejects malformed files, version mismatches and
     non-finite values; never returns a partial model."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"corrupt model file: {exc}") from exc
+    try:
+        manifest = read_json(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"corrupt model file: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MODEL_FORMAT:
         raise ValueError("not a model file")
     if manifest.get("version") != MODEL_VERSION:
@@ -355,21 +353,16 @@ def save_dataset(dataset: Dataset, path) -> None:
 
     Floats are written with repr so the round-trip is bit-exact.
     """
-    for name in dataset.class_names:
+    for name in dataset.class_names + dataset.sample_ids:
         if not _NAME_RE.match(name):
-            raise ValueError(f"class name {name!r} not storable (letters/digits/_.- only)")
-    d = dataset.n_features
-    lines = [
-        f"{DATASET_MAGIC} n_classes={dataset.n_classes} class_names={','.join(dataset.class_names)}",
-        ",".join(["id", "label"] + [f"f{k}" for k in range(d)]),
-    ]
-    for sid, label, row in zip(dataset.sample_ids, dataset.labels, dataset.features):
-        if not _NAME_RE.match(sid):
-            raise ValueError(f"sample id {sid!r} not storable (letters/digits/_.- only)")
-        lines.append(",".join([sid, str(int(label))] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+            raise ValueError(f"name {name!r} not storable (letters/digits/_.- only)")
+    names = ",".join(dataset.class_names)
+    rows = zip(dataset.sample_ids, dataset.labels.tolist(), dataset.features.tolist())
+    write_csv(path, [
+        [f"{DATASET_MAGIC} n_classes={dataset.n_classes} class_names={names}"],
+        ["id", "label", *(f"f{k}" for k in range(dataset.n_features))],
+        *([sid, label, *features] for sid, label, features in rows),
+    ])
 
 
 def load_dataset(path) -> Dataset:

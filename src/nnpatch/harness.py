@@ -2,29 +2,27 @@
 
 A sweep trains one subject, then runs every grid config for a fixed number
 of repetitions. Each run gets its own directory and RNG streams derived
-from (master_seed, config index, repetition index); a present run.json
-marks a completed run, which is what makes sweeps resumable. Wall-clock
-runtimes live in timing.json sidecars so everything else is byte-stable.
+from (master_seed, config index, repetition index). A run.json that reads
+back, names its own directory and grid entry, and holds every split marks a
+completed run, which is what makes sweeps resumable; any other record is
+rerun. Wall-clock runtimes live in timing.json sidecars so everything else
+is byte-stable. Every file is written through `nnpatch.formats`.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import functools
 import hashlib
 import json
 import time
-import typing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    SPLIT_NAMES,
-    NothingToRepairError,
-    save_model,
-)
+from .data import SPLIT_NAMES, NothingToRepairError, save_model, select_repair_inputs
+from .formats import as_dict, from_dict, read_json, write_csv, write_json
 from .localization import localize_to_count, write_localized_csv
 from .metrics import diff, evaluate
 from .network import Model
@@ -37,7 +35,11 @@ from .repair import (
     write_trace_csv,
 )
 from .training import SubjectSpec, materialize_splits, train_subject
-from .data import select_repair_inputs
+
+# the outcome of one split, as runs_long.csv and min_regression.csv list it,
+# and the order of the per-config means in aggregate.json and config_summary.csv
+_OUTCOME = ("before_accuracy", "after_accuracy", "broken", "repaired")
+_MEANS = ("broken", "repaired", "before_accuracy", "after_accuracy")
 
 
 @dataclass(frozen=True)
@@ -123,63 +125,6 @@ class AggregateResult:
     runs: tuple[RunResult, ...]
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def as_dict(obj) -> dict:
-    """A dataclass as the dict of its fields, unconverted: the `default=` hook of
-    every JSON record written here, so nested dataclasses are encoded in place
-    and tuples become lists. Raises TypeError on anything else, as json expects."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
-
-
-def _converter(hint):
-    """A function that turns a JSON or YAML value into a value of type `hint`."""
-    if dataclasses.is_dataclass(hint):
-        return lambda v: v if isinstance(v, hint) else from_dict(hint, v)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        item = _converter(args[0])
-        return lambda v: tuple(map(item, v))
-    if type(None) in args:  # X | None
-        (inner,) = (a for a in args if a is not type(None))
-        inner = _converter(inner)
-        return lambda v: None if v is None else inner(v)
-    return hint  # int, float, str, bool, dict
-
-
-@functools.cache
-def _converters(cls) -> dict:
-    hints = typing.get_type_hints(cls)
-    return {name: _converter(hints[name]) for name in _field_names(cls)}
-
-
-def from_dict(cls, d):
-    """Build dataclass `cls`, nested dataclasses included, from a JSON or YAML
-    mapping. Each value is converted by its field's type hint; an omitted key
-    takes the field's default; a key that names no field raises ValueError."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
-    convert = _converters(cls)
-    unknown = d.keys() - convert.keys()
-    if unknown:
-        raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
-    return cls(**{k: convert[k](v) for k, v in d.items()})
-
-
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj, default=as_dict, sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
-
-
-def _read_json(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
-
-
 def derive_run_seeds(master_seed: int, config_idx: int, rep_idx: int) -> tuple[int, int]:
     """(pos_seed, swarm_seed) from non-overlapping spawned streams."""
     root = np.random.SeedSequence(master_seed, spawn_key=(config_idx, rep_idx))
@@ -190,9 +135,13 @@ def derive_run_seeds(master_seed: int, config_idx: int, rep_idx: int) -> tuple[i
     )
 
 
-def _config_hash(entry: GridEntry) -> str:
-    blob = json.dumps(entry, default=as_dict, sort_keys=True).encode("ascii")
+def _config_hash(config: dict) -> str:
+    blob = json.dumps(config, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _run_dir(out: Path, ci: int, ri: int) -> Path:
+    return out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}"
 
 
 def _split_records(before: dict, after: dict) -> dict:
@@ -231,14 +180,7 @@ def run_repair_pipeline(
     layer = exp.repair_layer % model.n_layers
     before = {name: evaluate(model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 
-    result = RunResult(
-        config_id=config_id,
-        config=as_dict(entry),
-        rep=rep_idx,
-        pos_seed=pos_seed,
-        swarm_seed=swarm_seed,
-        status="ok",
-    )
+    result = RunResult(config_id, as_dict(entry), rep_idx, pos_seed, swarm_seed, "ok")
 
     try:
         inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
@@ -304,32 +246,33 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rr is not None:
-        entry = from_dict(GridEntry, result.config)
         save_model(
             rr.model,
             out_dir / "model.json",
-            provenance={"seed": result.swarm_seed, "config_hash": _config_hash(entry)},
+            provenance={"seed": result.swarm_seed, "config_hash": _config_hash(result.config)},
         )
         write_trace_csv(rr.trace, out_dir / "trace.csv")
     if localized is not None:
         write_localized_csv(localized, out_dir / "localized.csv")
-    _write_json(timing, out_dir / "timing.json")
-    _write_json(result, out_dir / "run.json")
+    write_json(out_dir / "timing.json", timing)
+    write_json(out_dir / "run.json", result)
 
 
-def _load_run(run_dir: Path) -> RunResult | None:
-    """The persisted record of a run, or None when it is missing or unreadable
-    (a truncated or malformed run.json or timing.json): such a run is not done."""
-    if not (run_dir / "run.json").exists():
-        return None
+def _load_run(out: Path, exp: ExperimentSpec, ci: int, ri: int) -> RunResult | None:
+    """The persisted record of run (ci, ri), or None when the run is not done:
+    its run.json or timing.json is missing, truncated or malformed, or the
+    record is stale (it names another directory or grid entry, or a run that
+    did not fail lacks a split's outcome)."""
+    run_dir = _run_dir(out, ci, ri)
     try:
-        result = from_dict(RunResult, _read_json(run_dir / "run.json"))
-        timing = run_dir / "timing.json"
-        if timing.exists():
-            float(_read_json(timing).get("runtime_seconds", 0.0))  # it must read back
-    except (ValueError, TypeError, AttributeError):
+        r = from_dict(RunResult, read_json(run_dir / "run.json"))
+        if (run_dir / "timing.json").exists():  # it must read back
+            float(read_json(run_dir / "timing.json").get("runtime_seconds", 0.0))
+        complete = r.status == "error" or all(set(_OUTCOME) <= r.splits[n].keys() for n in SPLIT_NAMES)
+    except (OSError, ValueError, TypeError, AttributeError, KeyError):
         return None
-    return result
+    own = (r.config_id, r.rep, r.config) == (f"cfg{ci:03d}", ri, as_dict(exp.grid[ci]))
+    return r if own and complete else None
 
 
 def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
@@ -343,20 +286,11 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
             (r for r in runs if r.config_id == config_id), key=lambda r: r.rep
         )
         usable = [r for r in config_runs if r.status != "error"]
-        means: dict = {}
-        if usable:
-            for name in SPLIT_NAMES:
-                means[name] = {
-                    key: float(np.mean([r.splits[name][key] for r in usable]))
-                    for key in ("broken", "repaired", "before_accuracy", "after_accuracy")
-                }
-        if usable:
-            min_run = min(usable, key=lambda r: (r.splits["test"]["broken"], r.rep))
-            min_rep = min_run.rep
-            min_broken = min_run.splits["test"]["broken"]
-        else:
-            min_rep = None
-            min_broken = None
+        means = {
+            name: {key: float(np.mean([r.splits[name][key] for r in usable])) for key in _MEANS}
+            for name in SPLIT_NAMES
+        } if usable else {}
+        min_run = min(usable, key=lambda r: (r.splits["test"]["broken"], r.rep), default=None)
         configs.append(
             {
                 "config_id": config_id,
@@ -365,8 +299,8 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
                 "n_usable": len(usable),
                 "statuses": [r.status for r in config_runs],
                 "means": means,
-                "min_regression_rep": min_rep,
-                "min_regression_test_broken": min_broken,
+                "min_regression_rep": None if min_run is None else min_run.rep,
+                "min_regression_test_broken": None if min_run is None else min_run.splits["test"]["broken"],
             }
         )
     return AggregateResult(tuple(configs), runs)
@@ -375,11 +309,11 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
     """Train the subject once, run grid x repetitions, aggregate.
 
-    Completed runs (a readable run.json) are reused; a run whose record is
-    missing or unreadable is run again. A directory whose readable sweep.json
-    holds a spec that differs from `exp` in anything but `repetitions` is
-    refused with ValueError before anything is written: its runs were made by
-    another spec. `repetitions` only decides how many runs exist, since each
+    Completed runs (see `_load_run`) are reused; a run whose record is
+    missing, unreadable or stale is run again. A directory whose readable
+    sweep.json holds a spec that differs from `exp` in anything but
+    `repetitions` is refused with ValueError before anything is written: its
+    runs were made by another spec. `repetitions` only decides how many runs exist, since each
     run's seeds come from (master_seed, config, rep). Failures are isolated:
     they become status="error" records and the sweep continues. Results are
     identical at any worker count because every run owns its directory and
@@ -387,7 +321,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     """
     out = Path(out_dir)
     try:
-        previous = from_dict(ExperimentSpec, _read_json(out / "sweep.json"))
+        previous = from_dict(ExperimentSpec, read_json(out / "sweep.json"))
     except (OSError, ValueError, TypeError, AttributeError):
         previous = None  # no sweep here yet, or an unreadable spec, rewritten below
     if previous is not None and dataclasses.replace(previous, repetitions=exp.repetitions) != exp:
@@ -395,14 +329,15 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
             f"{out} holds a sweep of another spec; only repetitions may change on a resume"
         )
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(exp, out / "sweep.json")
+    write_json(out / "sweep.json", exp)
 
     _, splits = materialize_splits(exp.subject)
     subject_dir = out / "subject"
     subject_dir.mkdir(exist_ok=True)
     model = train_subject(exp.subject, splits)
     save_model(model, subject_dir / "model.json")
-    _write_json(
+    write_json(
+        subject_dir / "subject.json",
         {
             "split_sizes": {name: len(ds) for name, ds in zip(SPLIT_NAMES, splits)},
             "split_accuracies": {
@@ -411,32 +346,22 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
             },
             "target_class": exp.target_class,
         },
-        subject_dir / "subject.json",
     )
 
     def job(ci: int, ri: int) -> RunResult:
-        run_dir = out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}"
-        done = _load_run(run_dir)
+        done = _load_run(out, exp, ci, ri)
         if done is not None:
             return done
-        run_dir.mkdir(parents=True, exist_ok=True)
+        run_dir = _run_dir(out, ci, ri)
         try:
             run_repair_pipeline(model, splits, exp.grid[ci], exp, ci, ri, out_dir=run_dir)
         except Exception as exc:  # isolate-and-continue
-            pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, ci, ri)
-            failed = RunResult(
-                config_id=f"cfg{ci:03d}",
-                config=as_dict(exp.grid[ci]),
-                rep=ri,
-                pos_seed=pos_seed,
-                swarm_seed=swarm_seed,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            _write_json({"runtime_seconds": 0.0}, run_dir / "timing.json")
-            _write_json(failed, run_dir / "run.json")
+            seeds = derive_run_seeds(exp.master_seed, ci, ri)
+            failed = RunResult(f"cfg{ci:03d}", as_dict(exp.grid[ci]), ri, *seeds, "error",
+                               error=f"{type(exc).__name__}: {exc}")
+            _persist_run(failed, None, None, run_dir, {"runtime_seconds": 0.0})
         # reload from disk so resumed and fresh sweeps aggregate identical bytes
-        return _load_run(run_dir)
+        return _load_run(out, exp, ci, ri)
 
     jobs = [(ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)]
     if n_workers > 1:
@@ -447,124 +372,49 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         results = [job(ci, ri) for ci, ri in jobs]
 
     agg = aggregate_runs(exp, results)
-    _write_json(agg, out / "aggregate.json")
+    write_json(out / "aggregate.json", agg)
     return agg
 
 
 def load_sweep_dir(out_dir) -> tuple[ExperimentSpec, AggregateResult]:
     """Rebuild the aggregate from persisted run records."""
     out = Path(out_dir)
-    exp = from_dict(ExperimentSpec, _read_json(out / "sweep.json"))
-    runs = []
-    for ci in range(len(exp.grid)):
-        for ri in range(exp.repetitions):
-            run = _load_run(out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}")
-            if run is not None:
-                runs.append(run)
-    return exp, aggregate_runs(exp, runs)
-
-
-def _csv_lines(header: str, rows) -> str:
-    return "\n".join([header] + rows) + "\n"
+    exp = from_dict(ExperimentSpec, read_json(out / "sweep.json"))
+    runs = (_load_run(out, exp, ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions))
+    return exp, aggregate_runs(exp, [run for run in runs if run is not None])
 
 
 def emit_report(agg: AggregateResult, out_dir) -> list[Path]:
-    """Report files: JSON summary, per-config means, min-regression
-    accuracies, and a long-format per-run table. Headers are emitted even
-    when there is nothing to report."""
+    """Report files: JSON summary, a long-format per-run table, per-config
+    means, and the min-regression run's outcome. Error runs and configs with
+    no usable run have no rows; the headers are written regardless."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    grid_keys = ("variant", "alpha", "pi", "target_lw", "n_pos", "n_particles")
+    grid, means = itemgetter(*grid_keys), itemgetter(*_MEANS)
+    sized, outcome = itemgetter("n", *_OUTCOME), itemgetter(*_OUTCOME)
+    runs = {(r.config_id, r.rep): r for r in agg.runs}
+    tables = {
+        "runs_long.csv": [
+            ("config_id", "rep", "status", "split", "n", *_OUTCOME),
+            *((r.config_id, r.rep, r.status, name, *sized(r.splits[name]))
+              for r in agg.runs if r.status != "error" for name in SPLIT_NAMES),
+        ],
+        "config_summary.csv": [
+            ("config_id", *grid_keys, "n_usable", "split", *(f"mean_{k}" for k in _MEANS)),
+            *((c["config_id"], *grid(c["config"]), c["n_usable"], name, *means(c["means"][name]))
+              for c in agg.configs for name in SPLIT_NAMES if name in c["means"]),
+        ],
+        "min_regression.csv": [
+            ("config_id", "rep", "split", *_OUTCOME),
+            *((c["config_id"], rep, name, *outcome(runs[c["config_id"], rep].splits[name]))
+              for c in agg.configs if (rep := c["min_regression_rep"]) is not None
+              for name in SPLIT_NAMES),
+        ],
+    }
+    write_json(out / "report.json", agg)
+    for name, rows in tables.items():
+        write_csv(out / name, rows)
+    return [out / "report.json", *(out / name for name in tables)]
 
-    path = out / "report.json"
-    _write_json(agg, path)
-    written.append(path)
 
-    rows = []
-    for r in agg.runs:
-        if r.status == "error":
-            continue
-        for name in SPLIT_NAMES:
-            s = r.splits[name]
-            rows.append(
-                ",".join(
-                    [
-                        r.config_id,
-                        str(r.rep),
-                        r.status,
-                        name,
-                        str(s["n"]),
-                        repr(s["before_accuracy"]),
-                        repr(s["after_accuracy"]),
-                        str(s["broken"]),
-                        str(s["repaired"]),
-                    ]
-                )
-            )
-    path = out / "runs_long.csv"
-    header = "config_id,rep,status,split,n,before_accuracy,after_accuracy,broken,repaired"
-    path.write_text(_csv_lines(header, rows), encoding="ascii")
-    written.append(path)
-
-    rows = []
-    for cfg in agg.configs:
-        c = cfg["config"]
-        for name in SPLIT_NAMES:
-            if name not in cfg["means"]:
-                continue
-            m = cfg["means"][name]
-            rows.append(
-                ",".join(
-                    [
-                        cfg["config_id"],
-                        c["variant"],
-                        repr(c["alpha"]),
-                        str(c["pi"]).lower(),
-                        str(c["target_lw"]),
-                        str(c["n_pos"]),
-                        str(c["n_particles"]),
-                        str(cfg["n_usable"]),
-                        name,
-                        repr(m["broken"]),
-                        repr(m["repaired"]),
-                        repr(m["before_accuracy"]),
-                        repr(m["after_accuracy"]),
-                    ]
-                )
-            )
-    path = out / "config_summary.csv"
-    header = (
-        "config_id,variant,alpha,pi,target_lw,n_pos,n_particles,n_usable,split,"
-        "mean_broken,mean_repaired,mean_before_accuracy,mean_after_accuracy"
-    )
-    path.write_text(_csv_lines(header, rows), encoding="ascii")
-    written.append(path)
-
-    by_key = {(r.config_id, r.rep): r for r in agg.runs}
-    rows = []
-    for cfg in agg.configs:
-        rep = cfg["min_regression_rep"]
-        if rep is None:
-            continue
-        r = by_key[(cfg["config_id"], rep)]
-        for name in SPLIT_NAMES:
-            s = r.splits[name]
-            rows.append(
-                ",".join(
-                    [
-                        cfg["config_id"],
-                        str(rep),
-                        name,
-                        repr(s["before_accuracy"]),
-                        repr(s["after_accuracy"]),
-                        str(s["broken"]),
-                        str(s["repaired"]),
-                    ]
-                )
-            )
-    path = out / "min_regression.csv"
-    header = "config_id,rep,split,before_accuracy,after_accuracy,broken,repaired"
-    path.write_text(_csv_lines(header, rows), encoding="ascii")
-    written.append(path)
-
-    return written

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+from .formats import write_csv
 from .network import Model, WeightRef, layer_inputs, weight_gradient_matrix
 
 IMPACT_NAMES = ("back_failed", "fwd_failed", "back_passed", "fwd_passed")
@@ -162,20 +163,17 @@ def localize_to_count(
 
 def write_impact_csv(table: ImpactTable, path) -> None:
     """Inspection dump: one row per weight with the four scores."""
-    lines = ["layer,i,j," + ",".join(IMPACT_NAMES)]
     arrays = [getattr(table, name) for name in IMPACT_NAMES]
     n_in, n_out = table.shape
-    for j in range(n_out):  # WeightRef total order
-        for i in range(n_in):
-            scores = ",".join(repr(float(arr[i, j])) for arr in arrays)
-            lines.append(f"{table.layer},{i},{j},{scores}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [
+        ["layer", "i", "j", *IMPACT_NAMES],
+        *([table.layer, i, j, *(float(arr[i, j]) for arr in arrays)]
+          for j in range(n_out) for i in range(n_in)),  # WeightRef total order
+    ])
 
 
 def write_localized_csv(localized: LocalizedSet, path) -> None:
-    lines = ["rank,layer,i,j"]
-    for rank, ref in enumerate(localized.refs):
-        lines.append(f"{rank},{ref.layer},{ref.i},{ref.j}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [
+        ["rank", "layer", "i", "j"],
+        *([rank, ref.layer, ref.i, ref.j] for rank, ref in enumerate(localized.refs)),
+    ])

@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
+from .formats import write_csv
 from .localization import LocalizedSet
 from .network import (
     Model,
@@ -515,6 +516,4 @@ def repair(
 
 def write_trace_csv(trace, path) -> None:
     names = [f.name for f in fields(TraceRow)]
-    lines = [",".join(names)] + [",".join(repr(getattr(row, n)) for n in names) for row in trace]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, [names, *([getattr(row, n) for n in names] for row in trace)])

@@ -1,0 +1,85 @@
+"""The one JSON writer and the one CSV writer: their bytes, and that a
+failed write leaves the previous file in place."""
+from __future__ import annotations
+
+import os
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from nnpatch.formats import read_json, write_csv, write_json
+
+
+@dataclass(frozen=True)
+class Point:
+    y: tuple[float, ...]
+    x: bool
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [
+        ("flag", "x", "lo", "k", "s"),
+        (True, np.float64(0.1) + 0.2, float("-inf"), np.int64(7), "a b"),
+        [False, 1.0, 1e-300, -3, ""],
+    ])
+    assert path.read_bytes() == (
+        b"flag,x,lo,k,s\n"
+        b"true,0.30000000000000004,-inf,7,a b\n"
+        b"false,1.0,1e-300,-3,\n"
+    )
+
+
+def test_write_json_is_sorted_compact_ascii(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(path, {"b": Point((0.5, 2.0), True), "a": "\u00e9", "c": None})
+    assert path.read_bytes() == b'{"a":"\\u00e9","b":{"x":true,"y":[0.5,2.0]},"c":null}\n'
+    assert read_json(path) == {"a": "\u00e9", "b": {"x": True, "y": [0.5, 2.0]}, "c": None}
+
+
+def _rows_then_fail():
+    yield ("a", "b")
+    raise RuntimeError("row source failed")
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda p: write_json(p, {"a": object()}), TypeError),  # not encodable
+        (lambda p: write_csv(p, _rows_then_fail()), RuntimeError),
+        (lambda p: write_csv(p, [("caf\u00e9",)]), UnicodeEncodeError),
+    ],
+    ids=["json_unencodable", "csv_rows_raise", "csv_not_ascii"],
+)
+def test_a_failed_encoding_keeps_the_previous_file(tmp_path, write, error):
+    path = tmp_path / "record"
+    write_json(path, {"a": 1})
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b'{"a":1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["record"]
+
+
+def test_a_failed_rename_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "record.csv"
+    write_csv(path, [("a",), (1,)])
+
+    def broken_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        write_csv(path, [("a",), (2,)])
+    assert path.read_bytes() == b"a\n1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["record.csv"]
+
+
+def test_unchanged_bytes_are_not_rewritten(tmp_path):
+    path = tmp_path / "record.json"
+    write_json(path, {"a": 1})
+    inode = path.stat().st_ino
+    write_json(path, {"a": 1})
+    assert path.stat().st_ino == inode
+    write_json(path, {"a": 2})
+    assert path.read_bytes() == b'{"a":2}\n'

@@ -27,7 +27,8 @@ from nnpatch import (
     train_subject,
 )
 from nnpatch.config import experiment_spec_from_config, load_config
-from nnpatch.harness import AggregateResult, _write_json, as_dict, from_dict
+from nnpatch.formats import as_dict, from_dict, write_json
+from nnpatch.harness import AggregateResult
 from nnpatch.training import materialize_splits
 
 from helpers import perceptron_separable
@@ -328,13 +329,13 @@ def _yaml_ints(text):
 def test_sweep_spec_roundtrip(make_exp, persisted, tmp_path):
     exp = make_exp(tmp_path)
     path = tmp_path / "sweep.json"
-    _write_json(exp, path)
+    write_json(path, exp)
     data = path.read_bytes()
     back = from_dict(ExperimentSpec, json.loads(data))
     assert back == exp
     for snippet in persisted:
         assert snippet in data
-    _write_json(back, path)
+    write_json(path, back)
     assert path.read_bytes() == data
 
 
@@ -371,6 +372,42 @@ def test_sweep_reruns_a_truncated_record(tmp_path):
     agg = run_sweep(exp, out)
     assert len(agg.runs) == len(exp.grid) * exp.repetitions
     assert record.read_bytes() == original
+
+
+def test_sweep_reruns_a_record_without_splits(tmp_path):
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    record = out / "runs" / "cfg001" / "rep01" / "run.json"
+    original = record.read_bytes()
+    write_json(record, {**json.loads(original), "splits": {}})
+    # a record that parses but lacks a split's outcome is neither reported nor trusted
+    assert len(load_sweep_dir(out)[1].runs) == len(exp.grid) * exp.repetitions - 1
+    agg = run_sweep(exp, out)
+    assert len(agg.runs) == len(exp.grid) * exp.repetitions
+    assert record.read_bytes() == original
+
+
+def test_sweep_reruns_a_record_copied_from_another_run(tmp_path):
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    records = [out / "runs" / cfg / rep / "run.json" for cfg, rep in
+               (("cfg000", "rep00"), ("cfg000", "rep01"), ("cfg001", "rep01"), ("cfg001", "rep02"))]
+    originals = [r.read_bytes() for r in records]
+    # another repetition's record, another config's record, and a record naming
+    # its own directory but another grid entry
+    records[1].write_bytes(originals[0])
+    records[2].write_bytes(originals[1])
+    other_entry = json.loads(originals[3])
+    other_entry["config"] = json.loads(originals[0])["config"]
+    write_json(records[3], other_entry)
+    assert len(load_sweep_dir(out)[1].runs) == len(exp.grid) * exp.repetitions - 3
+    agg = run_sweep(exp, out)
+    assert sorted((r.config_id, r.rep) for r in agg.runs) == [
+        (f"cfg{ci:03d}", ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)
+    ]
+    assert [r.read_bytes() for r in records] == originals
 
 
 def test_sweep_refuses_a_directory_of_another_spec(tmp_path):
@@ -491,6 +528,35 @@ def test_emit_report_empty_aggregate(tmp_path):
         if f.suffix == ".csv":
             text = f.read_text().strip().splitlines()
             assert len(text) == 1  # header only
+
+
+def test_emit_report_bytes(tmp_path):
+    exp = small_experiment(grid=(GridEntry("eq1", 0.5, False, 3, 10, 2),), repetitions=2)
+    splits = {
+        name: {"n": 10 + k, "before_accuracy": 0.1 + 0.2, "after_accuracy": 2 / 3, "broken": k,
+               "repaired": 1, "broken_ids": [], "repaired_ids": []}
+        for k, name in enumerate(("train", "validation", "repair", "test"))
+    }
+    agg = aggregate_runs(exp, [
+        RunResult("cfg000", as_dict(exp.grid[0]), 0, 1, 2, "ok", splits=splits),
+        RunResult("cfg000", as_dict(exp.grid[0]), 1, 3, 4, "error", error="RuntimeError: x"),
+    ])
+    emit_report(agg, tmp_path)
+    assert (tmp_path / "runs_long.csv").read_text() == (
+        "config_id,rep,status,split,n,before_accuracy,after_accuracy,broken,repaired\n"
+        "cfg000,0,ok,train,10,0.30000000000000004,0.6666666666666666,0,1\n"
+        "cfg000,0,ok,validation,11,0.30000000000000004,0.6666666666666666,1,1\n"
+        "cfg000,0,ok,repair,12,0.30000000000000004,0.6666666666666666,2,1\n"
+        "cfg000,0,ok,test,13,0.30000000000000004,0.6666666666666666,3,1\n"
+    )
+    assert (tmp_path / "config_summary.csv").read_text() == (
+        "config_id,variant,alpha,pi,target_lw,n_pos,n_particles,n_usable,split,"
+        "mean_broken,mean_repaired,mean_before_accuracy,mean_after_accuracy\n"
+        "cfg000,eq1,0.5,false,3,10,2,1,train,0.0,1.0,0.30000000000000004,0.6666666666666666\n"
+        "cfg000,eq1,0.5,false,3,10,2,1,validation,1.0,1.0,0.30000000000000004,0.6666666666666666\n"
+        "cfg000,eq1,0.5,false,3,10,2,1,repair,2.0,1.0,0.30000000000000004,0.6666666666666666\n"
+        "cfg000,eq1,0.5,false,3,10,2,1,test,3.0,1.0,0.30000000000000004,0.6666666666666666\n"
+    )
 
 
 def test_aggregate_min_regression_tie_goes_to_lower_rep():
