@@ -26,12 +26,17 @@ from .data import (
     load_dataset,
     load_model,
     save_dataset,
-    save_model,
     select_repair_inputs,
     split,
 )
 from .formats import as_dict
-from .harness import emit_report, load_sweep_dir, run_repair_pipeline, run_sweep
+from .harness import (
+    emit_report,
+    load_sweep_dir,
+    run_repair_pipeline,
+    run_sweep,
+    train_and_save_subject,
+)
 from .localization import localize_to_count, compute_impacts, write_impact_csv, write_localized_csv
 from .metrics import evaluate
 from .training import materialize_splits, train_subject
@@ -74,19 +79,12 @@ def _cmd_drift(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
+    exp = experiment_spec_from_config(cfg)
     spec = subject_spec_from_config(cfg, seed=args.seed)
-    _, splits = materialize_splits(spec)
-    model = train_subject(spec, splits)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_model(model, out / "model.json")
-    accs = {name: evaluate(model, ds).overall_accuracy for name, ds in zip(SPLIT_NAMES, splits)}
-    (out / "subject.json").write_text(
-        json.dumps({"split_accuracies": accs}, sort_keys=True, indent=2) + "\n",
-        encoding="ascii",
-    )
+    _, splits = train_and_save_subject(spec, exp.target_class, out)
     _write_splits(splits, out)
-    print(f"wrote {out / 'model.json'}; accuracies: {accs}")
+    print(f"wrote {out / 'model.json'} and {out / 'subject.json'}")
     return 0
 
 
@@ -106,16 +104,15 @@ def _cmd_localize(args) -> int:
     target_lw = localization_target_lw(cfg, exp.grid[0].target_lw)
     model, splits = _subject_and_splits(cfg, args)
     inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
-    layer = exp.repair_layer % model.n_layers
     localized = localize_to_count(
-        model, inputs.negative_set, inputs.positive_pool, layer, target_lw
+        model, inputs.negative_set, inputs.positive_pool, exp.layer, target_lw
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, layer)
+    table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
     write_impact_csv(table, out / "impacts.csv")
     write_localized_csv(localized, out / "localized.csv")
-    print(f"localized {len(localized)} weights in layer {layer} at n_g={localized.n_g}")
+    print(f"localized {len(localized)} weights in layer {exp.layer} at n_g={localized.n_g}")
     if localized.warning:
         print(f"warning: {localized.warning}", file=sys.stderr)
     return 0
@@ -125,9 +122,7 @@ def _cmd_repair(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
     model, splits = _subject_and_splits(cfg, args)
-    result = run_repair_pipeline(
-        model, splits, exp.grid[0], exp, config_idx=0, rep_idx=0, out_dir=Path(args.out_dir)
-    )
+    result = run_repair_pipeline(model, splits, exp, config_idx=0, rep_idx=0, out_dir=Path(args.out_dir))
     print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
 

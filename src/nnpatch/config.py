@@ -2,10 +2,11 @@
 
 Configs are versioned YAML documents with sections: dataset, split,
 subject, experiment, and optionally drift, repair (search knobs) and
-localization. They are the single source of hyperparameters; CLI --seed
-only overrides the seed relevant to the verb at hand. Every section but
-dataset is checked: an omitted key takes the spec's default, and a key that
-names no field is an error, as is a key set in a section other than its own.
+localization; any other top-level key is an error. They are the single
+source of hyperparameters; CLI --seed only overrides the seed relevant to
+the verb at hand. Every section but dataset is checked: an omitted key
+takes the spec's default, and a key that names no field is an error, as is
+a key set in a section other than its own.
 """
 from __future__ import annotations
 
@@ -19,6 +20,9 @@ from .harness import ExperimentSpec
 from .training import SubjectSpec, load_source
 
 CONFIG_VERSION = 1
+_SECTIONS = frozenset(
+    {"config_version", "dataset", "split", "drift", "subject", "experiment", "repair", "localization"}
+)
 
 
 def load_config(path) -> dict:
@@ -29,6 +33,9 @@ def load_config(path) -> dict:
     version = cfg.get("config_version")
     if version != CONFIG_VERSION:
         raise ValueError(f"unsupported config_version {version!r} (expected {CONFIG_VERSION})")
+    unknown = sorted(map(str, cfg.keys() - _SECTIONS))
+    if unknown:
+        raise ValueError(f"config has no section {', '.join(map(repr, unknown))}")
     return cfg
 
 

@@ -4,8 +4,8 @@ A sweep trains one subject, then runs every grid config for a fixed number
 of repetitions. Each run gets its own directory and RNG streams derived
 from (master_seed, config index, repetition index). A run.json that reads
 back, names its own directory and grid entry, and holds every split marks a
-completed run, which is what makes sweeps resumable; any other record is
-rerun. Wall-clock runtimes live in timing.json sidecars so everything else
+completed run of a directory whose sweep.json reads back, which is what
+makes sweeps resumable; any other record is rerun. Wall-clock runtimes live in timing.json sidecars so everything else
 is byte-stable. Every file is written through `nnpatch.formats`.
 """
 from __future__ import annotations
@@ -26,14 +26,7 @@ from .formats import as_dict, from_dict, read_json, write_csv, write_json
 from .localization import localize_to_count, write_localized_csv
 from .metrics import diff, evaluate
 from .network import Model
-from .repair import (
-    VARIANTS,
-    FitnessConfig,
-    SwarmConfig,
-    repair,
-    sample_positives,
-    write_trace_csv,
-)
+from .repair import FitnessConfig, SwarmConfig, repair, sample_positives, write_trace_csv
 from .training import SubjectSpec, materialize_splits, train_subject
 
 # the outcome of one split, as runs_long.csv and min_regression.csv list it,
@@ -54,20 +47,19 @@ class GridEntry:
     n_particles: int
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
         if self.target_lw < 1 or self.n_pos < 1:
             raise ValueError("target_lw and n_pos must be >= 1")
-        if self.n_particles < 2:
-            raise ValueError("n_particles must be >= 2")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A subject plus the grid and seeds of a full sweep. The search knobs
-    default to those of SwarmConfig and FitnessConfig."""
+    default to those of SwarmConfig and FitnessConfig.
+
+    Every value is checked when the spec is built: each grid entry's search
+    configs are derived once, so their checks run before any file is written,
+    and `repair_layer` and `target_class` must fit the subject's layer sizes.
+    """
 
     subject: SubjectSpec
     target_class: int
@@ -91,6 +83,32 @@ class ExperimentSpec:
             raise ValueError("grid must not be empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        n_layers = len(self.subject.layer_sizes) - 1
+        if not -n_layers <= self.repair_layer < n_layers:
+            raise ValueError(f"layer must lie in [{-n_layers}, {n_layers}) for a "
+                             f"{n_layers}-layer subject, got {self.repair_layer}")
+        if not 0 <= self.target_class < self.subject.layer_sizes[-1]:
+            raise ValueError(f"target_class must lie in [0, {self.subject.layer_sizes[-1]}), "
+                             f"got {self.target_class}")
+        for ci in range(len(grid)):
+            self.search(ci, swarm_seed=0)
+
+    @property
+    def layer(self) -> int:
+        """The repair layer as an index in [0, number of layers)."""
+        return self.repair_layer % (len(self.subject.layer_sizes) - 1)
+
+    def search(self, ci: int, swarm_seed: int) -> tuple[FitnessConfig, SwarmConfig]:
+        """The objective and swarm of grid entry `ci`, the swarm seeded with `swarm_seed`."""
+        entry = self.grid[ci]
+        fitness = FitnessConfig(
+            variant=entry.variant, alpha=entry.alpha, perfect_intact=entry.pi,
+            beta=self.beta, delta=self.delta, loss_ratio_orientation=self.orientation)
+        swarm = SwarmConfig(
+            n_particles=entry.n_particles, n_iterations=self.n_iterations, inertia=self.inertia,
+            cognitive=self.cognitive, social=self.social, velocity_clamp=self.velocity_clamp,
+            seed=swarm_seed)
+        return fitness, swarm
 
 
 @dataclass
@@ -135,6 +153,12 @@ def derive_run_seeds(master_seed: int, config_idx: int, rep_idx: int) -> tuple[i
     )
 
 
+def _new_record(exp: ExperimentSpec, ci: int, ri: int, status: str, **fields) -> RunResult:
+    """A record of run (ci, ri) under its identity: config id, grid entry, rep and seeds."""
+    seeds = derive_run_seeds(exp.master_seed, ci, ri)
+    return RunResult(f"cfg{ci:03d}", as_dict(exp.grid[ci]), ri, *seeds, status, **fields)
+
+
 def _config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True).encode("ascii")
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -163,24 +187,22 @@ def _split_records(before: dict, after: dict) -> dict:
 def run_repair_pipeline(
     model: Model,
     splits,
-    entry: GridEntry,
     exp: ExperimentSpec,
     config_idx: int,
     rep_idx: int,
     out_dir: Path | None = None,
 ) -> RunResult:
-    """Select inputs, localize, repair, evaluate all four splits, persist.
+    """Run (config_idx, rep_idx) of `exp`: select inputs, localize, repair,
+    evaluate all four splits, persist.
 
     A subject with no failures on the target class yields a recorded no-op
     run rather than an error.
     """
     t0 = time.perf_counter()
-    config_id = f"cfg{config_idx:03d}"
-    pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
-    layer = exp.repair_layer % model.n_layers
+    entry = exp.grid[config_idx]
     before = {name: evaluate(model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 
-    result = RunResult(config_id, as_dict(entry), rep_idx, pos_seed, swarm_seed, "ok")
+    result = _new_record(exp, config_idx, rep_idx, "ok")
 
     try:
         inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
@@ -194,26 +216,10 @@ def run_repair_pipeline(
         return result
 
     localized = localize_to_count(
-        model, inputs.negative_set, inputs.positive_pool, layer, entry.target_lw
+        model, inputs.negative_set, inputs.positive_pool, exp.layer, entry.target_lw
     )
-    i_pos = sample_positives(inputs.positive_pool, entry.n_pos, pos_seed)
-    fcfg = FitnessConfig(
-        variant=entry.variant,
-        alpha=entry.alpha,
-        beta=exp.beta,
-        delta=exp.delta,
-        perfect_intact=entry.pi,
-        loss_ratio_orientation=exp.orientation,
-    )
-    scfg = SwarmConfig(
-        n_particles=entry.n_particles,
-        n_iterations=exp.n_iterations,
-        inertia=exp.inertia,
-        cognitive=exp.cognitive,
-        social=exp.social,
-        velocity_clamp=exp.velocity_clamp,
-        seed=swarm_seed,
-    )
+    i_pos = sample_positives(inputs.positive_pool, entry.n_pos, result.pos_seed)
+    fcfg, scfg = exp.search(config_idx, result.swarm_seed)
     t_repair = time.perf_counter()
     rr = repair(model, localized, inputs.negative_set, i_pos, fcfg, scfg)
     telemetry = {
@@ -306,16 +312,35 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
     return AggregateResult(tuple(configs), runs)
 
 
+def train_and_save_subject(subject: SubjectSpec, target_class: int, out_dir):
+    """Train the subject and write its model.json and subject.json (split sizes
+    and accuracies, and the target class) to `out_dir`; (model, splits)."""
+    _, splits = materialize_splits(subject)
+    model = train_subject(subject, splits)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    save_model(model, out / "model.json")
+    named = dict(zip(SPLIT_NAMES, splits))
+    write_json(out / "subject.json", {
+        "split_sizes": {name: len(ds) for name, ds in named.items()},
+        "split_accuracies": {name: evaluate(model, ds).overall_accuracy for name, ds in named.items()},
+        "target_class": target_class,
+    })
+    return model, splits
+
+
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
     """Train the subject once, run grid x repetitions, aggregate.
 
     Completed runs (see `_load_run`) are reused; a run whose record is
-    missing, unreadable or stale is run again. A directory whose readable
-    sweep.json holds a spec that differs from `exp` in anything but
-    `repetitions` is refused with ValueError before anything is written: its
-    runs were made by another spec. `repetitions` only decides how many runs exist, since each
-    run's seeds come from (master_seed, config, rep). Failures are isolated:
-    they become status="error" records and the sweep continues. Results are
+    missing, unreadable or stale is run again, and so is every run of a
+    directory without a readable sweep.json, since nothing there says which
+    spec made its runs. A directory whose readable sweep.json holds a spec
+    that differs from `exp` in anything but `repetitions` is refused with
+    ValueError before anything is written: its runs were made by another
+    spec. `repetitions` only decides how many runs exist, since each run's
+    seeds come from (master_seed, config, rep). Failures are isolated: they
+    become status="error" records and the sweep continues. Results are
     identical at any worker count because every run owns its directory and
     its RNG streams.
     """
@@ -330,35 +355,17 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         )
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", exp)
-
-    _, splits = materialize_splits(exp.subject)
-    subject_dir = out / "subject"
-    subject_dir.mkdir(exist_ok=True)
-    model = train_subject(exp.subject, splits)
-    save_model(model, subject_dir / "model.json")
-    write_json(
-        subject_dir / "subject.json",
-        {
-            "split_sizes": {name: len(ds) for name, ds in zip(SPLIT_NAMES, splits)},
-            "split_accuracies": {
-                name: evaluate(model, ds).overall_accuracy
-                for name, ds in zip(SPLIT_NAMES, splits)
-            },
-            "target_class": exp.target_class,
-        },
-    )
+    model, splits = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
 
     def job(ci: int, ri: int) -> RunResult:
-        done = _load_run(out, exp, ci, ri)
+        done = None if previous is None else _load_run(out, exp, ci, ri)
         if done is not None:
             return done
         run_dir = _run_dir(out, ci, ri)
         try:
-            run_repair_pipeline(model, splits, exp.grid[ci], exp, ci, ri, out_dir=run_dir)
+            run_repair_pipeline(model, splits, exp, ci, ri, out_dir=run_dir)
         except Exception as exc:  # isolate-and-continue
-            seeds = derive_run_seeds(exp.master_seed, ci, ri)
-            failed = RunResult(f"cfg{ci:03d}", as_dict(exp.grid[ci]), ri, *seeds, "error",
-                               error=f"{type(exc).__name__}: {exc}")
+            failed = _new_record(exp, ci, ri, "error", error=f"{type(exc).__name__}: {exc}")
             _persist_run(failed, None, None, run_dir, {"runtime_seconds": 0.0})
         # reload from disk so resumed and fresh sweeps aggregate identical bytes
         return _load_run(out, exp, ci, ri)

@@ -216,27 +216,11 @@ def _check_layer(model: Model, layer: int) -> None:
         raise ValueError(f"invalid layer index {layer!r}")
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels), n_classes))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 def weight_gradient_matrix(model: Model, inputs, labels, layer: int) -> np.ndarray:
-    """d(mean loss)/dW for one layer, as an (input_size, output_size) array.
-
-    Exact backpropagation from the softmax/cross-entropy head down to the
-    requested layer.
-    """
+    """d(mean loss)/dW for one layer, as an (input_size, output_size) array:
+    that layer's entry of `full_gradients`."""
     _check_layer(model, layer)
-    inputs, labels = _check_labelled(model, inputs, labels)
-    pre, post = _trace(model, inputs)
-    delta = (post[-1] - _one_hot(labels, model.n_classes)) / len(inputs)
-    for k in range(model.n_layers - 1, layer, -1):
-        upstream = delta @ model.weights[k].T
-        delta = upstream * _activation_grad(pre[k - 1], model.layers[k - 1].activation)
-    layer_in = inputs if layer == 0 else post[layer - 1]
-    return layer_in.T @ delta
+    return full_gradients(model, inputs, labels)[0][layer]
 
 
 def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
@@ -290,10 +274,13 @@ def write_weights(model: Model, refs, values) -> Model:
 
 
 def full_gradients(model: Model, inputs, labels):
-    """Weight and bias gradients for every layer (training support)."""
+    """Weight and bias gradients of the mean loss for every layer, by exact
+    backpropagation from the softmax/cross-entropy head."""
     inputs, labels = _check_labelled(model, inputs, labels)
     pre, post = _trace(model, inputs)
-    delta = (post[-1] - _one_hot(labels, model.n_classes)) / len(inputs)
+    delta = post[-1].copy()  # softmax minus one-hot labels, over the sample count
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= len(inputs)
     grad_w = [None] * model.n_layers
     grad_b = [None] * model.n_layers
     for k in range(model.n_layers - 1, -1, -1):

@@ -83,7 +83,7 @@ class SwarmConfig:
 
     def __post_init__(self) -> None:
         if self.n_particles < 2:
-            raise ValueError("need >= 2 particles (half original, half sampled)")
+            raise ValueError("n_particles must be >= 2 (half original, half sampled)")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
         if self.velocity_clamp <= 0:

@@ -5,8 +5,9 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
-from nnpatch import load_dataset, load_model
+from nnpatch import load_dataset, load_model, run_sweep
 from nnpatch.cli import main
 from nnpatch.config import (
     drift_spec_from_config,
@@ -14,6 +15,8 @@ from nnpatch.config import (
     load_config,
     subject_spec_from_config,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """\
 config_version: 1
@@ -91,9 +94,9 @@ def test_experiment_spec_parsing(config_path):
     # master seed override
     assert experiment_spec_from_config(cfg, master_seed=7).master_seed == 7
     # the repair section's `layer` is the spec's repair_layer
-    assert exp.repair_layer == -1
+    assert (exp.repair_layer, exp.layer) == (-1, 1)
     cfg["repair"] = {**cfg["repair"], "layer": 0}
-    assert experiment_spec_from_config(cfg).repair_layer == 0
+    assert (experiment_spec_from_config(cfg).repair_layer, experiment_spec_from_config(cfg).layer) == (0, 0)
 
 
 def test_reference_grid_row_parses(tmp_path):
@@ -136,11 +139,13 @@ def moved_to_repair(key):
         ("  master_seed: 42\n", "  master_seed: 42\n  repair_layer: 0\n", "repair_layer"),
         (*moved_to_repair("master_seed"), "master_seed"),
         (*moved_to_repair("target_class"), "target_class"),
+        # a misspelt section would otherwise be ignored, and its knobs take their defaults
+        ("repair:\n  n_iterations: 3", "repiar:\n  n_iterations: 3", "repiar"),
     ],
     ids=[
         "repair", "experiment", "subject", "split", "grid_row", "both_sections",
         "subject_split", "subject_source", "subject_drift", "experiment_knob",
-        "experiment_layer", "repair_master_seed", "repair_target_class",
+        "experiment_layer", "repair_master_seed", "repair_target_class", "top_level",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, old, new, key):
@@ -149,6 +154,34 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
     path.write_text(BASE_CONFIG.replace(old, new))
     with pytest.raises(ValueError, match=key):
         experiment_spec_from_config(load_config(path))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("repair", "beta", "-1"),
+        ("grid", "alpha", "-1"),
+        ("repair", "delta", "0"),
+        ("grid", "variant", "eq9"),
+        ("repair", "orientation", "sideways"),
+        ("grid", "n_particles", "1"),
+        ("repair", "n_iterations", "-1"),
+        ("repair", "velocity_clamp", "0"),
+        ("repair", "inertia", ".nan"),
+        ("repair", "layer", "2"),
+        ("repair", "layer", "-3"),
+        ("experiment", "target_class", "4"),
+    ],
+)
+def test_spec_refuses_bad_values_before_any_file(tmp_path, section, key, value):
+    cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
+              "grid": cfg["experiment"]["grid"][0]}[section]
+    target[key] = yaml.safe_load(value)
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=key):
+        run_sweep(experiment_spec_from_config(cfg), out)
+    assert not out.exists()
 
 
 def test_drift_section_parsing(tmp_path):
@@ -209,6 +242,8 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     load_model(model_path)  # well-formed
     meta = json.loads((train_dir / "subject.json").read_text())
     assert set(meta["split_accuracies"]) == {"train", "validation", "repair", "test"}
+    assert meta["split_sizes"] == {"train": 100, "validation": 20, "repair": 40, "test": 40}
+    assert meta["target_class"] == 1
 
     loc_dir = tmp_path / "loc"
     assert main([
@@ -270,6 +305,11 @@ def test_cli_sweep_and_report(config_path, tmp_path):
     (report_dir / "runs_long.csv").unlink()
     assert main(["report", "--sweep-dir", str(sweep_dir)]) == 0
     assert (report_dir / "runs_long.csv").exists()
+
+    # train writes the subject the sweep trained, byte for byte
+    assert main(["train", "--config", str(config_path), "--out-dir", str(tmp_path / "subject")]) == 0
+    for name in ("model.json", "subject.json"):
+        assert (tmp_path / "subject" / name).read_bytes() == (sweep_dir / "subject" / name).read_bytes()
 
     # a sweep of another spec into the same directory is refused
     assert main([

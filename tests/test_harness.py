@@ -94,13 +94,14 @@ def tree_bytes(root, skip=("timing.json",)):
 
 def test_grid_entry_validation():
     with pytest.raises(ValueError):
-        GridEntry("eq9", 1.0, True, 4, 10, 4)
-    with pytest.raises(ValueError):
-        GridEntry("eq1", -1.0, True, 4, 10, 4)
-    with pytest.raises(ValueError):
         GridEntry("eq1", 1.0, True, 0, 10, 4)
-    with pytest.raises(ValueError):
-        GridEntry("eq1", 1.0, True, 4, 10, 1)
+    # the search knobs of an entry are checked where its search configs are
+    # derived, when the spec is built
+    for bad, field in ((GridEntry("eq9", 1.0, True, 4, 10, 4), "variant"),
+                       (GridEntry("eq1", -1.0, True, 4, 10, 4), "alpha"),
+                       (GridEntry("eq1", 1.0, True, 4, 10, 1), "n_particles")):
+        with pytest.raises(ValueError, match=field):
+            small_experiment(grid=(bad,))
     e = GridEntry("eq2", 8.0, True, 32, 500, 200)
     assert from_dict(GridEntry, as_dict(e)) == e
 
@@ -195,7 +196,7 @@ def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
     assert per_class_ok, "fixture needs one fully-correct class"
     exp = small_experiment(target_class=per_class_ok[0])
     out = tmp_path / "noop"
-    result = run_repair_pipeline(model, splits, exp.grid[0], exp, 0, 0, out_dir=out)
+    result = run_repair_pipeline(model, splits, exp, 0, 0, out_dir=out)
     assert result.status == "no_op"
     assert result.identity_fallback
     for name in ("train", "validation", "repair", "test"):
@@ -210,7 +211,7 @@ def test_pipeline_gate_holds_on_sampled_positives(trained_subject):
     spec, splits, model = trained_subject
     exp = small_experiment()
     for ri in range(3):
-        r = run_repair_pipeline(model, splits, exp.grid[0], exp, 0, ri)
+        r = run_repair_pipeline(model, splits, exp, 0, ri)
         assert r.status == "ok"
         if not r.identity_fallback:
             assert r.best["n_intact"] == r.n_pos
@@ -221,8 +222,8 @@ def test_pipeline_rerun_is_byte_identical(trained_subject, tmp_path):
     exp = small_experiment()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_repair_pipeline(model, splits, exp.grid[1], exp, 1, 2, out_dir=a)
-    run_repair_pipeline(model, splits, exp.grid[1], exp, 1, 2, out_dir=b)
+    run_repair_pipeline(model, splits, exp, 1, 2, out_dir=a)
+    run_repair_pipeline(model, splits, exp, 1, 2, out_dir=b)
     ta, tb = tree_bytes(a), tree_bytes(b)
     assert ta.keys() == tb.keys()
     for name in ta:
@@ -419,17 +420,37 @@ def test_sweep_refuses_a_directory_of_another_spec(tmp_path):
         with pytest.raises(ValueError, match=str(out)):
             run_sweep(other, out)
         assert tree_bytes(out, skip=()) == before
-    # an unreadable spec is rewritten, as on a fresh directory
+    # an unreadable spec is rewritten and every run is rerun, as on a fresh
+    # directory: the same spec gives the same bytes, timing.json aside
     (out / "sweep.json").write_text("{")
     run_sweep(exp, out)
-    assert tree_bytes(out, skip=()) == before
+    assert tree_bytes(out) == {k: v for k, v in before.items() if not k.endswith("timing.json")}
     # more repetitions reuse every old run byte for byte, timing.json included
+    before = tree_bytes(out, skip=())
     run_sweep(small_experiment(repetitions=4), out)
     after = tree_bytes(out, skip=())
     old_runs = {k: v for k, v in before.items() if k.startswith("runs")}
     assert {k: after[k] for k in old_runs} == old_runs
     assert (out / "runs" / "cfg001" / "rep03" / "run.json").exists()
     assert load_sweep_dir(out)[0] == small_experiment(repetitions=4)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing"])
+def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
+    out = tmp_path / "sweep"
+    run_sweep(small_experiment(n_iterations=2), out)
+    spec = out / "sweep.json"
+    if damage == "missing":
+        spec.unlink()
+    else:
+        spec.write_bytes(spec.read_bytes()[:10])
+    # nothing says which spec made the runs, so none of them is reused
+    exp = small_experiment(n_iterations=5)
+    agg = run_sweep(exp, out)
+    assert agg == run_sweep(exp, tmp_path / "fresh")
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+    trace = (out / "runs" / "cfg000" / "rep00" / "trace.csv").read_text().splitlines()
+    assert len(trace) == 1 + 1 + 5  # header, the initial swarm, one row per iteration
 
 
 def test_sweep_concurrency_is_byte_identical(tmp_path):
