@@ -44,7 +44,6 @@ from .network import (
     LayerSpec,
     Model,
     ShapeError,
-    WeightRef,
     build_mlp,
     forward,
     loss,
@@ -89,7 +88,6 @@ __all__ = [
     "SplitSpec",
     "SubjectSpec",
     "SwarmConfig",
-    "WeightRef",
     "aggregate_runs",
     "apply_drift",
     "build_mlp",

@@ -143,11 +143,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
-    try:
-        agg = run_sweep(exp, Path(args.out_dir), n_workers=args.workers)
-    except ValueError as exc:  # e.g. a directory that holds a sweep of another spec
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    agg = run_sweep(exp, Path(args.out_dir), n_workers=args.workers)
     emit_report(agg, Path(args.out_dir) / "report")
     failed = [r for r in agg.runs if r.status == "error"]
     for r in failed:
@@ -211,7 +207,11 @@ def main(argv=None) -> int:
     p.add_argument("--sweep-dir", required=True)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # a refused input: a bad config value, a sweep of another spec
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -83,9 +83,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.n_classes)
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(
@@ -215,10 +212,11 @@ def _subsample_class(ds: Dataset, target: int, fraction: float, rng) -> Dataset:
     keep_n = int(round(fraction * len(members)))
     if keep_n >= len(members):
         return ds
-    kept = rng.choice(members, size=keep_n, replace=False) if keep_n else np.array([], dtype=np.int64)
-    drop = set(members.tolist()) - set(np.asarray(kept, dtype=np.int64).tolist())
-    remaining = [k for k in range(len(ds)) if k not in drop]
-    return ds.subset(remaining)
+    keep = np.ones(len(ds), dtype=bool)
+    keep[members] = False
+    if keep_n:
+        keep[rng.choice(members, size=keep_n, replace=False)] = True
+    return ds.subset(np.flatnonzero(keep))
 
 
 def apply_drift(dataset: Dataset, split_spec: SplitSpec, drift: DriftSpec):

@@ -248,7 +248,8 @@ def run_repair_pipeline(
 
 
 def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) -> None:
-    """The run's files, with run.json, the completion marker, written last."""
+    """The run's files, with run.json, the completion marker, written last.
+    Files of an earlier outcome that this one does not write are removed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rr is not None:
@@ -260,6 +261,9 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
         write_trace_csv(rr.trace, out_dir / "trace.csv")
     if localized is not None:
         write_localized_csv(localized, out_dir / "localized.csv")
+    for name, written in (("model.json", rr), ("trace.csv", rr), ("localized.csv", localized)):
+        if written is None:
+            (out_dir / name).unlink(missing_ok=True)
     write_json(out_dir / "timing.json", timing)
     write_json(out_dir / "run.json", result)
 
@@ -333,8 +337,8 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     """Train the subject once, run grid x repetitions, aggregate.
 
     Completed runs (see `_load_run`) are reused; a run whose record is
-    missing, unreadable or stale is run again, and so is every run of a
-    directory without a readable sweep.json, since nothing there says which
+    missing, unreadable or stale is run again. A directory without a readable
+    sweep.json has its records deleted first, since nothing there says which
     spec made its runs. A directory whose readable sweep.json holds a spec
     that differs from `exp` in anything but `repetitions` is refused with
     ValueError before anything is written: its runs were made by another
@@ -349,6 +353,8 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         previous = from_dict(ExperimentSpec, read_json(out / "sweep.json"))
     except (OSError, ValueError, TypeError, AttributeError):
         previous = None  # no sweep here yet, or an unreadable spec, rewritten below
+        for record in out.glob("runs/*/*/run.json"):  # so none is taken as one of `exp`'s
+            record.unlink()
     if previous is not None and dataclasses.replace(previous, repetitions=exp.repetitions) != exp:
         raise ValueError(
             f"{out} holds a sweep of another spec; only repetitions may change on a resume"
@@ -358,7 +364,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     model, splits = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
 
     def job(ci: int, ri: int) -> RunResult:
-        done = None if previous is None else _load_run(out, exp, ci, ri)
+        done = _load_run(out, exp, ci, ri)
         if done is not None:
             return done
         run_dir = _run_dir(out, ci, ri)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .formats import write_csv
-from .network import Model, WeightRef, layer_inputs, weight_gradient_matrix
+from .network import Model, _frozen_array, layer_inputs, weight_gradient_matrix
 
 IMPACT_NAMES = ("back_failed", "fwd_failed", "back_passed", "fwd_passed")
 
@@ -49,24 +49,29 @@ class ImpactTable:
         return self.back_failed.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalizedSet:
-    """Ordered suspicious weights, the n_g that selected them and, when n_g
-    was searched for, |localize(n)| for n = 1..N at index n - 1."""
+    """Ordered suspicious weights of one layer, weight k being (i[k], j[k]) of
+    `layer`; the n_g that selected them and, when n_g was searched for,
+    |localize(n)| for n = 1..N at index n - 1."""
 
-    refs: tuple[WeightRef, ...]
+    layer: int
+    i: np.ndarray
+    j: np.ndarray
     n_g: int
     warning: str | None = None
     curve: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        refs = tuple(self.refs)
-        object.__setattr__(self, "refs", refs)
-        if len(set(refs)) != len(refs):
+        for name in ("i", "j"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.int64))
+        if self.i.ndim != 1 or self.i.shape != self.j.shape:
+            raise ValueError("i and j must be 1-D vectors of one length")
+        if len(set(zip(self.i.tolist(), self.j.tolist()))) != len(self.i):
             raise ValueError("localized set must not contain duplicates")
 
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.i)
 
 
 def compute_impacts(model: Model, failed: Dataset, passed: Dataset, layer: int) -> ImpactTable:
@@ -99,7 +104,7 @@ def impact_ranks(table: ImpactTable) -> np.ndarray:
     """(4, N) ranks, one row per impact in IMPACT_NAMES order: the position of
     flat weight i*n_out + j when the weights are sorted by (impact desc, j asc,
     i asc). A weight is in the top n_g of an impact exactly when its rank is
-    below n_g, so ties at the cut break by WeightRef total order."""
+    below n_g, so ties at the cut break by (j, i)."""
     n = table.n_weights
     i_idx, j_idx = np.divmod(np.arange(n), table.shape[1])
     ranks = np.empty((len(IMPACT_NAMES), n), dtype=np.int64)
@@ -129,15 +134,15 @@ def localize(table: ImpactTable, n_g: int) -> LocalizedSet:
     """Suspicious set at one n_g: weights in the top-n_g of BOTH failed
     impacts, minus those in the top-n_g of BOTH passed impacts. A weight is as
     suspicious as the weaker of its two failed-impact ranks, a; the set is
-    ordered by a, then by WeightRef total order."""
+    ordered by a, then by (j, i)."""
     if not 1 <= n_g <= table.n_weights:
         raise ValueError(f"n_g must lie in [1, {table.n_weights}], got {n_g}")
     a, b = _binding_ranks(table)
     chosen = np.flatnonzero((a < n_g) & (b >= n_g))
     i, j = np.divmod(chosen, table.shape[1])
     order = np.lexsort((i, j, a[chosen]))
-    refs = tuple(WeightRef(table.layer, int(i[k]), int(j[k])) for k in order)
-    return LocalizedSet(refs, n_g, "localized set is empty" if not refs else None)
+    return LocalizedSet(table.layer, i[order], j[order], n_g,
+                        None if chosen.size else "localized set is empty")
 
 
 def localize_to_count(
@@ -157,8 +162,8 @@ def localize_to_count(
     warning = None
     if not reaching.size:
         warning = f"target_lw={target_lw} unreachable; best |W_localized| is {curve[n_g - 1]} at n_g={n_g}"
-    result = localize(table, n_g)
-    return LocalizedSet(result.refs[:target_lw], n_g, warning, tuple(curve.tolist()))
+    top = localize(table, n_g)
+    return LocalizedSet(top.layer, top.i[:target_lw], top.j[:target_lw], n_g, warning, tuple(curve.tolist()))
 
 
 def write_impact_csv(table: ImpactTable, path) -> None:
@@ -168,12 +173,12 @@ def write_impact_csv(table: ImpactTable, path) -> None:
     write_csv(path, [
         ["layer", "i", "j", *IMPACT_NAMES],
         *([table.layer, i, j, *(float(arr[i, j]) for arr in arrays)]
-          for j in range(n_out) for i in range(n_in)),  # WeightRef total order
+          for j in range(n_out) for i in range(n_in)),  # the tie-break order of impact_ranks
     ])
 
 
 def write_localized_csv(localized: LocalizedSet, path) -> None:
     write_csv(path, [
         ["rank", "layer", "i", "j"],
-        *([rank, ref.layer, ref.i, ref.j] for rank, ref in enumerate(localized.refs)),
+        *([rank, localized.layer, i, j] for rank, (i, j) in enumerate(zip(localized.i, localized.j))),
     ])

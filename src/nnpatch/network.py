@@ -4,10 +4,10 @@ per-weight gradients for a designated layer.
 Every function here takes plain arrays: an (n_samples, n_features) input
 matrix and, where a loss is involved, one integer label per row. Sample ids
 belong to ``data.Dataset``, which callers unpack into ``features`` and
-``labels``. Models are immutable values. Editing weights goes through
-``write_weights``, which returns a patched copy and leaves the original
-untouched. All arithmetic is float64 so finite-difference checks have
-headroom.
+``labels``. Models are immutable values. A weight is (layer, i, j): source
+unit i and target unit j of one layer. ``write_weights(model, layer, i, j,
+values)`` returns a patched copy and leaves the original untouched. All
+arithmetic is float64 so finite-difference checks have headroom.
 """
 from __future__ import annotations
 
@@ -42,22 +42,14 @@ class LayerSpec:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
-class WeightRef:
-    """Address of one weight: layer index, source neuron i, target neuron j."""
-
-    layer: int
-    i: int
-    j: int
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        # Total order used wherever ties must break deterministically.
-        return (self.layer, self.j, self.i)
-
-
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """`values` as a read-only array of `dtype`, shared when it already is one owning its
+    data. An integer `dtype` refuses non-integer values, which a cast would truncate."""
+    arr = np.asarray(values)
+    if arr.size and np.issubdtype(dtype, np.integer) and arr.dtype.kind not in "iu":
+        raise ValueError(f"expected integer values, got {arr.dtype}")
+    owned = arr.dtype == dtype and arr.flags.owndata
+    arr = arr if owned and not arr.flags.writeable else np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -236,41 +228,41 @@ def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
     return a
 
 
-def _check_refs(model: Model, refs) -> list[WeightRef]:
-    refs = list(refs)
-    for r in refs:
-        _check_layer(model, r.layer)
-        spec = model.layers[r.layer]
-        if not (0 <= r.i < spec.input_size and 0 <= r.j < spec.output_size):
-            raise ValueError(f"weight reference out of bounds: {r}")
-    return refs
+def _check_index(model: Model, layer: int, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) as int64 vectors of one length addressing weights of `layer`;
+    numpy would wrap a negative index, so every index is bounds-checked."""
+    _check_layer(model, layer)
+    i, j = _frozen_array(i, np.int64), _frozen_array(j, np.int64)
+    if i.ndim != 1 or i.shape != j.shape:
+        raise ValueError("i and j must be 1-D vectors of one length")
+    n_in, n_out = model.weights[layer].shape
+    if len(i) and not (0 <= i.min() and i.max() < n_in and 0 <= j.min() and j.max() < n_out):
+        raise ValueError(f"weight index out of bounds for layer {layer} of shape {(n_in, n_out)}")
+    return i, j
 
 
-def read_weights(model: Model, refs) -> np.ndarray:
-    """Current values of the referenced weights, in reference order."""
-    refs = _check_refs(model, refs)
-    return np.array([model.weights[r.layer][r.i, r.j] for r in refs])
+def read_weights(model: Model, layer: int, i, j) -> np.ndarray:
+    """Values of weights (i[k], j[k]) of `layer`, in index order."""
+    i, j = _check_index(model, layer, i, j)
+    return model.weights[layer][i, j]
 
 
-def write_weights(model: Model, refs, values) -> Model:
-    """New model with the referenced weights replaced by `values`.
+def write_weights(model: Model, layer: int, i, j, values) -> Model:
+    """New model with weights (i[k], j[k]) of `layer` set to values[k].
 
-    Untouched layers share storage with the original, so everything outside
-    the referenced weights is bit-identical.
+    Only that layer is copied; the others share storage with the original,
+    so everything outside the addressed weights is bit-identical.
     """
-    refs = _check_refs(model, refs)
+    i, j = _check_index(model, layer, i, j)
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (len(refs),):
-        raise ValueError(f"expected {len(refs)} values, got shape {values.shape}")
-    if len(refs) and not np.isfinite(values).all():
+    if values.shape != i.shape:
+        raise ValueError(f"expected {len(i)} values, got shape {values.shape}")
+    if not np.isfinite(values).all():
         raise ValueError("weight values must be finite")
-    new_weights = list(model.weights)
-    touched = {r.layer for r in refs}
-    for k in touched:
-        new_weights[k] = new_weights[k].copy()
-    for r, v in zip(refs, values):
-        new_weights[r.layer][r.i, r.j] = v
-    return Model(model.layers, tuple(new_weights), model.biases)
+    w = model.weights[layer].copy()
+    w[i, j] = values
+    w.setflags(write=False)
+    return Model(model.layers, model.weights[:layer] + (w,) + model.weights[layer + 1:], model.biases)
 
 
 def full_gradients(model: Model, inputs, labels):

@@ -283,24 +283,24 @@ class BatchScorer:
     sample's softmax is nan (a +inf or nan logit), scores -inf.
     """
 
-    def __init__(self, model: Model, refs, i_neg: Dataset, i_pos: Dataset, cfg: FitnessConfig):
+    def __init__(self, model: Model, localized: LocalizedSet, i_neg: Dataset, i_pos: Dataset,
+                 cfg: FitnessConfig):
         if len(i_neg) == 0 or len(i_pos) == 0:
             raise ValueError("fitness needs non-empty I_neg and I_pos")
         if max(i_neg.labels.max(), i_pos.labels.max()) >= model.n_classes:
             raise ValueError("label out of range for this model")
-        original = read_weights(model, refs)[None]
-        layer = refs[0].layer
+        layer, i, j = localized.layer, localized.i, localized.j
+        original = read_weights(model, layer, i, j)[None]
         w, b = model.weights[layer].T.copy(), model.biases[layer][:, None]
-        is_touched = np.zeros(len(w), dtype=bool)
-        is_touched[[r.j for r in refs]] = True
-        touched, untouched = np.flatnonzero(is_touched), np.flatnonzero(~is_touched)
+        uses = np.bincount(j, minlength=len(w))  # localized weights per unit of the layer
+        touched, untouched = np.flatnonzero(uses), np.flatnonzero(uses == 0)
         above = list(zip(model.layers[layer + 1:], model.weights[layer + 1:], model.biases[layer + 1:]))
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
         self.units = (len(touched), len(w))  # units recomputed per candidate, of the layer's
         self.n_classes = model.n_classes
         self.weights = w[touched]  # every candidate's rows before its localized values
-        self.flat = np.searchsorted(touched, [r.j for r in refs]) * w.shape[1] + [r.i for r in refs]
+        self.flat = np.searchsorted(touched, j) * w.shape[1] + i
         # stage 0 is the candidates' K rows; the stage above reads only their columns
         self.stages = [(model.layers[layer].activation, None)] + [
             (spec.activation, wk.T[:, touched].copy() if k == 0 else wk.T.copy())
@@ -447,11 +447,11 @@ def init_swarm(
     """
     if len(localized) == 0:
         raise ValueError("cannot initialize a swarm over an empty localized set")
-    refs = localized.refs
-    mu, sigma = layer_weight_stats(model, refs[0].layer)
+    mu, sigma = layer_weight_stats(model, localized.layer)
     n_original = (cfg.n_particles + 1) // 2
-    sampled = rng.normal(mu, sigma, size=(cfg.n_particles - n_original, len(refs)))
-    positions = np.vstack([np.tile(read_weights(model, refs), (n_original, 1)), sampled])
+    sampled = rng.normal(mu, sigma, size=(cfg.n_particles - n_original, len(localized)))
+    original = read_weights(model, localized.layer, localized.i, localized.j)
+    positions = np.vstack([np.tile(original, (n_original, 1)), sampled])
     return positions, np.zeros_like(positions)
 
 
@@ -478,11 +478,10 @@ def repair(
         base_losses = tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
         best = fitness(model, i_neg, i_pos, base_losses, fcfg)
         return RepairResult(model, best, (), None, identity_fallback=True, no_search_space=True)
-    refs = localized.refs
-    scorer = BatchScorer(model, refs, i_neg, i_pos, fcfg)
+    scorer = BatchScorer(model, localized, i_neg, i_pos, fcfg)
     rng = np.random.default_rng(scfg.seed)
     pos, vel = init_swarm(localized, model, scfg, rng)
-    vmax = scfg.velocity_clamp * layer_weight_stats(model, refs[0].layer)[1]
+    vmax = scfg.velocity_clamp * layer_weight_stats(model, localized.layer)[1]
     pbest_pos, pbest_fit = pos.copy(), np.full(len(pos), -np.inf)
     gbest, gbest_pos, trace = None, None, []
     for it in range(scfg.n_iterations + 1):
@@ -505,7 +504,8 @@ def repair(
                               n_gated, int(improved.sum())))
 
     if gbest.gated_fitness > scorer.identity.gated[0]:
-        patched, best = write_weights(model, refs, gbest_pos), scorer(gbest_pos[None], full=True)
+        patched = write_weights(model, localized.layer, localized.i, localized.j, gbest_pos)
+        best = scorer(gbest_pos[None], full=True)
     else:
         patched, best, gbest_pos = model, scorer.identity, None
     return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,

@@ -18,13 +18,13 @@ import pytest
 
 from helpers import random_batch, random_model, samples, single_layer_model
 from test_harness import small_experiment, tree_bytes
-from test_localization import brute_localized, random_table
+from test_localization import brute_localized, pairs, random_table
 from test_repair import fixed_identity_setup, localized_over, repair_scenario
 
 from nnpatch.config import experiment_spec_from_config, load_config
 from nnpatch.data import Dataset
 from nnpatch.harness import GridEntry, run_sweep, emit_report
-from nnpatch.localization import WeightRef, localize
+from nnpatch.localization import localize
 from nnpatch.metrics import diff, evaluate
 from nnpatch.network import forward, loss, weight_gradient_matrix, write_weights
 from nnpatch.repair import (
@@ -89,16 +89,15 @@ def test_criterion_01_gradient_oracle():
         for layer in range(model.n_layers):
             grads = weight_gradient_matrix(model, batch.features, batch.labels, layer)
             for (i, j), grad in np.ndenumerate(grads):
-                ref = WeightRef(layer, i, j)
-                w0 = float(model.weights[ref.layer][ref.i, ref.j])
-                up = loss(write_weights(model, [ref], [w0 + eps]), batch.features, batch.labels)
-                dn = loss(write_weights(model, [ref], [w0 - eps]), batch.features, batch.labels)
+                w0 = float(model.weights[layer][i, j])
+                up = loss(write_weights(model, layer, [i], [j], [w0 + eps]), batch.features, batch.labels)
+                dn = loss(write_weights(model, layer, [i], [j], [w0 - eps]), batch.features, batch.labels)
                 fd = (up - dn) / (2 * eps)
                 err = abs(grad - fd)
                 tol = 1e-6 + 1e-4 * abs(fd)
                 worst = max(worst, err - tol)
                 entries += 1
-                assert err <= tol, f"{ref}: analytic {grad} vs fd {fd}"
+                assert err <= tol, f"layer {layer} ({i}, {j}): analytic {grad} vs fd {fd}"
         checked += 1
     elapsed = time.perf_counter() - t0
     verdict(
@@ -119,7 +118,7 @@ def test_criterion_02_localization_oracle():
         table = random_table(rng, ties=bool(k % 2))
         assert table.n_weights <= 200
         for n_g in range(1, table.n_weights + 1):
-            got = frozenset(localize(table, n_g).refs)
+            got = frozenset(pairs(localize(table, n_g)))
             assert got == brute_localized(table, n_g), f"table {k}, n_g {n_g}"
             comparisons += 1
         tables += 1
@@ -169,14 +168,12 @@ def test_criterion_03_gate_soundness(gate_battery):
     )
 
 
-def _confined(original, patched, refs) -> bool:
-    """Bit-equality outside refs, biases included."""
-    allowed = set(refs)
+def _confined(original, patched, loc) -> bool:
+    """Bit-equality outside the localized weights, biases included."""
     for layer in range(original.n_layers):
         mask = np.ones(original.weights[layer].shape, dtype=bool)
-        for ref in allowed:
-            if ref.layer == layer:
-                mask[ref.i, ref.j] = False
+        if layer == loc.layer:
+            mask[loc.i, loc.j] = False
         if not np.array_equal(
             original.weights[layer][mask], patched.weights[layer][mask]
         ):
@@ -188,7 +185,7 @@ def _confined(original, patched, refs) -> bool:
 
 def test_criterion_04_patch_confinement(gate_battery):
     bad = sum(
-        not _confined(model, res.model, loc.refs)
+        not _confined(model, res.model, loc)
         for model, loc, _, res in gate_battery
     )
     verdict(
@@ -247,11 +244,11 @@ def test_criterion_05b_pipeline_confinement(drift_sweep):
             continue
         patched = load_model(model_path)
         with open(run_dir / "localized.csv", newline="") as fh:
-            refs = [
-                WeightRef(int(row["layer"]), int(row["i"]), int(row["j"]))
-                for row in csv.DictReader(fh)
-            ]
-        assert _confined(original, patched, refs), run_dir
+            rows = list(csv.DictReader(fh))
+        layers = {int(row["layer"]) for row in rows}
+        assert len(layers) <= 1, run_dir  # one layer per localized set
+        loc = localized_over(layers.pop() if layers else 0, [(int(r["i"]), int(r["j"])) for r in rows])
+        assert _confined(original, patched, loc), run_dir
         checked += 1
     verdict(
         4, "patch confinement (pipeline)",
@@ -277,7 +274,7 @@ def _two_branch_setup():
     )
     pos_inputs = [[1.0, 0.0, 0.0]] * 9 + [[0.0, 1.0, 1.0]]
     i_pos = samples(pos_inputs, [0] * 10, tuple(f"p{k}" for k in range(9)) + ("frag",))
-    loc = localized_over([WeightRef(0, 2, 1)])
+    loc = localized_over(0, [(2, 1)])
     return model, loc, i_neg, i_pos
 
 
@@ -307,7 +304,7 @@ def test_criterion_06_alpha_trend():
             fcfg = FitnessConfig(variant="eq2", alpha=alpha, perfect_intact=False)
             scfg = SwarmConfig(n_particles=20, n_iterations=20, seed=rep)
             res = repair(model, loc, i_neg, i_pos, fcfg, scfg)
-            assert _confined(model, res.model, loc.refs)
+            assert _confined(model, res.model, loc)
             broken.append(len(diff(before, evaluate(res.model, eval_set)).broken))
         means[alpha] = float(np.mean(broken))
     verdict(
@@ -332,7 +329,7 @@ def test_criterion_07_fitness_examples():
     # gate zeroes a candidate that breaks one I_pos sample
     model, i_neg, i_pos, _, base = fixed_identity_setup(alpha=8.0)
     gated_cfg = FitnessConfig(variant="eq2", alpha=8.0, perfect_intact=True)
-    breaker = write_weights(model, [WeightRef(0, 1, 1)], [2.0])
+    breaker = write_weights(model, 0, [1], [1], [2.0])
     bd = fitness(breaker, i_neg, i_pos, base, gated_cfg)
     assert bd.n_intact == len(i_pos) - 1
     assert bd.gated_fitness == 0.0 and bd.raw_fitness != 0.0

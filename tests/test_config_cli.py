@@ -173,7 +173,7 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("experiment", "target_class", "4"),
     ],
 )
-def test_spec_refuses_bad_values_before_any_file(tmp_path, section, key, value):
+def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
     cfg = load_config(ROOT / "configs" / "quickstart.yaml")
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
               "grid": cfg["experiment"]["grid"][0]}[section]
@@ -181,6 +181,13 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, section, key, value):
     out = tmp_path / "sweep"
     with pytest.raises(ValueError, match=key):
         run_sweep(experiment_spec_from_config(cfg), out)
+    assert not out.exists()
+    # the command line refuses it as `error: ...`, exit 2
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -277,11 +284,12 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     [("localization:\n  target_w: 3\n", "'target_w'"), ("localization: [3]\n", "mapping")],
     ids=["unknown_key", "not_a_mapping"],
 )
-def test_cli_localize_checks_localization_section(tmp_path, section, match):
+def test_cli_localize_checks_localization_section(tmp_path, capsys, section, match):
     path = tmp_path / "loc.yaml"
     path.write_text(BASE_CONFIG + section)
-    with pytest.raises(ValueError, match=match):
-        main(["localize", "--config", str(path), "--out-dir", str(tmp_path / "bad")])
+    assert main(["localize", "--config", str(path), "--out-dir", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
     assert not (tmp_path / "bad").exists()
 
     path.write_text(BASE_CONFIG + "localization:\n  target_lw: 3\n")

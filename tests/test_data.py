@@ -293,6 +293,14 @@ def test_dataset_validation():
             n_classes=2,
             class_names=("x", "y"),
         )
+    with pytest.raises(ValueError, match="integer"):  # a cast would truncate 1.5 to 1
+        Dataset(
+            features=np.zeros((1, 1)),
+            labels=np.array([1.5]),
+            sample_ids=("a",),
+            n_classes=2,
+            class_names=("x", "y"),
+        )
     with pytest.raises(ValueError, match="finite"):
         Dataset(
             features=np.array([[np.inf]]),

@@ -453,6 +453,60 @@ def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
     assert len(trace) == 1 + 1 + 5  # header, the initial swarm, one row per iteration
 
 
+@pytest.mark.parametrize("outcome", ["no_op", "error"])
+def test_sweep_rerun_leaves_no_file_of_an_earlier_outcome(trained_subject, tmp_path, monkeypatch,
+                                                           outcome):
+    import nnpatch.harness as harness
+    from nnpatch import evaluate
+
+    _, splits, model = trained_subject
+    out, run_dir = tmp_path / "sweep", tmp_path / "sweep" / "runs" / "cfg000" / "rep00"
+    run_sweep(small_experiment(), out)
+    artefacts = ("model.json", "trace.csv", "localized.csv")
+    assert all((run_dir / name).exists() for name in artefacts)
+    # without a spec every run is rerun, here with an outcome that writes fewer files
+    (out / "sweep.json").unlink()
+    if outcome == "no_op":  # a target class the subject fully masters on the repair split
+        accuracy = evaluate(model, splits[2]).per_class_accuracy
+        exp = small_experiment(target_class=min(c for c, acc in accuracy.items() if acc == 1.0))
+    else:
+        exp = small_experiment()
+        monkeypatch.setattr(harness, "repair", lambda *_: 1 / 0)
+    agg = run_sweep(exp, out)
+    assert {r.status for r in agg.runs} == {outcome}
+    assert not any((run_dir / name).exists() for name in artefacts)
+    run_sweep(exp, tmp_path / "fresh")
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+
+def test_interrupted_rerun_without_a_spec_reuses_no_old_run(tmp_path, monkeypatch):
+    import nnpatch.harness as harness
+
+    class Interrupted(BaseException):
+        pass
+
+    out = tmp_path / "sweep"
+    run_sweep(small_experiment(n_iterations=2), out)
+    (out / "sweep.json").unlink()
+    real, calls = harness.run_repair_pipeline, []
+
+    def stopped_after_one_run(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise Interrupted
+        return real(*args, **kwargs)
+
+    exp = small_experiment(n_iterations=5)
+    monkeypatch.setattr(harness, "run_repair_pipeline", stopped_after_one_run)
+    with pytest.raises(Interrupted):
+        run_sweep(exp, out)
+    monkeypatch.setattr(harness, "run_repair_pipeline", real)
+    # the resume finds this spec's sweep.json, yet no record of the old spec
+    run_sweep(exp, out)
+    run_sweep(exp, tmp_path / "fresh")
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+
 def test_sweep_concurrency_is_byte_identical(tmp_path):
     exp = small_experiment()
     serial = tmp_path / "serial"

@@ -7,7 +7,7 @@ import pytest
 
 from nnpatch import (
     ImpactTable,
-    WeightRef,
+    LocalizedSet,
     build_mlp,
     compute_impacts,
     localization_curve,
@@ -37,11 +37,16 @@ def random_table(rng, n_in=None, n_out=None, ties=False):
     )
 
 
+def pairs(localized):
+    """The (i, j) pairs of a localized set, in its order."""
+    return list(zip(localized.i.tolist(), localized.j.tolist()))
+
+
 def brute_top(table, name, n_g):
-    """Reference top-n selection: full sort by (impact desc, ref order)."""
+    """Reference top-n selection: the (i, j) pairs sorted by (impact desc, j, i)."""
     score = getattr(table, name)
-    refs = [WeightRef(table.layer, i, j) for i in range(score.shape[0]) for j in range(score.shape[1])]
-    refs.sort(key=lambda r: (-score[r.i, r.j],) + r.sort_key)
+    refs = [(i, j) for i in range(score.shape[0]) for j in range(score.shape[1])]
+    refs.sort(key=lambda r: (-score[r], r[1], r[0]))
     return frozenset(refs[:n_g])
 
 
@@ -62,11 +67,29 @@ def test_impact_table_validation():
         ImpactTable(0, np.full((2, 2), np.nan), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
 
 
+def test_localized_set_construction():
+    i, j = np.array([2, 0, 2]), np.array([1, 1, 0])
+    loc = LocalizedSet(3, i, j, n_g=4)
+    i[0] = 9  # the set holds its own read-only int64 copies
+    assert (loc.layer, len(loc), pairs(loc)) == (3, 3, [(2, 1), (0, 1), (2, 0)])
+    for v in (loc.i, loc.j):
+        assert v.dtype == np.int64 and not v.flags.writeable
+    assert len(LocalizedSet(0, [], [], n_g=1)) == 0
+    with pytest.raises(ValueError, match="duplicates"):
+        LocalizedSet(0, [2, 0, 2], [1, 1, 1], n_g=4)
+    with pytest.raises(ValueError, match="one length"):
+        LocalizedSet(0, [0, 1], [0], n_g=4)
+    with pytest.raises(ValueError, match="one length"):
+        LocalizedSet(0, [[0, 1]], [[0, 1]], n_g=4)
+    with pytest.raises(ValueError, match="integer"):  # a cast would truncate 0.5 to 0
+        LocalizedSet(0, [0.5], [1], n_g=4)
+
+
 def test_zero_weight_has_zero_forward_impact():
     m = build_mlp([2, 3, 2], seed=1)
     w = [x.copy() for x in (m.weights[1],)][0]
     w[1, 0] = 0.0
-    m = write_weights(m, [WeightRef(1, 1, 0)], [0.0])
+    m = write_weights(m, 1, [1], [0], [0.0])
     rng = np.random.default_rng(2)
     failed = random_batch(rng, m, prefix="f")
     passed = random_batch(rng, m, prefix="p")
@@ -108,10 +131,9 @@ def test_impacts_match_per_sample_loop_oracle():
     t = compute_impacts(m, failed, passed, layer)
 
     def fd_grad_mean(batch, i, j, eps=1e-7):
-        ref = WeightRef(layer, i, j)
         w0 = float(m.weights[layer][i, j])
-        up = loss(write_weights(m, [ref], [w0 + eps]), batch.features, batch.labels)
-        dn = loss(write_weights(m, [ref], [w0 - eps]), batch.features, batch.labels)
+        up = loss(write_weights(m, layer, [i], [j], [w0 + eps]), batch.features, batch.labels)
+        dn = loss(write_weights(m, layer, [i], [j], [w0 - eps]), batch.features, batch.labels)
         return (up - dn) / (2 * eps)
 
     n_in, n_out = m.weights[layer].shape
@@ -138,12 +160,9 @@ def test_compute_impacts_rejects_empty_batches():
 
 
 def ranked_top(table, k, n_g):
-    """The weights whose rank under impact k is below n_g."""
-    n_out = table.shape[1]
-    return frozenset(
-        WeightRef(table.layer, int(f) // n_out, int(f) % n_out)
-        for f in np.flatnonzero(impact_ranks(table)[k] < n_g)
-    )
+    """The (i, j) pairs whose rank under impact k is below n_g."""
+    i, j = np.divmod(np.flatnonzero(impact_ranks(table)[k] < n_g), table.shape[1])
+    return frozenset(zip(i.tolist(), j.tolist()))
 
 
 def test_impact_ranks_saturation_and_exact_sort():
@@ -152,7 +171,7 @@ def test_impact_ranks_saturation_and_exact_sort():
     ranks = impact_ranks(t)
     # every row is a permutation of 0..N-1, so at n_g = N every weight is in
     assert all(sorted(row) == list(range(20)) for row in ranks)
-    all_refs = frozenset(WeightRef(0, i, j) for i in range(4) for j in range(5))
+    all_refs = frozenset((i, j) for i in range(4) for j in range(5))
     assert all(ranked_top(t, k, 20) == all_refs for k in range(4))
 
     for k, name in enumerate(IMPACT_NAMES):
@@ -164,8 +183,8 @@ def test_impact_ranks_ties_at_the_cut():
     t = ImpactTable(0, back, back, back, back)
     for k, name in enumerate(IMPACT_NAMES):
         assert ranked_top(t, k, 2) == brute_top(t, name, 2)
-    # ties break by ref order (layer, j, i): (i=1, j=0) before (i=0, j=1)
-    assert ranked_top(t, 0, 2) == frozenset({WeightRef(0, 0, 0), WeightRef(0, 1, 0)})
+    # ties break by (j, i): (i=1, j=0) before (i=0, j=1)
+    assert ranked_top(t, 0, 2) == frozenset({(0, 0), (1, 0)})
 
 
 def test_localize_range_errors():
@@ -184,7 +203,7 @@ def test_localize_trivial_cases():
     zeros = np.zeros((2, 2))
     t = ImpactTable(0, back_f, fwd_f, zeros, zeros)
     out = localize(t, 1)
-    assert out.refs == ()
+    assert len(out) == 0 and out.i.dtype == out.j.dtype == np.int64
     assert out.warning is not None
 
     # passed sets disjoint from failed sets -> plain intersection survives
@@ -194,7 +213,7 @@ def test_localize_trivial_cases():
     fwd_p = np.array([[0.0, 0.0], [4.0, 3.0]])
     t = ImpactTable(0, back_f, fwd_f, back_p, fwd_p)
     out = localize(t, 2)
-    assert set(out.refs) == {WeightRef(0, 0, 0), WeightRef(0, 0, 1)}
+    assert out.layer == 0 and set(pairs(out)) == {(0, 0), (0, 1)}
     assert out.warning is None
 
 
@@ -207,8 +226,8 @@ def test_localize_matches_brute_force_everywhere():
         for n_g in range(1, n + 1):
             got = localize(t, n_g)
             want = brute_localized(t, n_g)
-            assert set(got.refs) == want
-            assert len(got.refs) <= n_g
+            assert set(pairs(got)) == want
+            assert len(got) <= n_g
             assert got.n_g == n_g
             assert curve[n_g - 1] == len(want)
 
@@ -219,7 +238,7 @@ def test_localize_set_algebra_soundness():
     n_g = 13
     bf, ff, bp, fp = (ranked_top(t, k, n_g) for k in range(4))
     out = localize(t, n_g)
-    for r in out.refs:
+    for r in pairs(out):
         assert r in bf and r in ff
         assert not (r in bp and r in fp)
 
@@ -229,7 +248,7 @@ def test_localize_determinism_including_order():
     t = random_table(rng, 9, 7, ties=True)
     a = localize(t, 11)
     b = localize(t, 11)
-    assert a.refs == b.refs
+    assert pairs(a) == pairs(b)
     assert a.n_g == b.n_g
 
 
@@ -241,13 +260,13 @@ def test_localize_to_count_truncation_and_subset():
     failed = samples(rng.normal(size=(8, 4)) + 2.5, rng.integers(0, 8, 8), tuple(f"f{k}" for k in range(8)))
     passed = samples(rng.normal(size=(9, 4)) - 1.0, rng.integers(0, 8, 9), tuple(f"p{k}" for k in range(9)))
     out = localize_to_count(m, failed, passed, layer=1, target_lw=1)
-    assert len(out.refs) == 1
+    assert len(out) == 1 and out.layer == 1
 
     out32 = localize_to_count(m, failed, passed, layer=1, target_lw=32)
-    assert len(out32.refs) == 32
+    assert len(out32) == 32
     n_g = out32.n_g
     table = compute_impacts(m, failed, passed, 1)
-    assert set(out32.refs) <= set(localize(table, n_g).refs)
+    assert pairs(out32) == pairs(localize(table, n_g))[:32]
 
 
 def test_localize_to_count_saturation_warning():
@@ -257,7 +276,7 @@ def test_localize_to_count_saturation_warning():
     passed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"p{k}" for k in range(4)))
     out = localize_to_count(m, failed, passed, layer=1, target_lw=500)
     assert out.warning is not None
-    assert 0 < len(out.refs) <= 6  # layer has 3*2 weights
+    assert 0 < len(out) <= 6  # layer has 3*2 weights
 
 
 def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
@@ -268,12 +287,12 @@ def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
     passed = samples(rng.normal(size=(7, 3)) - 1.0, rng.integers(0, 3, 7), tuple(f"p{k}" for k in range(7)))
     target = 6
     out = localize_to_count(m, failed, passed, layer=1, target_lw=target)
-    assert len(out.refs) == target
+    assert len(out) == target
     table = compute_impacts(m, failed, passed, 1)
     n_star = out.n_g
-    assert len(localize(table, n_star).refs) >= target
+    assert len(localize(table, n_star)) >= target
     for smaller in range(1, n_star):
-        assert len(localize(table, smaller).refs) < target
+        assert len(localize(table, smaller)) < target
 
     # |localize(n_g)| is not monotone in n_g: here it is [0,0,0,0,1,0,0,2,0]
     # over n_g = 1..9, so a doubling scan lands on 8 while 5 is the smallest
@@ -292,7 +311,7 @@ def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
         sizes = [len(brute_localized(table, n)) for n in range(1, table.n_weights + 1)]
         for target in range(1, max(sizes) + 1):
             out = localize_to_count(m, failed, passed, layer=0, target_lw=target)
-            assert out.warning is None and len(out.refs) == target
+            assert out.warning is None and len(out) == target
             assert out.n_g == next(n for n, size in enumerate(sizes, 1) if size >= target)
     monkeypatch.setattr(localization, "compute_impacts", lambda *_: pinned)
     assert localize_to_count(m, failed, passed, layer=0, target_lw=1).n_g == 5
@@ -312,4 +331,4 @@ def test_csv_dumps(tmp_path):
     write_localized_csv(out, loc_path)
     lines = loc_path.read_text().strip().splitlines()
     assert lines[0] == "rank,layer,i,j"
-    assert len(lines) == 1 + len(out.refs)
+    assert lines[1:] == [f"{rank},0,{i},{j}" for rank, (i, j) in enumerate(pairs(out))]

@@ -9,7 +9,6 @@ from nnpatch import (
     LayerSpec,
     Model,
     ShapeError,
-    WeightRef,
     build_mlp,
     forward,
     loss,
@@ -58,10 +57,11 @@ def test_model_construction_rules():
         Model((LayerSpec(2, 2, "softmax"),), (np.array([[1.0, np.nan], [0, 0]]),), (np.zeros(2),))
 
 
-def layer_refs(model, layer):
-    """Every weight of one layer, in WeightRef total order."""
+def layer_index(model, layer):
+    """(i, j) of every weight of one layer, in (j, i) order."""
     n_in, n_out = model.weights[layer].shape
-    return [WeightRef(layer, i, j) for j in range(n_out) for i in range(n_in)]
+    j, i = np.divmod(np.arange(n_in * n_out), n_in)
+    return i, j
 
 
 def test_input_and_label_validation():
@@ -122,10 +122,10 @@ def test_loss_label_out_of_range():
         loss(m, np.zeros((1, 2)), [5])
 
 
-def _fd_gradient(model, x, y, ref, eps=1e-6):
-    w0 = float(model.weights[ref.layer][ref.i, ref.j])
-    up = loss(write_weights(model, [ref], [w0 + eps]), x, y)
-    dn = loss(write_weights(model, [ref], [w0 - eps]), x, y)
+def _fd_gradient(model, x, y, layer, i, j, eps=1e-6):
+    w0 = float(model.weights[layer][i, j])
+    up = loss(write_weights(model, layer, [i], [j], [w0 + eps]), x, y)
+    dn = loss(write_weights(model, layer, [i], [j], [w0 - eps]), x, y)
     return (up - dn) / (2 * eps)
 
 
@@ -142,10 +142,10 @@ def test_gradients_match_finite_differences_spot_checks():
         if probs[np.arange(len(b)), b.labels].min() < 1e-9:
             continue
         grads = weight_gradient_matrix(m, b.features, b.labels, layer)
-        refs = layer_refs(m, layer)
-        for ref in [refs[0], refs[len(refs) // 2], refs[-1]]:
-            fd = _fd_gradient(m, b.features, b.labels, ref)
-            assert abs(grads[ref.i, ref.j] - fd) <= 1e-6 + 1e-6 * abs(fd)
+        i, j = layer_index(m, layer)
+        for k in (0, len(i) // 2, -1):
+            fd = _fd_gradient(m, b.features, b.labels, layer, i[k], j[k])
+            assert abs(grads[i[k], j[k]] - fd) <= 1e-6 + 1e-6 * abs(fd)
             checked += 1
     assert checked >= 9
 
@@ -171,32 +171,41 @@ def test_layer_inputs_match_manual_forward():
         np.testing.assert_array_equal(layer_inputs(m, b.features, layer), a)
 
 
-def test_read_write_weights_roundtrip_and_isolation():
+@pytest.mark.parametrize("layer, i, j, values", [
+    (0, [1, 0], [2, 0], [9.0, 0.125]),
+    (1, [3], [0], [-2.5]),
+], ids=["layer0", "layer1"])
+def test_read_write_weights_roundtrip_and_isolation(layer, i, j, values):
     m = build_mlp([3, 4, 2], seed=5)
-    refs = [WeightRef(0, 1, 2), WeightRef(1, 3, 0), WeightRef(0, 0, 0)]
-    vals = read_weights(m, refs)
-    m2 = write_weights(m, refs, [9.0, -2.5, 0.125])
-    np.testing.assert_array_equal(read_weights(m2, refs), [9.0, -2.5, 0.125])
+    vals = read_weights(m, layer, i, j)
+    m2 = write_weights(m, layer, i, j, values)
+    np.testing.assert_array_equal(read_weights(m2, layer, i, j), values)
     # original untouched
-    np.testing.assert_array_equal(read_weights(m, refs), vals)
-    # everything outside refs is bit-identical
-    touched = {(r.layer, r.i, r.j) for r in refs}
+    np.testing.assert_array_equal(read_weights(m, layer, i, j), vals)
+    # everything outside (layer, i, j) is bit-identical, and other layers share storage
+    touched = {(layer, a, b) for a, b in zip(i, j)}
     for k in range(m.n_layers):
-        for i in range(m.layers[k].input_size):
-            for j in range(m.layers[k].output_size):
-                if (k, i, j) not in touched:
-                    assert m.weights[k][i, j] == m2.weights[k][i, j]
+        for a in range(m.layers[k].input_size):
+            for b in range(m.layers[k].output_size):
+                if (k, a, b) not in touched:
+                    assert m.weights[k][a, b] == m2.weights[k][a, b]
         np.testing.assert_array_equal(m.biases[k], m2.biases[k])
+        assert np.shares_memory(m.weights[k], m2.weights[k]) == (k != layer)
 
 
-def test_write_weights_validation():
+@pytest.mark.parametrize("layer, i, j, values, match", [
+    (1, [0], [0], [1.0], "invalid layer"),
+    (0, [-1], [0], [1.0], "out of bounds"),
+    (0, [0], [2], [1.0], "out of bounds"),
+    (0, [0, 1], [0], [1.0, 2.0], "one length"),
+    (0, [0.5], [0], [1.0], "integer"),
+    (0, [0], [0], [1.0, 2.0], "expected 1 values"),
+    (0, [0], [0], [np.inf], "finite"),
+], ids=["layer", "negative_i", "j_out_of_range", "unequal_lengths", "float_index", "value_count", "non_finite"])
+def test_write_weights_validation(layer, i, j, values, match):
     m = build_mlp([2, 2], seed=0)
-    with pytest.raises(ValueError, match="out of bounds"):
-        write_weights(m, [WeightRef(0, 5, 0)], [1.0])
-    with pytest.raises(ValueError, match="expected 1 values"):
-        write_weights(m, [WeightRef(0, 0, 0)], [1.0, 2.0])
-    with pytest.raises(ValueError, match="finite"):
-        write_weights(m, [WeightRef(0, 0, 0)], [np.inf])
+    with pytest.raises(ValueError, match=match):
+        write_weights(m, layer, i, j, values)
 
 
 def test_full_gradients_agree_with_per_layer_gradients():
@@ -261,9 +270,9 @@ def test_gradient_fd_on_seeded_2_3_2_single_sample():
     x, y = [[0.7, -0.2]], [1]
     for layer in range(2):
         grads = weight_gradient_matrix(m, x, y, layer)
-        for ref in layer_refs(m, layer):
-            fd = _fd_gradient(m, x, y, ref, eps=1e-4)
-            assert abs(grads[ref.i, ref.j] - fd) <= 1e-6 + 1e-4 * abs(fd)
+        for i, j in zip(*layer_index(m, layer)):
+            fd = _fd_gradient(m, x, y, layer, i, j, eps=1e-4)
+            assert abs(grads[i, j] - fd) <= 1e-6 + 1e-4 * abs(fd)
 
 
 def test_zero_inputs_zero_biases_kill_first_layer_gradients():
@@ -290,8 +299,7 @@ def test_single_output_weight_patch_localizes_presoftmax():
     x = np.array([[-1.0, 1.0]])
     a1 = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
     assert a1[0, 0] > 0  # feeding unit must be live for the patch to matter
-    ref = WeightRef(layer=1, i=0, j=1)
-    m2 = write_weights(m, [ref], [float(m.weights[1][0, 1]) + 2.0])
+    m2 = write_weights(m, 1, [0], [1], [float(m.weights[1][0, 1]) + 2.0])
     z_before = a1 @ m.weights[1] + m.biases[1]
     z_after = a1 @ m2.weights[1] + m2.biases[1]
     assert z_before[0, 0] == z_after[0, 0]  # untargeted neuron
@@ -303,8 +311,8 @@ def test_write_original_values_back_is_identity():
     m = random_model(rng)
     b = random_batch(rng, m)
     layer = m.n_layers - 1
-    refs = layer_refs(m, layer)
-    m2 = write_weights(m, refs, read_weights(m, refs))
+    i, j = layer_index(m, layer)
+    m2 = write_weights(m, layer, i, j, read_weights(m, layer, i, j))
     np.testing.assert_array_equal(forward(m, b.features), forward(m2, b.features))
 
 

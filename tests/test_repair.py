@@ -9,7 +9,6 @@ from nnpatch import (
     LocalizedSet,
     Model,
     SwarmConfig,
-    WeightRef,
     fitness,
     init_swarm,
     repair,
@@ -32,8 +31,14 @@ def base_losses(model, i_neg, i_pos):
     return tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
 
 
-def localized_over(refs):
-    return LocalizedSet(refs=tuple(refs), n_g=len(refs), warning=None)
+def localized_over(layer, pairs):
+    """The localized set of the (i, j) `pairs` of `layer`, in the order given."""
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return LocalizedSet(layer, i, j, n_g=len(pairs))
+
+
+def write_localized(model, localized, values):
+    return write_weights(model, localized.layer, localized.i, localized.j, values)
 
 
 def repair_scenario(rng, pin_labels=True, any_layer=False):
@@ -49,11 +54,9 @@ def repair_scenario(rng, pin_labels=True, any_layer=False):
         pos = samples(pos.features, pred_p, pos.sample_ids)
     layer = int(rng.integers(0, m.n_layers)) if any_layer else m.n_layers - 1
     n_in, n_out = m.weights[layer].shape
-    all_refs = [WeightRef(layer, i, j) for i in range(n_in) for j in range(n_out)]
-    k = int(rng.integers(1, len(all_refs) + 1))
-    chosen = rng.choice(len(all_refs), size=k, replace=False)
-    refs = tuple(all_refs[int(c)] for c in sorted(chosen))
-    return m, localized_over(refs), neg, pos
+    k = int(rng.integers(1, n_in * n_out + 1))
+    i, j = np.divmod(np.sort(rng.choice(n_in * n_out, size=k, replace=False)), n_out)
+    return m, LocalizedSet(layer, i, j, n_g=k), neg, pos
 
 
 def test_fitness_config_validation():
@@ -161,7 +164,7 @@ def test_gate_zeroes_fitness_on_a_single_break():
         variant="eq2", alpha=cfg.alpha, beta=cfg.beta, perfect_intact=True
     )
     # push weight [1,1] up: the lone feature-1 sample flips to class 1
-    broken = write_weights(model, [WeightRef(0, 1, 1)], [2.0])
+    broken = write_weights(model, 0, [1], [1], [2.0])
     bd = fitness(broken, i_neg, i_pos, base, gated_cfg)
     assert bd.n_intact == len(i_pos) - 1
     assert bd.gated_fitness == 0.0
@@ -176,7 +179,7 @@ def test_marginal_regression_costs_alpha_over_ipos_exactly():
     model, i_neg, i_pos, cfg, base = fixed_identity_setup(alpha=8.0, n_pos=16)
     identity = fitness(model, i_neg, i_pos, base, cfg)
     one_break = fitness(
-        write_weights(model, [WeightRef(0, 1, 1)], [2.0]), i_neg, i_pos, base, cfg
+        write_weights(model, 0, [1], [1], [2.0]), i_neg, i_pos, base, cfg
     )
     assert identity.n_intact - one_break.n_intact == 1
     assert one_break.n_patched == identity.n_patched
@@ -208,7 +211,7 @@ def test_fitness_scores_nonfinite_loss_as_worst_candidate():
     # a passed sample with feature 0 at 2: under W[0,0] = 1e308 its class-0 logit overflows
     i_pos = samples([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], [0, 0, 0], ("p0", "p1", "p2"))
     base = base_losses(model, i_neg, i_pos)
-    huge = write_weights(model, [WeightRef(0, 0, 0)], [1e308])
+    huge = write_weights(model, 0, [0], [0], [1e308])
     with np.errstate(over="ignore"):
         assert (i_pos.features @ huge.weights[0])[2, 0] == np.inf
     for variant in ("eq1", "eq2"):
@@ -221,17 +224,17 @@ def test_fitness_scores_nonfinite_loss_as_worst_candidate():
 def test_init_swarm_half_half_two_particles():
     rng = np.random.default_rng(4)
     m, localized, neg, pos = repair_scenario(rng)
-    original = np.array([m.weights[r.layer][r.i, r.j] for r in localized.refs])
+    original = m.weights[localized.layer][localized.i, localized.j]
     positions, velocities = init_swarm(
         localized, m, SwarmConfig(n_particles=2), np.random.default_rng(3)
     )
-    assert positions.shape == velocities.shape == (2, len(localized.refs))
+    assert positions.shape == velocities.shape == (2, len(localized))
     np.testing.assert_array_equal(positions[0], original)
     assert (positions[1] != original).any()
     np.testing.assert_array_equal(velocities, np.zeros_like(positions))
     # the sampled half is the stream's first normal block
-    mu, sigma = layer_weight_stats(m, localized.refs[0].layer)
-    expected = np.random.default_rng(3).normal(mu, sigma, size=(1, len(localized.refs)))
+    mu, sigma = layer_weight_stats(m, localized.layer)
+    expected = np.random.default_rng(3).normal(mu, sigma, size=(1, len(localized)))
     np.testing.assert_array_equal(positions[1:], expected)
 
 
@@ -241,11 +244,11 @@ def test_init_swarm_original_half_matches_identity_fitness():
     cfg = FitnessConfig()
     base = base_losses(m, neg, pos)
     identity = fitness(m, neg, pos, base, cfg)
-    original = np.array([m.weights[r.layer][r.i, r.j] for r in localized.refs])
+    original = m.weights[localized.layer][localized.i, localized.j]
     positions, _ = init_swarm(localized, m, SwarmConfig(n_particles=5), np.random.default_rng(7))
     for row in positions[:3]:  # ceil(5/2) = 3 original-position particles
         assert row.tobytes() == original.tobytes()
-        bd = fitness(write_weights(m, localized.refs, row), neg, pos, base, cfg)
+        bd = fitness(write_localized(m, localized, row), neg, pos, base, cfg)
         assert bd.raw_fitness == identity.raw_fitness
         assert bd.n_intact == identity.n_intact
 
@@ -253,7 +256,7 @@ def test_init_swarm_original_half_matches_identity_fitness():
 def test_init_swarm_sampled_half_statistics():
     m = single_layer_model([[0.8, -0.2], [0.4, 0.1]])
     mu, sigma = layer_weight_stats(m, 0)
-    localized = localized_over([WeightRef(0, 0, 0)])
+    localized = localized_over(0, [(0, 0)])
     positions, _ = init_swarm(
         localized, m, SwarmConfig(n_particles=20000), np.random.default_rng(11)
     )
@@ -279,25 +282,24 @@ def test_layer_weight_stats_degenerate_sigma():
 def test_init_swarm_rejects_empty_localized():
     m = single_layer_model(np.eye(2))
     with pytest.raises(ValueError):
-        init_swarm(localized_over([]), m, SwarmConfig(), np.random.default_rng(0))
+        init_swarm(localized_over(0, []), m, SwarmConfig(), np.random.default_rng(0))
 
 
 def test_batch_scorer_matches_fitness_reference():
     rng = np.random.default_rng(31)
     for trial in range(24):
         m, localized, neg, pos = repair_scenario(rng, any_layer=True)
-        refs = localized.refs
         cfg = FitnessConfig(
             variant=("eq1", "eq2")[trial % 2],
             alpha=float(rng.uniform(0.5, 8)),
             perfect_intact=bool(trial // 2 % 2),
             loss_ratio_orientation=ORIENTATIONS[trial // 4 % 2],
         )
-        scorer = BatchScorer(m, refs, neg, pos, cfg)
+        scorer = BatchScorer(m, localized, neg, pos, cfg)
         assert scorer.base_losses == pytest.approx(base_losses(m, neg, pos), rel=1e-12)
-        original = np.array([m.weights[r.layer][r.i, r.j] for r in refs])
+        original = m.weights[localized.layer][localized.i, localized.j]
         p = int(rng.integers(8, 20))
-        positions = original + rng.normal(0.0, 1.0, size=(p, len(refs)))
+        positions = original + rng.normal(0.0, 1.0, size=(p, len(localized)))
         positions[0] = original
         positions[1, 0] = 1e308
         positions[2, -1] = -1e308
@@ -320,7 +322,7 @@ def test_batch_scorer_matches_fitness_reference():
         assert np.isnan(scores.loss_pos).all() != reads_pos_loss
 
         for k in np.flatnonzero(finite):
-            candidate = write_weights(m, refs, positions[k])
+            candidate = write_localized(m, localized, positions[k])
             with np.errstate(over="ignore", invalid="ignore"):
                 ref = fitness(candidate, neg, pos, scorer.base_losses, cfg)
             want = [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness]
@@ -366,12 +368,11 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
             perfect_intact=bool(trial // 4 % 2),
             loss_ratio_orientation=ORIENTATIONS[trial // 8 % 2],
         )
-        refs = localized.refs
-        scorer = BatchScorer(m, refs, neg, pos, cfg)
-        original = np.array([m.weights[r.layer][r.i, r.j] for r in refs])
+        scorer = BatchScorer(m, localized, neg, pos, cfg)
+        original = m.weights[localized.layer][localized.i, localized.j]
         p = int(rng.integers(12, 24))
         scale = np.array([0.0, 1e-14, 1e-12, 1e-10, 1.0])[np.arange(p) % 5][:, None]
-        positions = original + scale * rng.normal(size=(p, len(refs)))
+        positions = original + scale * rng.normal(size=(p, len(localized)))
         positions[5, 0] = 1e308
         positions[6, -1] = -1e308
         positions[7, 0] = np.nan
@@ -405,18 +406,17 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
             for n_units in (1, int(rng.integers(1, n_out)), n_out):
                 units = rng.choice(n_out, size=n_units, replace=False)
                 # every chosen unit owns a localized weight, some own more than one
-                refs = {WeightRef(layer, int(rng.integers(n_in)), int(j)) for j in units}
-                refs |= {WeightRef(layer, int(rng.integers(n_in)), int(rng.choice(units)))
-                         for _ in range(3)}
-                refs = sorted(refs, key=lambda r: r.sort_key)
+                refs = {(int(rng.integers(n_in)), int(j)) for j in units}
+                refs |= {(int(rng.integers(n_in)), int(rng.choice(units))) for _ in range(3)}
+                localized = localized_over(layer, sorted(refs, key=lambda r: (r[1], r[0])))
                 cfg = FitnessConfig(variant=("eq1", "eq2")[(trial + layer) % 2],
                                     alpha=float(rng.uniform(0.5, 8)),
                                     perfect_intact=bool(trial % 2))
-                scorer = BatchScorer(m, refs, neg, pos, cfg)
+                scorer = BatchScorer(m, localized, neg, pos, cfg)
                 assert scorer.units == (n_units, n_out)
-                original = np.array([m.weights[layer][r.i, r.j] for r in refs])
+                original = m.weights[layer][localized.i, localized.j]
                 p = int(rng.integers(8, 16))
-                positions = original + rng.normal(0.0, 1.0, size=(p, len(refs)))
+                positions = original + rng.normal(0.0, 1.0, size=(p, len(localized)))
                 positions[0] = original
 
                 scores, full = scorer(positions), scorer(positions, full=True)
@@ -431,7 +431,7 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
 
                 for k in range(p):
                     with np.errstate(over="ignore", invalid="ignore"):
-                        ref = fitness(write_weights(m, refs, positions[k]), neg, pos,
+                        ref = fitness(write_localized(m, localized, positions[k]), neg, pos,
                                       scorer.base_losses, cfg)
                     assert (full.n_patched[k], full.n_intact[k]) == (ref.n_patched, ref.n_intact)
                     np.testing.assert_allclose(
@@ -453,9 +453,9 @@ def test_overflowing_candidate_scores_minus_inf():
     model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
     i_neg = samples([[1.0, 0.5]], [1], ("n0",))
     i_pos = samples([[0.5, 1.0], [3.0, 0.2]], [0, 0], ("p0", "p1"))
-    refs = [WeightRef(0, 0, 1)]
+    localized = localized_over(0, [(0, 1)])
     base = base_losses(model, i_neg, i_pos)
-    huge = write_weights(model, refs, [1e308])
+    huge = write_localized(model, localized, [1e308])
     for variant in ("eq1", "eq2"):
         for gate in (False, True):
             cfg = FitnessConfig(variant=variant, perfect_intact=gate)
@@ -463,7 +463,7 @@ def test_overflowing_candidate_scores_minus_inf():
                 bd = fitness(huge, i_neg, i_pos, base, cfg)
             assert bd.n_patched == 1
             assert bd.raw_fitness == bd.gated_fitness == -np.inf
-            scorer = BatchScorer(model, refs, i_neg, i_pos, cfg)
+            scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
             for full in (False, True):
                 scores = scorer(np.array([[1e308]]), full=full)
                 assert scores.raw[0] == scores.gated[0] == -np.inf
@@ -474,7 +474,7 @@ def test_tie_with_identity_returns_the_original_model():
     model = single_layer_model([[1.0, 0.0], [0.3, -0.7]])
     i_neg = samples([[1.0, 0.0], [2.0, 0.0]], [1, 1], ("n0", "n1"))
     i_pos = samples([[0.5, 0.0], [3.0, 0.0]], [0, 0], ("p0", "p1"))
-    localized = localized_over([WeightRef(0, 1, 0), WeightRef(0, 1, 1)])
+    localized = localized_over(0, [(1, 0), (1, 1)])
     for gate in (False, True):
         out = repair(
             model, localized, i_neg, i_pos,
@@ -492,7 +492,7 @@ def threshold_setup():
     model = single_layer_model([[0.5, 0.0], [0.0, 0.0]])
     i_neg = samples([[1.0, 0.0]], [1], ("n0",))
     i_pos = samples([[0.0, 1.0]], [0], ("p0",))
-    localized = localized_over([WeightRef(0, 0, 1)])
+    localized = localized_over(0, [(0, 1)])
     return model, localized, i_neg, i_pos
 
 
@@ -536,7 +536,7 @@ def test_repair_empty_localized_set_flags_no_search_space():
     model, _, i_neg, i_pos = threshold_setup()
     out = repair(
         model,
-        LocalizedSet(refs=(), n_g=1, warning="localized set is empty"),
+        LocalizedSet(0, [], [], n_g=1, warning="localized set is empty"),
         i_neg,
         i_pos,
         FitnessConfig(),
@@ -579,8 +579,16 @@ def test_repair_invariants_over_random_scenarios():
                 np.testing.assert_array_equal(wa, wb)
         else:
             assert result.best.n_intact == len(pos)
+        # the returned breakdown describes the returned model
+        got = fitness(result.model, neg, pos, base, fcfg)
+        assert (result.best.n_patched, result.best.n_intact) == (got.n_patched, got.n_intact)
+        np.testing.assert_allclose(
+            [result.best.loss_neg_after, result.best.loss_pos_after,
+             result.best.raw_fitness, result.best.gated_fitness],
+            [got.loss_neg_after, got.loss_pos_after, got.raw_fitness, got.gated_fitness],
+            rtol=1e-9)
         # confinement: every weight outside the localized set is untouched
-        touched = {(r.layer, r.i, r.j) for r in localized.refs}
+        touched = {(localized.layer, i, j) for i, j in zip(localized.i, localized.j)}
         for k in range(m.n_layers):
             n_in, n_out = m.weights[k].shape
             for i in range(n_in):
