@@ -32,8 +32,8 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 SPLIT_NAMES = ("train", "validation", "repair", "test")
 
 
-class RepairInputError(RuntimeError):
-    """Repair input selection could not produce usable sample sets."""
+class RepairInputError(ValueError):
+    """Repair input selection could not produce usable sample sets: a refused input."""
 
 
 class NothingToRepairError(RepairInputError):

@@ -201,6 +201,7 @@ def run_repair_pipeline(
     t0 = time.perf_counter()
     entry = exp.grid[config_idx]
     before = {name: evaluate(model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
+    evaluate_s = time.perf_counter() - t0
 
     result = _new_record(exp, config_idx, rep_idx, "ok")
 
@@ -215,23 +216,29 @@ def run_repair_pipeline(
             _persist_run(result, None, None, out_dir, {"runtime_seconds": time.perf_counter() - t0})
         return result
 
+    t_localize = time.perf_counter()
     localized = localize_to_count(
         model, inputs.negative_set, inputs.positive_pool, exp.layer, entry.target_lw
     )
+    localize_s = time.perf_counter() - t_localize
     i_pos = sample_positives(inputs.positive_pool, entry.n_pos, result.pos_seed)
     fcfg, scfg = exp.search(config_idx, result.swarm_seed)
     t_repair = time.perf_counter()
     rr = repair(model, localized, inputs.negative_set, i_pos, fcfg, scfg)
+    t_after = time.perf_counter()
+    after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
     telemetry = {
-        "repair_s": time.perf_counter() - t_repair,
+        "localize_s": localize_s,
+        "repair_s": t_after - t_repair,
+        "evaluate_s": evaluate_s + time.perf_counter() - t_after,
         "candidates_scored": rr.candidates_scored,
+        "gate_screened": rr.gate_screened,
         "band_fallback_columns": rr.band_fallback_columns,
         "units_recomputed": rr.units_recomputed,
         "units_total": rr.units_total,
         "n_g": localized.n_g,
         "localization_curve": localized.curve,
     }
-    after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
 
     result.n_neg = len(inputs.negative_set)
     result.n_pos = len(i_pos)

@@ -18,6 +18,7 @@ from .data import Dataset
 from .formats import write_csv
 from .localization import LocalizedSet
 from .network import (
+    PROB_CLAMP,
     Model,
     _activate,
     forward,
@@ -43,6 +44,12 @@ CHUNK_BYTES = 512 * 1024
 # BAND is not. exp(-BAND) stays far from 1 in float64, so no probability tie can
 # hide inside either case; samples in between go through softmax + argmax.
 BAND = 1e-9
+
+# Under the perfect-intact gate, each search call first scores the SCREEN samples of
+# I_pos with the smallest logit margin at the subject, and rejects a candidate that
+# clearly breaks one of them without scoring the rest of I_pos; sets smaller than
+# 4 * SCREEN are scored in full.
+SCREEN = 32
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,7 @@ class TraceRow:
     gbest_fitness: float
     n_patched: int
     n_intact: int
-    n_gated: int  # candidates of this iteration whose score the gate changed
+    n_gated: int  # candidates of this iteration the gate zeroed (screened ones included)
     n_pbest_improved: int  # particles whose personal best rose this iteration
 
 
@@ -129,6 +136,7 @@ class RepairResult:
     band_fallback_columns: int = 0  # telemetry: I_pos samples counted by softmax + argmax
     units_recomputed: int = 0  # telemetry: repair-layer units each candidate recomputes
     units_total: int = 0  # telemetry: the repair layer's width
+    gate_screened: int = 0  # telemetry: candidates the gate screen rejected
 
 
 def sample_positives(positive_pool: Dataset, n_pos: int, seed: int) -> Dataset:
@@ -180,6 +188,7 @@ class Scores(NamedTuple):
     loss_pos: np.ndarray
     raw: np.ndarray
     gated: np.ndarray
+    gate: np.ndarray  # candidates the perfect-intact gate zeroed
 
     def breakdown(self, k: int, base_losses: tuple[float, float]) -> FitnessBreakdown:
         return FitnessBreakdown(
@@ -190,18 +199,22 @@ class Scores(NamedTuple):
         )
 
 
-def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined) -> Scores:
+def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined,
+           screened=False) -> Scores:
     """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
     mean losses, one column per candidate. A candidate that is `undefined`
     (some sample's softmax is nan) or whose raw fitness is not finite scores
-    -inf, raw and gated, whether or not the objective reads the broken loss."""
+    -inf, raw and gated, whether or not the objective reads the broken loss.
+    A `screened` candidate broke an I_pos sample under finite logits, so its
+    I_pos row (-1, nan) is not scored: its raw score is nan and the gate
+    zeroes it unless I_neg makes it -inf."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
         raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
-    scorable = np.isfinite(raw) & ~undefined
-    raw = np.where(scorable, raw, -np.inf)
-    gated = np.where(cfg.perfect_intact & (counts[1] < sizes[1]) & scorable, 0.0, raw)
-    return Scores(*counts, *losses, raw, gated)
+    scorable = (np.isfinite(raw) | screened) & ~undefined
+    raw = np.where(screened, np.nan, np.where(scorable, raw, -np.inf))
+    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable
+    return Scores(*counts, *losses, raw, np.where(gate, 0.0, raw), gate)
 
 
 def fitness(
@@ -281,6 +294,17 @@ class BatchScorer:
     full path's bit for bit. Its loss is then left nan; `full=True` computes
     every loss. A candidate with a non-finite value, or under which any
     sample's softmax is nan (a +inf or nan logit), scores -inf.
+
+    Under the perfect-intact gate, with at least 4 * SCREEN I_pos samples, a
+    call that is not `full` first computes the label margins of a third set:
+    the SCREEN I_pos samples with the smallest margin at the subject, in I_pos
+    order. A candidate is screened out when an interval bound, |W| @ max|a| +
+    |b| carried up from the repair layer, certifies that all its I_pos logits
+    are finite, and one screen margin lies below -(BAND + slack * bound): the
+    slack covers the rounding by which products over different sample sets
+    can differ, so I_pos's count path would find that sample broken too. A
+    screened candidate skips I_pos, and `_score` gives it the gated score the
+    full count would.
     """
 
     def __init__(self, model: Model, localized: LocalizedSet, i_neg: Dataset, i_pos: Dataset,
@@ -309,11 +333,10 @@ class BatchScorer:
         # the logit rows each candidate computes; under last-layer repair the rest are fixed
         self.rows = np.arange(model.n_classes) if above else touched
         self.fixed_rows = untouched if not above and untouched.size else None
-        self.sets = []
-        for ds in (i_neg, i_pos):
-            n, labels = len(ds), ds.labels
+
+        def cache(a: np.ndarray, labels: np.ndarray) -> _Cached:
+            n = len(labels)
             samples = np.arange(n)
-            a = layer_inputs(model, ds.features, layer).T.copy()
             z0 = w @ a + b
             adds = [b[touched]]
             if above:
@@ -335,82 +358,165 @@ class BatchScorer:
                 fixed_others = fixed.copy()
                 fixed_others[urow[label_is_fixed], samples[label_is_fixed]] = -np.inf
                 fixed_best = fixed_others.max(axis=0)
-            self.sets.append(_Cached(a, labels, samples, adds, others, row * n + samples,
-                                     label_add, fixed, fixed_best, label_is_fixed, fixed_label))
-        # each set's chunk is sized by the widest array its objective's path computes
-        # per candidate: the K rows and the layers above, and all classes for softmax
-        widest = (max(*self.widths, self.n_classes), max(self.widths))
-        count_only = (False, cfg.variant == "eq2")
-        self.chunks = [max(1, CHUNK_BYTES // (8 * widest[c] * max(n, w.shape[1])))
-                       for n, c in zip(self.sizes, count_only)]
-        self.n_scored, self.n_fallback = 1, 0  # candidates scored; I_pos columns in the band
-        counts, losses, undefined = self._kernel(original, True)
+            return _Cached(a, labels, samples, adds, others, row * n + samples,
+                           label_add, fixed, fixed_best, label_is_fixed, fixed_label)
+
+        def chunk(n: int, count_only: bool) -> int:
+            # sized by the widest array the set's path computes per candidate: the
+            # K rows and the layers above, and all classes for softmax
+            widest = max(self.widths) if count_only else max(*self.widths, self.n_classes)
+            return max(1, CHUNK_BYTES // (8 * widest * max(n, w.shape[1])))
+
+        self.sets = [cache(layer_inputs(model, ds.features, layer).T.copy(), ds.labels)
+                     for ds in (i_neg, i_pos)]
+        self.chunks = [chunk(len(i_neg), False), chunk(len(i_pos), cfg.variant == "eq2")]
+        self.n_scored, self.n_fallback, self.n_screened = 1, 0, 0  # telemetry, as on RepairResult
+        self.screen = None
+        counts, losses, undefined, _ = self._kernel(original, True)
         self.base_losses = tuple(float(row[0]) for row in losses)
         self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
 
+        # a defined candidate's losses lie in [0, -log(PROB_CLAMP)], so its raw score
+        # is finite, and a screened one's gated score is known, when this bound is
+        ratio = (1.0 - math.log(PROB_CLAMP) + cfg.delta) / cfg.delta
+        raw_max = 1.0 + cfg.alpha + (2.0 if cfg.variant == "eq1" else cfg.beta) * ratio
+        if not (cfg.perfect_intact and len(i_pos) >= 4 * SCREEN and raw_max < 1e300
+                and np.isfinite(self.base_losses).all()):
+            return
+        pos = self.sets[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, z = next(self._products(pos, original, 1))
+            margin = self._margins(z, pos, np.empty_like(z))[0]
+        picked = np.sort(np.argsort(margin, kind="stable")[:SCREEN])
+        # the screen reads I_pos's own inputs, bit for bit
+        self.sets.append(cache(pos.a[:, picked], pos.labels[picked]))
+        self.chunks.append(chunk(SCREEN, True))
+        # the interval bound: the K rows' base plus each localized weight's |value|
+        # times its input's largest |a| over I_pos, then per layer above a matrix and
+        # an add; under last-layer repair the untouched logit rows bound it from below
+        amax = np.abs(pos.a).max(axis=1)
+        kept = np.abs(self.weights)
+        kept.reshape(-1)[self.flat] = 0.0
+        spread = np.zeros((len(i), len(touched)))
+        spread[np.arange(len(i)), np.searchsorted(touched, j)] = amax[i]
+        units = np.abs(w) @ amax + np.abs(b[:, 0])
+        ups = [(np.abs(wk[touched]), units[untouched] @ np.abs(wk[untouched]) + np.abs(bk)) if k == 0
+               else (np.abs(wk), np.abs(bk)) for k, (_, wk, bk) in enumerate(above)]
+        floor = 0.0 if above else units[untouched].max(initial=0.0)
+        # two float evaluations of one margin differ by at most about 2u * terms * bound
+        # (u = eps / 2; per layer, a dot product of fan-in terms and an add; then the
+        # label's add and the subtraction); the slack is four times that
+        terms = sum(spec.input_size + 1 for spec in model.layers[layer:]) + 2
+        slack = 4 * np.finfo(np.float64).eps * terms
+        self.screen = (kept @ amax + np.abs(b[touched, 0]), spread, ups, floor, slack)
+
     def _kernel(self, positions: np.ndarray, full: bool):
         """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
-        and which candidates are undefined."""
-        counts = np.zeros((2, len(positions)), dtype=np.int64)
-        losses = np.full((2, len(positions)), np.nan)
+        which candidates are undefined, and which the screen rejected (their
+        I_pos count stays -1 and their I_pos loss nan)."""
+        counts = np.empty((2, len(positions)), dtype=np.int64)
+        losses = np.empty((2, len(positions)))
+        counts[1], losses[1] = -1, np.nan  # what a screened candidate keeps
         undefined = ~np.isfinite(positions).all(axis=1)
-        count_only = (False, not full and self.cfg.variant == "eq2")
-        last = len(self.stages) - 1
+        screened, survivors = np.zeros(len(positions), dtype=bool), slice(None)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, c in enumerate(self.sets):
-                # scratch reused by every chunk: arrays this size freed and allocated
-                # again per chunk cost page faults that outweigh the arithmetic; the
-                # entries no candidate changes are written once per call
-                chunk = max(1, min(self.chunks[s], len(positions)))
-                n_samples = len(c.labels)
-                weight_stack = np.empty((chunk, *self.weights.shape))
-                weight_stack[...] = self.weights
-                z_stacks = [np.empty((chunk, width, n_samples)) for width in self.widths]
-                logits = None
-                if count_only[s]:
-                    spare = np.empty_like(z_stacks[-1])
-                else:  # softmax output; the logits keep their fixed rows
-                    spare = np.empty((chunk, self.n_classes, n_samples))
-                    if self.fixed_rows is not None:
-                        logits = np.empty_like(spare)
-                        logits[:, self.fixed_rows] = c.fixed
-                for lo in range(0, len(positions), chunk):
-                    block = positions[lo:lo + chunk]
-                    n, cols = len(block), slice(lo, lo + len(block))
-                    weights = weight_stack[:n]
-                    weights.reshape(n, -1)[:, self.flat] = block
-                    out = c.a
-                    for k, ((activation, w), add) in enumerate(zip(self.stages, c.adds)):
-                        z = np.matmul(weights if k == 0 else w, out, out=z_stacks[k][:n])
-                        if k < last:
-                            z += add
-                            out = _activate(z, activation, axis=-2, out=z)
-                    if count_only[s]:
-                        counts[s, cols], bad = self._count_from_logits(z, c, spare[:n])
-                    else:
-                        z += c.adds[-1]
-                        if logits is not None:
-                            logits[:n, self.rows] = z
-                            z = logits[:n]
-                        out = _activate(z, "softmax", axis=-2, out=spare[:n])
-                        counts[s, cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
-                        # C order, so each mean sums its samples as a 1-D batch would
-                        picked = np.ascontiguousarray(out[:, c.labels, c.samples])
-                        losses[s, cols] = loss_from_picked(picked)
-                        bad = np.isnan(losses[s, cols])
-                    undefined[cols] |= bad
+            if self.screen is not None and not full:
+                screened = self._screen(positions)
+                survivors = np.flatnonzero(~screened)
+            for s, todo in enumerate((slice(None), survivors)):
+                count_only = s == 1 and not full and self.cfg.variant == "eq2"
+                counts[s, todo], losses[s, todo], bad = self._set_scores(s, positions[todo], count_only)
+                undefined[todo] |= bad
+        return counts, losses, undefined, screened
+
+    def _products(self, c: _Cached, positions: np.ndarray, chunk: int):
+        """Each `chunk` of `positions` on set `c`: its slice of the candidates and
+        their computed logit rows' (chunk, rows, n) product before the last add."""
+        # scratch reused by every chunk: arrays this size freed and allocated
+        # again per chunk cost page faults that outweigh the arithmetic; the
+        # entries no candidate changes are written once per call
+        weight_stack = np.empty((chunk, *self.weights.shape))
+        weight_stack[...] = self.weights
+        z_stacks = [np.empty((chunk, width, len(c.labels))) for width in self.widths]
+        last = len(self.stages) - 1
+        for lo in range(0, len(positions), chunk):
+            block = positions[lo:lo + chunk]
+            n = len(block)
+            weights = weight_stack[:n]
+            weights.reshape(n, -1)[:, self.flat] = block
+            out = c.a
+            for k, ((activation, w), add) in enumerate(zip(self.stages, c.adds)):
+                z = np.matmul(weights if k == 0 else w, out, out=z_stacks[k][:n])
+                if k < last:
+                    z += add
+                    out = _activate(z, activation, axis=-2, out=z)
+            yield slice(lo, lo + n), z
+
+    def _set_scores(self, s: int, positions: np.ndarray, count_only: bool):
+        """Correct counts, mean losses (nan when count_only) and undefined flags
+        of `positions` on set `s`, one per candidate."""
+        c = self.sets[s]
+        counts = np.zeros(len(positions), dtype=np.int64)
+        losses = np.full(len(positions), np.nan)
+        undefined = np.zeros(len(positions), dtype=bool)
+        chunk = max(1, min(self.chunks[s], len(positions)))
+        # the count path's scratch, or the softmax output
+        spare = np.empty((chunk, len(self.rows) if count_only else self.n_classes, len(c.labels)))
+        logits = None
+        if not count_only and self.fixed_rows is not None:  # the logits keep their fixed rows
+            logits = np.empty_like(spare)
+            logits[:, self.fixed_rows] = c.fixed
+        for cols, z in self._products(c, positions, chunk):
+            n = len(z)
+            if count_only:
+                counts[cols], undefined[cols] = self._count_from_logits(z, c, spare[:n])
+                continue
+            z += c.adds[-1]
+            if logits is not None:
+                logits[:n, self.rows] = z
+                z = logits[:n]
+            out = _activate(z, "softmax", axis=-2, out=spare[:n])
+            counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
+            # C order, so each mean sums its samples as a 1-D batch would
+            picked = np.ascontiguousarray(out[:, c.labels, c.samples])
+            losses[cols] = loss_from_picked(picked)
+            undefined[cols] = np.isnan(losses[cols])
         return counts, losses, undefined
 
-    def _count_from_logits(self, z: np.ndarray, c: _Cached, spare: np.ndarray):
-        """Correct counts and undefined flags of set `c` from the computed logit
-        rows' (chunk, rows, n) products before the last add, by label margin;
-        `spare` is scratch of z's shape."""
+    def _screen(self, positions: np.ndarray) -> np.ndarray:
+        """Candidates whose I_pos logits are certified finite and that break a
+        screen sample by more than BAND plus the rounding slack."""
+        c = self.sets[2]
+        chunk = max(1, min(self.chunks[2], len(positions)))
+        spare = np.empty((chunk, len(self.rows), len(c.labels)))
+        least = np.empty(len(positions))
+        for cols, z in self._products(c, positions, chunk):
+            least[cols] = self._margins(z, c, spare[:len(z)]).min(axis=-1)
+        base, spread, ups, floor, slack = self.screen
+        bound = base + np.abs(positions) @ spread
+        for m, add in ups:
+            bound = bound @ m + add
+        bound = np.maximum(bound.max(axis=1), floor)
+        screened = (bound < 1e300) & (least < -(BAND + slack * bound))
+        self.n_screened += int(screened.sum())
+        return screened
+
+    def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
+        """Label margins of set `c`, (chunk, n): each sample's label logit less its
+        best other logit, from the computed logit rows' (chunk, rows, n) products
+        before the last add; `spare` is scratch of z's shape."""
         label_z = np.take(z.reshape(len(z), -1), c.at_label, axis=1) + c.label_add
         best = np.add(z, c.others, out=spare).max(axis=-2)
         if c.fixed is not None:
             np.copyto(label_z, c.fixed_label, where=c.label_is_fixed)
             np.maximum(best, c.fixed_best, out=best)
-        margin = label_z - best
+        return label_z - best
+
+    def _count_from_logits(self, z: np.ndarray, c: _Cached, spare: np.ndarray):
+        """Correct counts and undefined flags of set `c` from the computed logit
+        rows' (chunk, rows, n) products before the last add, by label margin;
+        `spare` is scratch of z's shape."""
+        margin = self._margins(z, c, spare)
         correct = margin > BAND
         unsure = ~np.isfinite(margin) | (np.abs(margin) <= BAND)
         undefined = np.zeros(len(z), dtype=bool)
@@ -430,10 +536,11 @@ class BatchScorer:
 
     def __call__(self, positions: np.ndarray, full: bool = False) -> Scores:
         """Scores of a (P, D) array of candidate weight values; with `full`,
-        every loss is computed even where the objective does not read it."""
+        every loss is computed even where the objective does not read it, and
+        no candidate is screened."""
         self.n_scored += len(positions)
-        counts, losses, undefined = self._kernel(positions, full)
-        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined)
+        counts, losses, undefined, screened = self._kernel(positions, full)
+        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened)
 
 
 def init_swarm(
@@ -499,9 +606,10 @@ def repair(
         k = int(np.argmax(pbest_fit))
         if gbest is None or pbest_fit[k] > gbest.gated_fitness:
             gbest, gbest_pos = scores.breakdown(k, scorer.base_losses), pbest_pos[k].copy()
-        n_gated = int(np.count_nonzero(scores.gated != scores.raw))
+            if gbest.n_intact < 0:  # screened; the trace reports its I_pos count
+                gbest = scorer(gbest_pos[None], full=True).breakdown(0, scorer.base_losses)
         trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact,
-                              n_gated, int(improved.sum())))
+                              int(scores.gate.sum()), int(improved.sum())))
 
     if gbest.gated_fitness > scorer.identity.gated[0]:
         patched = write_weights(model, localized.layer, localized.i, localized.j, gbest_pos)
@@ -511,7 +619,8 @@ def repair(
     return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,
                         identity_fallback=gbest_pos is None,
                         candidates_scored=scorer.n_scored, band_fallback_columns=scorer.n_fallback,
-                        units_recomputed=scorer.units[0], units_total=scorer.units[1])
+                        units_recomputed=scorer.units[0], units_total=scorer.units[1],
+                        gate_screened=scorer.n_screened)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -323,3 +324,15 @@ def test_cli_sweep_and_report(config_path, tmp_path):
     assert main([
         "sweep", "--config", str(config_path), "--out-dir", str(sweep_dir), "--seed", "7",
     ]) == 2
+
+
+def test_cli_localize_refuses_a_subject_with_nothing_to_repair(tmp_path, capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "quickstart.yaml"
+    text = re.sub(r"(?m)^( *target_class:) 1$", r"\1 0", config.read_text())
+    assert text.count("target_class: 0") == 2
+    path = tmp_path / "nothing.yaml"
+    path.write_text(text)
+    assert main(["localize", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nothing to repair") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

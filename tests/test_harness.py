@@ -267,6 +267,10 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
             assert timing["candidates_scored"] == searched + 1 + winner
             assert 0 <= timing["band_fallback_columns"] <= timing["candidates_scored"] * exp.grid[ci].n_pos
             assert 0 < timing["repair_s"] <= timing["runtime_seconds"]
+            stages = [timing[k] for k in ("localize_s", "repair_s", "evaluate_s")]
+            assert min(stages) > 0 and sum(stages) <= timing["runtime_seconds"]
+            # I_pos holds fewer than 4 * SCREEN samples here, so nothing is screened
+            assert timing["gate_screened"] == 0
             # the repair layer is the last one; its units owning a localized weight
             localized = (run_dir / "localized.csv").read_text().splitlines()[1:]
             assert timing["units_total"] == exp.subject.layer_sizes[-1]

@@ -1,6 +1,8 @@
 """Fitness variants, gating, swarm initialization, and the PSO repair loop."""
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from nnpatch import (
 from nnpatch.network import forward, loss, write_weights
 from nnpatch.repair import (
     ORIENTATIONS,
+    SCREEN,
     BatchScorer,
     layer_weight_stats,
     loss_ratio,
@@ -25,6 +28,8 @@ from nnpatch.repair import (
 )
 
 from helpers import random_batch, random_model, samples, single_layer_model, toy_dataset
+
+repair_module = importlib.import_module("nnpatch.repair")  # `nnpatch.repair` is the function
 
 
 def base_losses(model, i_neg, i_pos):
@@ -467,6 +472,111 @@ def test_overflowing_candidate_scores_minus_inf():
             for full in (False, True):
                 scores = scorer(np.array([[1e308]]), full=full)
                 assert scores.raw[0] == scores.gated[0] == -np.inf
+
+
+def screened_scenario(rng, m, layer):
+    """An I_pos of 4 * SCREEN or more passing samples for `m`, an I_neg of the
+    1..8 samples of the same draw with the smallest margin, each labelled with
+    its runner-up class, and a random localized set of `layer`."""
+    n = int(rng.integers(4 * SCREEN, 6 * SCREEN))
+    x = rng.normal(0.0, 1.5, size=(n + 8, m.input_size))
+    probs = forward(m, x)
+    ranked = np.argsort(probs, axis=1)
+    order = np.argsort(np.diff(np.sort(probs, axis=1)[:, -2:], axis=1)[:, 0], kind="stable")
+    n_neg = int(rng.integers(1, 9))
+    neg, kept = np.sort(order[:n_neg]), np.sort(order[n_neg:n_neg + n])
+    pos = samples(x[kept], ranked[kept, -1], (f"p{k}" for k in range(n)), m.n_classes)
+    neg = samples(x[neg], ranked[neg, -2], (f"n{k}" for k in range(n_neg)), m.n_classes)
+    n_in, n_out = m.weights[layer].shape
+    k = int(rng.integers(1, n_in * n_out + 1))
+    i, j = np.divmod(np.sort(rng.choice(n_in * n_out, size=k, replace=False)), n_out)
+    return LocalizedSet(layer, i, j, n_g=k), neg, pos
+
+
+def unscreened(monkeypatch, *args):
+    """A BatchScorer of `args` built with the gate screen off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(repair_module, "SCREEN", 10**9)
+        return BatchScorer(*args)
+
+
+def test_gate_screen_keeps_every_gated_score(monkeypatch):
+    rng = np.random.default_rng(97)
+    n_screened = n_passed = 0
+    for trial in range(6):
+        m = random_model(rng, n_layers=trial % 3 + 1)
+        for layer in range(m.n_layers):
+            localized, neg, pos = screened_scenario(rng, m, layer)
+            for variant in ("eq1", "eq2"):
+                cfg = FitnessConfig(variant=variant, alpha=float(rng.uniform(0.5, 8)),
+                                    perfect_intact=True,
+                                    loss_ratio_orientation=ORIENTATIONS[trial % 2])
+                scorer = BatchScorer(m, localized, neg, pos, cfg)
+                ref = unscreened(monkeypatch, m, localized, neg, pos, cfg)
+                original = m.weights[layer][localized.i, localized.j]
+                p = int(rng.integers(24, 40))
+                scale = np.array([0.0, 1e-3, 0.1, 1.0])[np.arange(p) % 4][:, None]
+                positions = original + scale * rng.normal(size=(p, len(localized)))
+                positions[1, 0] = 1e308
+                positions[2, -1] = -1e308
+                positions[3, 0] = np.nan
+                positions[5, -1] = np.inf
+                positions[6, 0] = -np.inf
+                positions[7] = 1e308
+
+                got, want, full = scorer(positions), ref(positions), scorer(positions, full=True)
+                # the screen changes no gated score and no gate verdict
+                np.testing.assert_array_equal(got.gated, full.gated)
+                np.testing.assert_array_equal(got.gated, want.gated)
+                np.testing.assert_array_equal(got.gate, full.gate)
+                screened = got.n_intact == -1
+                assert not screened[0] and not screened[~np.isfinite(positions).all(axis=1)].any()
+                assert np.isnan(got.raw[screened]).all() and np.isnan(got.loss_pos[screened]).all()
+                assert (full.n_intact[screened] < len(pos)).all()
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a[~screened], b[~screened])
+                # one chunk loop for all three sets: no score depends on the chunk
+                for chunk in (1, 7, p):
+                    scorer.chunks = [chunk] * 3
+                    for a, b in zip(scorer(positions), got):
+                        np.testing.assert_array_equal(a, b)
+                assert full.breakdown(0, scorer.base_losses) == scorer.identity.breakdown(0, scorer.base_losses)
+                n_screened += screened.sum()
+                n_passed += (~got.gate & np.isfinite(got.gated)).sum()
+    assert n_screened > 0 and n_passed > 0
+
+
+def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
+    rng = np.random.default_rng(41)
+    n_screened = n_repaired = 0
+    for trial in range(10):
+        m = random_model(rng)
+        localized, neg, pos = screened_scenario(rng, m, int(rng.integers(0, m.n_layers)))
+        fcfg = FitnessConfig(variant=("eq1", "eq2")[trial % 2], alpha=float(rng.uniform(0.5, 8)),
+                             perfect_intact=True)
+        scfg = SwarmConfig(n_particles=int(rng.integers(8, 16)),
+                           n_iterations=int(rng.integers(2, 8)), seed=trial)
+        broken = trial >= 8  # I_pos holds a sample the subject gets wrong: the identity is screened
+        if broken:
+            labels = pos.labels.copy()
+            labels[0] = (labels[0] + 1) % m.n_classes
+            pos = samples(pos.features, labels, pos.sample_ids, m.n_classes)
+        got = repair(m, localized, neg, pos, fcfg, scfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(repair_module, "SCREEN", len(pos) + 1)
+            want = repair(m, localized, neg, pos, fcfg, scfg)
+        assert want.gate_screened == 0
+        assert got.trace == want.trace
+        assert got.best == want.best
+        assert got.identity_fallback == want.identity_fallback
+        np.testing.assert_array_equal(got.best_position, want.best_position)
+        for wa, wb in zip(got.model.weights, want.model.weights):
+            np.testing.assert_array_equal(wa, wb)
+        if broken:
+            assert got.gate_screened > 0 and got.trace[0].n_intact == len(pos) - 1
+        n_screened += got.gate_screened
+        n_repaired += not got.identity_fallback
+    assert n_screened > 0 and n_repaired > 0
 
 
 def test_tie_with_identity_returns_the_original_model():
