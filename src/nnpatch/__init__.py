@@ -39,7 +39,7 @@ from .localization import (
     localize,
     localize_to_count,
 )
-from .metrics import EvalReport, RepairDiff, check_regression, diff, evaluate
+from .metrics import EvalReport, RepairDiff, diff, evaluate
 from .network import (
     LayerSpec,
     Model,
@@ -91,7 +91,6 @@ __all__ = [
     "aggregate_runs",
     "apply_drift",
     "build_mlp",
-    "check_regression",
     "compute_impacts",
     "derive_run_seeds",
     "diff",

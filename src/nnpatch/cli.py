@@ -29,7 +29,7 @@ from .data import (
     select_repair_inputs,
     split,
 )
-from .formats import as_dict
+from .formats import as_dict, write_json
 from .harness import (
     emit_report,
     load_sweep_dir,
@@ -131,12 +131,11 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     ds = load_dataset(args.data)
     report = evaluate(model, ds)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="ascii")
+        write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")
     else:
-        print(text)
+        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     return 0
 
 

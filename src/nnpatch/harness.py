@@ -5,8 +5,9 @@ of repetitions. Each run gets its own directory and RNG streams derived
 from (master_seed, config index, repetition index). A run.json that reads
 back, names its own directory and grid entry, and holds every split marks a
 completed run of a directory whose sweep.json reads back, which is what
-makes sweeps resumable; any other record is rerun. Wall-clock runtimes live in timing.json sidecars so everything else
-is byte-stable. Every file is written through `nnpatch.formats`.
+makes sweeps resumable; any other record is rerun. Wall-clock runtimes live
+in timing.json sidecars so everything else is byte-stable. Every file is
+written through `nnpatch.formats`.
 """
 from __future__ import annotations
 
@@ -68,13 +69,8 @@ class ExperimentSpec:
     master_seed: int = 0
     repair_layer: int = -1
     n_iterations: int = SwarmConfig.n_iterations
-    inertia: float = SwarmConfig.inertia
-    cognitive: float = SwarmConfig.cognitive
-    social: float = SwarmConfig.social
-    velocity_clamp: float = SwarmConfig.velocity_clamp
     beta: float = FitnessConfig.beta
     delta: float = FitnessConfig.delta
-    orientation: str = FitnessConfig.loss_ratio_orientation
 
     def __post_init__(self) -> None:
         grid = tuple(e if isinstance(e, GridEntry) else from_dict(GridEntry, e) for e in self.grid)
@@ -101,13 +97,10 @@ class ExperimentSpec:
     def search(self, ci: int, swarm_seed: int) -> tuple[FitnessConfig, SwarmConfig]:
         """The objective and swarm of grid entry `ci`, the swarm seeded with `swarm_seed`."""
         entry = self.grid[ci]
-        fitness = FitnessConfig(
-            variant=entry.variant, alpha=entry.alpha, perfect_intact=entry.pi,
-            beta=self.beta, delta=self.delta, loss_ratio_orientation=self.orientation)
-        swarm = SwarmConfig(
-            n_particles=entry.n_particles, n_iterations=self.n_iterations, inertia=self.inertia,
-            cognitive=self.cognitive, social=self.social, velocity_clamp=self.velocity_clamp,
-            seed=swarm_seed)
+        fitness = FitnessConfig(variant=entry.variant, alpha=entry.alpha, beta=self.beta,
+                                delta=self.delta, perfect_intact=entry.pi)
+        swarm = SwarmConfig(n_particles=entry.n_particles, n_iterations=self.n_iterations,
+                            seed=swarm_seed)
         return fitness, swarm
 
 

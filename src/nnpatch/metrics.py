@@ -1,10 +1,9 @@
-"""Evaluation reports, before/after diffs, and regression checks at the
-overall-accuracy and instance level.
+"""Evaluation reports and before/after diffs.
 
 A report holds one model's verdicts as arrays aligned with the dataset's
-sample ids; accuracies, diffs and class scopes are mask arithmetic over
-them. Two reports compare by position, so they must list the same ids in
-the same order, as two evaluations of one Dataset do.
+sample ids; accuracies and diffs are mask arithmetic over them. Two
+reports compare by position, so they must list the same ids in the same
+order, as two evaluations of one Dataset do.
 """
 from __future__ import annotations
 
@@ -47,12 +46,10 @@ class EvalReport:
         return self.labels == self.predicted
 
     @property
-    def verdicts(self) -> dict[str, bool]:
-        return dict(zip(self.sample_ids, self.passed.tolist()))
-
-    @property
     def overall_accuracy(self) -> float:
-        return _accuracy(self.passed)
+        if not len(self):
+            return 1.0  # degenerate: no sample failed
+        return int(np.count_nonzero(self.passed)) / len(self)
 
     @property
     def per_class_accuracy(self) -> dict[int, float]:
@@ -73,12 +70,6 @@ class EvalReport:
         }
 
 
-def _accuracy(passed: np.ndarray) -> float:
-    if not len(passed):
-        return 1.0  # degenerate: no sample failed
-    return int(np.count_nonzero(passed)) / len(passed)
-
-
 @dataclass(frozen=True)
 class RepairDiff:
     """Verdict changes between two reports over the same samples."""
@@ -91,10 +82,6 @@ class RepairDiff:
     def __post_init__(self) -> None:
         if self.broken & self.repaired:
             raise ValueError("a sample cannot be both broken and repaired")
-
-    @property
-    def total(self) -> int:
-        return len(self.broken) + len(self.repaired) + self.unchanged_pass + self.unchanged_fail
 
 
 def evaluate(model: Model, data: Dataset) -> EvalReport:
@@ -130,44 +117,4 @@ def diff(before: EvalReport, after: EvalReport) -> RepairDiff:
         frozenset(compress(before.sample_ids, ~b & a)),
         int(np.count_nonzero(b & a)),
         int(np.count_nonzero(~b & ~a)),
-    )
-
-
-@dataclass(frozen=True)
-class RegressionCheck:
-    """Outcome of a suppression check, with the evidence behind it."""
-
-    ok: bool
-    level: str
-    scope: str
-    evidence: dict
-
-
-def check_regression(before: EvalReport, after: EvalReport, level: str, scope="all") -> RegressionCheck:
-    """Suppression check over the samples in scope: every sample, or those
-    whose label in `before` is the class `scope`.
-
-    level "overall": accuracy within scope did not drop. level "instance":
-    no individual in-scope sample flipped from pass to fail.
-    """
-    if level not in ("overall", "instance"):
-        raise ValueError(f"unknown level {level!r}")
-    _check_aligned(before, after)
-    in_scope = np.ones(len(before), dtype=bool) if scope == "all" else before.labels == int(scope)
-    scope_name = "all" if scope == "all" else f"class {int(scope)}"
-    if level == "overall":
-        acc_before = _accuracy(before.passed[in_scope])
-        acc_after = _accuracy(after.passed[in_scope])
-        return RegressionCheck(
-            ok=acc_after >= acc_before,
-            level=level,
-            scope=scope_name,
-            evidence={"before_accuracy": acc_before, "after_accuracy": acc_after},
-        )
-    violating = sorted(compress(before.sample_ids, in_scope & before.passed & ~after.passed))
-    return RegressionCheck(
-        ok=not violating,
-        level=level,
-        scope=scope_name,
-        evidence={"broken_ids": violating},
     )

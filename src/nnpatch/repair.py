@@ -31,7 +31,6 @@ from .network import (
 )
 
 VARIANTS = ("eq1", "eq2")
-ORIENTATIONS = ("prose", "literal")
 
 # Cap on each stacked weight or activation array that BatchScorer computes on the
 # objective's path (a `full=True` call on a count-only set may pass it by C/|K|):
@@ -51,6 +50,14 @@ BAND = 1e-9
 # 4 * SCREEN are scored in full.
 SCREEN = 32
 
+# The swarm's dynamics: the constriction coefficients of Clerc & Kennedy (IEEE TEC
+# 2002) for inertia and the cognitive and social pulls, and each velocity component
+# clamped to VELOCITY_CLAMP times the repair layer's weight standard deviation.
+INERTIA = 0.7298
+COGNITIVE = 1.49618
+SOCIAL = 1.49618
+VELOCITY_CLAMP = 3.0
+
 
 @dataclass(frozen=True)
 class FitnessConfig:
@@ -61,13 +68,13 @@ class FitnessConfig:
     beta: float = 0.25
     delta: float = 1e-6
     perfect_intact: bool = False
-    loss_ratio_orientation: str = "prose"
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.loss_ratio_orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+        for name in ("alpha", "beta", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.beta < 0:
@@ -78,14 +85,10 @@ class FitnessConfig:
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Swarm size, iteration budget and the standard PSO coefficients."""
+    """Swarm size, iteration budget and seed."""
 
     n_particles: int = 100
     n_iterations: int = 100
-    inertia: float = 0.7298
-    cognitive: float = 1.49618
-    social: float = 1.49618
-    velocity_clamp: float = 3.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -93,11 +96,6 @@ class SwarmConfig:
             raise ValueError("n_particles must be >= 2 (half original, half sampled)")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
-        if self.velocity_clamp <= 0:
-            raise ValueError("velocity_clamp must be > 0")
-        for name in ("inertia", "cognitive", "social"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,8 @@ def sample_positives(positive_pool: Dataset, n_pos: int, seed: int) -> Dataset:
 
 
 def loss_ratio(before: float, after: float, cfg: FitnessConfig) -> float:
-    """R(I): old/new loss under `prose` orientation, new/old under `literal`."""
-    num, den = (before, after) if cfg.loss_ratio_orientation == "prose" else (after, before)
-    return (num + cfg.delta) / (den + cfg.delta)
+    """R(I): old over new loss, so a repair that lowers the loss raises it."""
+    return (before + cfg.delta) / (after + cfg.delta)
 
 
 def raw_fitness(
@@ -588,14 +585,14 @@ def repair(
     scorer = BatchScorer(model, localized, i_neg, i_pos, fcfg)
     rng = np.random.default_rng(scfg.seed)
     pos, vel = init_swarm(localized, model, scfg, rng)
-    vmax = scfg.velocity_clamp * layer_weight_stats(model, localized.layer)[1]
+    vmax = VELOCITY_CLAMP * layer_weight_stats(model, localized.layer)[1]
     pbest_pos, pbest_fit = pos.copy(), np.full(len(pos), -np.inf)
     gbest, gbest_pos, trace = None, None, []
     for it in range(scfg.n_iterations + 1):
         if it:
             r1, r2 = rng.uniform(size=(2, *pos.shape))
-            vel = (scfg.inertia * vel + scfg.cognitive * r1 * (pbest_pos - pos)
-                   + scfg.social * r2 * (gbest_pos - pos))
+            vel = (INERTIA * vel + COGNITIVE * r1 * (pbest_pos - pos)
+                   + SOCIAL * r2 * (gbest_pos - pos))
             np.clip(vel, -vmax, vmax, out=vel)
             pos = pos + vel
         scores = scorer(pos)

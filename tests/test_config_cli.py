@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nnpatch import load_dataset, load_model, run_sweep
+from nnpatch import evaluate, load_dataset, load_model, run_sweep
 from nnpatch.cli import main
 from nnpatch.config import (
     drift_spec_from_config,
@@ -88,7 +88,7 @@ def test_experiment_spec_parsing(config_path):
     assert exp.master_seed == 42
     assert exp.repetitions == 2
     assert exp.n_iterations == 3
-    assert exp.inertia == 0.7298  # default fills in
+    assert exp.beta == 0.25  # default fills in
     assert exp.grid[0].variant == "eq2" and exp.grid[0].pi is True
     assert exp.subject.layer_sizes == (2, 8, 4)
     assert exp.subject.drift is None
@@ -136,17 +136,22 @@ def moved_to_repair(key):
         ("  batch_size: 16\n", "  batch_size: 16\n  split: {train: 1.0}\n", "split"),
         ("  batch_size: 16\n", "  batch_size: 16\n  source: {kind: clusters}\n", "source"),
         ("  batch_size: 16\n", "  batch_size: 16\n  drift: {target_class: 1}\n", "drift"),
-        ("  master_seed: 42\n", "  master_seed: 42\n  inertia: 0.5\n", "inertia"),
+        ("  master_seed: 42\n", "  master_seed: 42\n  beta: 0.5\n", "beta"),
         ("  master_seed: 42\n", "  master_seed: 42\n  repair_layer: 0\n", "repair_layer"),
         (*moved_to_repair("master_seed"), "master_seed"),
         (*moved_to_repair("target_class"), "target_class"),
         # a misspelt section would otherwise be ignored, and its knobs take their defaults
         ("repair:\n  n_iterations: 3", "repiar:\n  n_iterations: 3", "repiar"),
+        # the swarm's coefficients and the loss-ratio orientation are no settings
+        ("repair:\n  n_iterations: 3", "repair:\n  n_iterations: 3\n  inertia: 0.5", "inertia"),
+        ("repair:\n  n_iterations: 3", "repair:\n  n_iterations: 3\n  orientation: literal",
+         "orientation"),
     ],
     ids=[
         "repair", "experiment", "subject", "split", "grid_row", "both_sections",
         "subject_split", "subject_source", "subject_drift", "experiment_knob",
         "experiment_layer", "repair_master_seed", "repair_target_class", "top_level",
+        "repair_inertia", "repair_orientation",
     ],
 )
 def test_config_rejects_unknown_keys(tmp_path, old, new, key):
@@ -163,10 +168,14 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("repair", "beta", "-1"),
         ("grid", "alpha", "-1"),
         ("repair", "delta", "0"),
+        ("grid", "alpha", ".nan"),
+        ("repair", "beta", ".inf"),
+        ("repair", "delta", ".inf"),
         ("grid", "variant", "eq9"),
-        ("repair", "orientation", "sideways"),
         ("grid", "n_particles", "1"),
         ("repair", "n_iterations", "-1"),
+        # keys that are no settings: refused whatever their value
+        ("repair", "orientation", "sideways"),
         ("repair", "velocity_clamp", "0"),
         ("repair", "inertia", ".nan"),
         ("repair", "layer", "2"),
@@ -278,6 +287,9 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     rep = json.loads(eval_out.read_text())
     assert 0.0 <= rep["overall_accuracy"] <= 1.0
     assert len(rep["verdicts"]) == 40
+    # written through the one JSON writer: the report read back, no temp file left
+    assert rep == evaluate(load_model(model_path), load_dataset(train_dir / "test.csv")).to_dict()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""The one JSON writer and the one CSV writer: their bytes, and that a
-failed write leaves the previous file in place."""
+"""The one JSON writer and the one CSV writer: their bytes, that a failed
+write leaves the previous file in place, and that no other module writes."""
 from __future__ import annotations
 
+import ast
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,3 +85,39 @@ def test_unchanged_bytes_are_not_rewritten(tmp_path):
     assert path.stat().st_ino == inode
     write_json(path, {"a": 2})
     assert path.read_bytes() == b'{"a":2}\n'
+
+
+def _file_writes(tree):
+    """(line, callee) of each call in `tree` that writes a file: write_text,
+    write_bytes, json.dump, and open or Path.open in a w, a or x mode (or a
+    mode that is not a literal)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield node.lineno, name
+        elif ast.unparse(func) == "json.dump":
+            yield node.lineno, "json.dump"
+        elif name == "open":
+            at = 0 if isinstance(func, ast.Attribute) else 1  # Path.open(mode) or open(path, mode)
+            mode = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax"):
+                yield node.lineno, "open"
+
+
+def test_only_formats_writes_files():
+    src = Path(__file__).resolve().parents[1] / "src" / "nnpatch"
+    modules = sorted(src.glob("*.py"))
+    assert src / "formats.py" in modules
+    writes = [f"{path.name}:{line} {callee}"
+              for path in modules if path.name != "formats.py"
+              for line, callee in _file_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert writes == []
+    # the walk sees each kind of write
+    probe = ast.parse("p.write_text(t); p.write_bytes(b); json.dump(o, fh); open(p, 'w');"
+                      "open(p, mode='ab'); p.open('x'); open(p, m); open(p); p.open(); open(p, 'r')")
+    assert [callee for _, callee in _file_writes(probe)] == [
+        "write_text", "write_bytes", "json.dump", "open", "open", "open", "open"]

@@ -439,15 +439,17 @@ def test_sweep_refuses_a_directory_of_another_spec(tmp_path):
     assert load_sweep_dir(out)[0] == small_experiment(repetitions=4)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "inertia"])
 def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
     out = tmp_path / "sweep"
     run_sweep(small_experiment(n_iterations=2), out)
     spec = out / "sweep.json"
     if damage == "missing":
         spec.unlink()
-    else:
+    elif damage == "truncated":
         spec.write_bytes(spec.read_bytes()[:10])
+    else:  # a spec from before the swarm's coefficients became constants
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "inertia": 0.7298}))
     # nothing says which spec made the runs, so none of them is reused
     exp = small_experiment(n_iterations=5)
     agg = run_sweep(exp, out)

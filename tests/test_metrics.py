@@ -1,5 +1,4 @@
-"""Evaluation reports, before/after diffs, and the two regression
-granularities."""
+"""Evaluation reports and before/after diffs."""
 from __future__ import annotations
 
 import json
@@ -11,7 +10,6 @@ from nnpatch import (
     Dataset,
     EvalReport,
     build_mlp,
-    check_regression,
     diff,
     evaluate,
     forward,
@@ -130,48 +128,6 @@ def test_diff_rejects_id_mismatch():
     assert "y" in str(exc.value) and "z" in str(exc.value)
 
 
-def test_check_regression_identity():
-    r = report_from(["a", "b"], [0, 1], [0, 0])
-    for level in ("overall", "instance"):
-        res = check_regression(r, r, level=level, scope="all")
-        assert res.ok
-
-
-def test_check_regression_definitional_split():
-    ids = ["a", "b", "c", "d"]
-    before = report_from(ids, [0, 0, 0, 0], [0, 1, 1, 0])  # a,d pass
-    after = report_from(ids, [0, 0, 0, 0], [1, 0, 0, 0])  # a broken; b,c repaired
-    overall = check_regression(before, after, level="overall", scope="all")
-    assert overall.ok  # accuracy rose 2/4 -> 3/4
-    inst = check_regression(before, after, level="instance", scope="all")
-    assert not inst.ok
-    assert inst.evidence == {"broken_ids": ["a"]}
-
-
-def test_check_regression_class_scope():
-    ids = ["a", "b", "c"]
-    labels = [0, 1, 1]
-    before = report_from(ids, labels, [0, 1, 1])
-    after = report_from(ids, labels, [1, 1, 1])  # break only in class 0
-    scoped = check_regression(before, after, level="instance", scope=1)
-    assert scoped.ok
-    unscoped = check_regression(before, after, level="instance", scope="all")
-    assert not unscoped.ok
-
-
-def test_instance_suppression_implies_overall():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        ids = [f"s{k}" for k in range(20)]
-        labels = rng.integers(0, 3, 20)
-        pb = rng.integers(0, 3, 20)
-        pa = rng.integers(0, 3, 20)
-        before = report_from(ids, labels, pb)
-        after = report_from(ids, labels, pa)
-        if check_regression(before, after, level="instance", scope="all").ok:
-            assert check_regression(before, after, level="overall", scope="all").ok
-
-
 def test_accuracy_identity_through_diff():
     rng = np.random.default_rng(10)
     ids = [f"s{k}" for k in range(40)]
@@ -186,7 +142,6 @@ def test_accuracy_identity_through_diff():
 
 def test_report_dict_includes_verdicts():
     r = report_from(["a", "b"], [0, 1], [0, 0])
-    assert r.verdicts == {"a": True, "b": False}
     d = r.to_dict()
     assert d["overall_accuracy"] == 0.5
     assert d["verdicts"]["a"]["passed"] is True
@@ -198,10 +153,9 @@ def test_diff_rejects_permuted_report():
     # same ids, another order: reports compare by position, so this is refused
     a = report_from(["x", "y", "z"], [0, 1, 0], [0, 1, 1])
     b = report_from(["x", "z", "y"], [0, 0, 1], [0, 1, 1])
-    for compare in (diff, lambda r, s: check_regression(r, s, level="overall")):
-        with pytest.raises(ValueError, match="order") as exc:
-            compare(a, b)
-        assert "'y'" in str(exc.value) and "'z'" in str(exc.value)
+    with pytest.raises(ValueError, match="order") as exc:
+        diff(a, b)
+    assert "'y'" in str(exc.value) and "'z'" in str(exc.value)
 
 
 def _accuracy_loop(labels, predicted, keep):
@@ -232,23 +186,9 @@ def test_eval_report_matches_per_sample_oracle():
         assert before.overall_accuracy == overall
         assert before.per_class_accuracy == per_class
 
-        for scope in ["all", *range(n_classes)]:
-            def in_scope(k):
-                return scope == "all" or labels[k] == scope
-
-            acc_before = _accuracy_loop(labels, predicted, in_scope)
-            acc_after = _accuracy_loop(labels, after_predicted, in_scope)
-            broken = sorted(
-                ids[k] for k in range(n)
-                if in_scope(k) and labels[k] == predicted[k] and labels[k] != after_predicted[k]
-            )
-            got = check_regression(before, after, level="overall", scope=scope)
-            assert got.evidence == {"before_accuracy": acc_before, "after_accuracy": acc_after}
-            assert got.ok == (acc_after >= acc_before)
-            got = check_regression(before, after, level="instance", scope=scope)
-            assert got.evidence == {"broken_ids": broken}
-            assert got.ok == (not broken)
-            assert got.scope == ("all" if scope == "all" else f"class {scope}")
+        assert after.overall_accuracy == _accuracy_loop(labels, after_predicted, lambda k: True)
+        broken = {ids[k] for k in range(n) if labels[k] == predicted[k] != after_predicted[k]}
+        assert diff(before, after).broken == broken
 
         want = {
             "overall_accuracy": overall,
