@@ -16,7 +16,6 @@ from .config import (
     drift_spec_from_config,
     experiment_spec_from_config,
     load_config,
-    localization_target_lw,
     split_spec_from_config,
     subject_spec_from_config,
 )
@@ -71,8 +70,7 @@ def _cmd_drift(args) -> int:
     spec = split_spec_from_config(cfg)
     drift = drift_spec_from_config(cfg, seed=args.seed)
     if drift is None:
-        print("config has no drift section", file=sys.stderr)
-        return 2
+        raise ValueError("config has no drift section")
     _write_splits(apply_drift(ds, spec, drift), Path(args.out_dir))
     return 0
 
@@ -101,11 +99,10 @@ def _subject_and_splits(cfg, args):
 def _cmd_localize(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
-    target_lw = localization_target_lw(cfg, exp.grid[0].target_lw)
     model, splits = _subject_and_splits(cfg, args)
     inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
     localized = localize_to_count(
-        model, inputs.negative_set, inputs.positive_pool, exp.layer, target_lw
+        model, inputs.negative_set, inputs.positive_pool, exp.layer, exp.grid[0].target_lw
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

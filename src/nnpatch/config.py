@@ -1,10 +1,10 @@
 """Config file loading.
 
 Configs are versioned YAML documents with sections: dataset, split,
-subject, experiment, and optionally drift, repair (search knobs) and
-localization; any other top-level key is an error. They are the single
-source of hyperparameters; CLI --seed only overrides the seed relevant to
-the verb at hand. Every section but dataset is checked: an omitted key
+subject, experiment, and optionally drift and repair (search knobs); any
+other top-level key is an error. They are the single source of
+hyperparameters; CLI --seed only overrides the seed relevant to the verb at
+hand. Every section but dataset is checked: an omitted key
 takes the spec's default, and a key that names no field is an error, as is
 a key set in a section other than its own.
 """
@@ -20,9 +20,7 @@ from .harness import ExperimentSpec
 from .training import SubjectSpec, load_source
 
 CONFIG_VERSION = 1
-_SECTIONS = frozenset(
-    {"config_version", "dataset", "split", "drift", "subject", "experiment", "repair", "localization"}
-)
+_SECTIONS = frozenset({"config_version", "dataset", "split", "drift", "subject", "experiment", "repair"})
 
 
 def load_config(path) -> dict:
@@ -92,18 +90,6 @@ def subject_spec_from_config(cfg: dict, seed: int | None = None) -> SubjectSpec:
             "drift": drift_spec_from_config(cfg),
         },
     )
-
-
-def localization_target_lw(cfg: dict, default: int) -> int:
-    """The localize verb's target_lw: the optional localization section's
-    only key, else `default`."""
-    if cfg.get("localization") is None:
-        return default
-    sect = _section(cfg, "localization")
-    unknown = sorted(sect.keys() - {"target_lw"})
-    if unknown:
-        raise ValueError(f"config section 'localization' has no key {', '.join(map(repr, unknown))}")
-    return int(sect.get("target_lw", default))
 
 
 def experiment_spec_from_config(cfg: dict, master_seed: int | None = None) -> ExperimentSpec:

@@ -1,12 +1,13 @@
 """End-to-end pipeline and the averaged sweep protocol.
 
 A sweep trains one subject, then runs every grid config for a fixed number
-of repetitions. Each run gets its own directory and RNG streams derived
-from (master_seed, config index, repetition index). A run.json that reads
-back, names its own directory and grid entry, and holds every split marks a
-completed run of a directory whose sweep.json reads back, which is what
-makes sweeps resumable; any other record is rerun. Wall-clock runtimes live
-in timing.json sidecars so everything else is byte-stable. Every file is
+of repetitions; a resume trains it only if some run is not done. Each run
+gets its own directory and RNG streams derived from (master_seed, config
+index, repetition index). A run.json that reads back, names its own
+directory and grid entry, and holds every split marks a completed run of a
+directory whose sweep.json reads back, which is what makes sweeps
+resumable; any other record is rerun. Wall-clock runtimes live in
+timing.json sidecars so everything else is byte-stable. Every file is
 written through `nnpatch.formats`.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .repair import FitnessConfig, SwarmConfig, repair, sample_positives, write_
 from .training import SubjectSpec, materialize_splits, train_subject
 
 # the outcome of one split, as runs_long.csv and min_regression.csv list it,
-# and the order of the per-config means in aggregate.json and config_summary.csv
+# and the order of the per-config means in report.json and config_summary.csv
 _OUTCOME = ("before_accuracy", "after_accuracy", "broken", "repaired")
 _MEANS = ("broken", "repaired", "before_accuracy", "after_accuracy")
 
@@ -334,10 +335,13 @@ def train_and_save_subject(subject: SubjectSpec, target_class: int, out_dir):
 
 
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
-    """Train the subject once, run grid x repetitions, aggregate.
+    """Run grid x repetitions and aggregate them.
 
-    Completed runs (see `_load_run`) are reused; a run whose record is
-    missing, unreadable or stale is run again. A directory without a readable
+    Every run record is read once, first. Completed runs (see `_load_run`)
+    are reused; a run whose record is missing, unreadable or stale is run
+    again. The subject is trained and saved to subject/ only when some run
+    is to be run, so a resume with nothing left to run trains nothing and
+    leaves subject/ as it is. A directory without a readable
     sweep.json has its records deleted first, since nothing there says which
     spec made its runs. A directory whose readable sweep.json holds a spec
     that differs from `exp` in anything but `repetitions` is refused with
@@ -361,12 +365,15 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         )
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", exp)
+    records = {(ci, ri): _load_run(out, exp, ci, ri)
+               for ci in range(len(exp.grid)) for ri in range(exp.repetitions)}
+    todo = [job for job, record in records.items() if record is None]
+    if not todo:
+        return aggregate_runs(exp, records.values())
     model, splits = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
 
-    def job(ci: int, ri: int) -> RunResult:
-        done = _load_run(out, exp, ci, ri)
-        if done is not None:
-            return done
+    def run(job: tuple[int, int]) -> RunResult:
+        ci, ri = job
         run_dir = _run_dir(out, ci, ri)
         try:
             run_repair_pipeline(model, splits, exp, ci, ri, out_dir=run_dir)
@@ -376,17 +383,12 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         # reload from disk so resumed and fresh sweeps aggregate identical bytes
         return _load_run(out, exp, ci, ri)
 
-    jobs = [(ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)]
     if n_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(job, ci, ri) for ci, ri in jobs]
-            results = [f.result() for f in futures]
+            records.update(zip(todo, pool.map(run, todo)))
     else:
-        results = [job(ci, ri) for ci, ri in jobs]
-
-    agg = aggregate_runs(exp, results)
-    write_json(out / "aggregate.json", agg)
-    return agg
+        records.update(zip(todo, map(run, todo)))
+    return aggregate_runs(exp, records.values())
 
 
 def load_sweep_dir(out_dir) -> tuple[ExperimentSpec, AggregateResult]:

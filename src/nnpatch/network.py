@@ -169,11 +169,12 @@ def _check_labelled(model: Model, inputs, labels) -> tuple[np.ndarray, np.ndarra
     return inputs, labels
 
 
-def _trace(model: Model, inputs: np.ndarray):
-    """Per-layer pre-activations and post-activations for a raw input matrix."""
+def _trace(layers, weights, biases, inputs: np.ndarray):
+    """Per-layer pre-activations and post-activations of a stack of layers
+    for a raw input matrix; the one forward loop."""
     pre, post = [], []
     a = inputs
-    for spec, w, b in zip(model.layers, model.weights, model.biases):
+    for spec, w, b in zip(layers, weights, biases):
         z = a @ w + b
         a = _activate(z, spec.activation)
         pre.append(z)
@@ -183,7 +184,7 @@ def _trace(model: Model, inputs: np.ndarray):
 
 def forward(model: Model, inputs) -> np.ndarray:
     """Class probabilities, one row per input row (rows sum to 1)."""
-    return _trace(model, _check_inputs(model, inputs))[1][-1]
+    return _trace(model.layers, model.weights, model.biases, _check_inputs(model, inputs))[1][-1]
 
 
 def loss_from_picked(picked: np.ndarray) -> np.ndarray:
@@ -222,10 +223,7 @@ def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
     a = _check_inputs(model, inputs)
     if layer == 0:
         return a.copy()
-    for k in range(layer):
-        z = a @ model.weights[k] + model.biases[k]
-        a = _activate(z, model.layers[k].activation)
-    return a
+    return _trace(model.layers[:layer], model.weights[:layer], model.biases[:layer], a)[1][-1]
 
 
 def _check_index(model: Model, layer: int, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -269,17 +267,21 @@ def full_gradients(model: Model, inputs, labels):
     """Weight and bias gradients of the mean loss for every layer, by exact
     backpropagation from the softmax/cross-entropy head."""
     inputs, labels = _check_labelled(model, inputs, labels)
-    pre, post = _trace(model, inputs)
+    return _backprop(model.layers, model.weights, model.biases, inputs, labels)
+
+
+def _backprop(layers, weights, biases, inputs: np.ndarray, labels: np.ndarray):
+    """`full_gradients` of a stack of layers, on inputs and labels already checked."""
+    pre, post = _trace(layers, weights, biases, inputs)
     delta = post[-1].copy()  # softmax minus one-hot labels, over the sample count
     delta[np.arange(len(labels)), labels] -= 1.0
     delta /= len(inputs)
-    grad_w = [None] * model.n_layers
-    grad_b = [None] * model.n_layers
-    for k in range(model.n_layers - 1, -1, -1):
+    grad_w = [None] * len(layers)
+    grad_b = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
         layer_in = inputs if k == 0 else post[k - 1]
         grad_w[k] = layer_in.T @ delta
         grad_b[k] = delta.sum(axis=0)
         if k:
-            upstream = delta @ model.weights[k].T
-            delta = upstream * _activation_grad(pre[k - 1], model.layers[k - 1].activation)
+            delta = (delta @ weights[k].T) * _activation_grad(pre[k - 1], layers[k - 1].activation)
     return grad_w, grad_b

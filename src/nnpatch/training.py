@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
-from .network import Model, build_mlp, full_gradients, loss
+from .network import Model, _backprop, _trace, build_mlp, loss_from_probs
 from .synth import make_clusters
 
 
@@ -56,14 +56,14 @@ def materialize_splits(spec: SubjectSpec):
     return dataset, splits
 
 
-def train_subject(spec: SubjectSpec, splits=None) -> Model:
-    """Plain minibatch SGD on the train split; deterministic per spec.
+def train_subject(spec: SubjectSpec, splits) -> Model:
+    """Plain minibatch SGD on the train split of `splits`; deterministic per spec.
 
-    0 epochs returns the seeded initialization untouched. Non-finite
-    training loss aborts with the offending epoch index.
+    0 epochs returns the seeded initialization untouched. The weights are
+    plain arrays until the end, which builds the one `Model`. After each
+    epoch, non-finite weights or a non-finite training loss abort with that
+    epoch's index.
     """
-    if splits is None:
-        _, splits = materialize_splits(spec)
     train = splits[0]
     model = build_mlp(spec.layer_sizes, seed=spec.seed)
     if spec.epochs == 0:
@@ -73,27 +73,22 @@ def train_subject(spec: SubjectSpec, splits=None) -> Model:
     if train.n_features != model.input_size or int(train.labels.max()) >= model.n_classes:
         raise ValueError("train split does not fit the declared architecture")
 
+    layers = model.layers
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
     n = len(train)
-
-    def snapshot(epoch: int) -> Model:
-        # Model construction rejects non-finite weights; surface that as divergence
-        try:
-            return Model(model.layers, tuple(weights), tuple(biases))
-        except ValueError as exc:
-            raise RuntimeError(f"training diverged at epoch {epoch}: {exc}") from exc
-
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            grad_w, grad_b = full_gradients(snapshot(epoch), train.features[idx], train.labels[idx])
+            grad_w, grad_b = _backprop(layers, weights, biases, train.features[idx], train.labels[idx])
             for k in range(len(weights)):
                 weights[k] -= spec.learning_rate * grad_w[k]
                 biases[k] -= spec.learning_rate * grad_b[k]
-        if not np.isfinite(loss(snapshot(epoch), train.features, train.labels)):
-            raise RuntimeError(f"training diverged (non-finite loss) at epoch {epoch}")
+        probs = _trace(layers, weights, biases, train.features)[1][-1]
+        finite = all(np.isfinite(p).all() for p in (*weights, *biases))
+        if not (finite and np.isfinite(loss_from_probs(probs, train.labels))):
+            raise RuntimeError(f"training diverged (non-finite weights or loss) at epoch {epoch}")
 
-    return snapshot(spec.epochs)
+    return Model(layers, tuple(weights), tuple(biases))

@@ -14,6 +14,7 @@ from nnpatch import (
     DriftSpec,
     ExperimentSpec,
     GridEntry,
+    Model,
     RunResult,
     SplitSpec,
     SubjectSpec,
@@ -29,6 +30,7 @@ from nnpatch import (
 from nnpatch.config import experiment_spec_from_config, load_config
 from nnpatch.formats import as_dict, from_dict, write_json
 from nnpatch.harness import AggregateResult
+from nnpatch.network import full_gradients
 from nnpatch.training import materialize_splits
 
 from helpers import perceptron_separable
@@ -118,7 +120,7 @@ def test_experiment_spec_validation():
 
 def test_zero_epochs_returns_seeded_initialization():
     spec = small_subject(epochs=0)
-    model = train_subject(spec)
+    model = train_subject(spec, materialize_splits(spec)[1])
     init = build_mlp(spec.layer_sizes, seed=spec.seed)
     for wa, wb in zip(model.weights, init.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -165,10 +167,46 @@ def test_training_learns_separable_data():
     assert evaluate(model, splits[0]).overall_accuracy >= 0.95
 
 
+def reference_training(spec, splits):
+    """Minibatch SGD through the public API: `full_gradients` of a fresh
+    `Model` per minibatch, in `train_subject`'s order of draws."""
+    train = splits[0]
+    model = build_mlp(spec.layer_sizes, seed=spec.seed)
+    weights, biases = [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    for _ in range(spec.epochs):
+        order = rng.permutation(len(train))
+        for start in range(0, len(train), spec.batch_size):
+            idx = order[start : start + spec.batch_size]
+            step = Model(model.layers, tuple(weights), tuple(biases))
+            grad_w, grad_b = full_gradients(step, train.features[idx], train.labels[idx])
+            for k in range(len(weights)):
+                weights[k] -= spec.learning_rate * grad_w[k]
+                biases[k] -= spec.learning_rate * grad_b[k]
+    return Model(model.layers, tuple(weights), tuple(biases))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [small_subject(drift=DriftSpec(1, 0.5, 1.0, seed=9)),
+     small_subject(layer_sizes=(2, 6, 5, 4), batch_size=7, epochs=5)],
+    ids=["drift", "three_layers"],
+)
+def test_training_matches_a_reference_loop_bit_for_bit(spec):
+    _, splits = materialize_splits(spec)
+    model, expected = train_subject(spec, splits), reference_training(spec, splits)
+    assert model.layers == expected.layers
+    for a, b in zip(model.weights + model.biases, expected.weights + expected.biases):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_training_divergence_reports_epoch():
-    spec = small_subject(learning_rate=1e8, epochs=3)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="epoch"):
-        train_subject(spec)
+    # the first epoch whose weights or training loss are non-finite
+    for learning_rate, epochs, diverged_at in ((1e8, 3, 2), (50.0, 30, 12)):
+        spec = small_subject(learning_rate=learning_rate, epochs=epochs)
+        _, splits = materialize_splits(spec)
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=rf"at epoch {diverged_at}\b"):
+            train_subject(spec, splits)
 
 
 def test_derive_run_seeds_injective():
@@ -282,7 +320,7 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
                 assert curve[n_g - 1] >= record["n_localized"] == exp.grid[ci].target_lw
                 assert all(size < exp.grid[ci].target_lw for size in curve[: n_g - 1])
     assert (out / "sweep.json").exists()
-    assert (out / "aggregate.json").exists()
+    assert not (out / "aggregate.json").exists()  # the report holds the aggregate
     assert (out / "subject" / "model.json").exists()
     subject_meta = json.loads((out / "subject" / "subject.json").read_text())
     assert subject_meta["split_sizes"]["train"] == 100
@@ -351,17 +389,54 @@ def test_sweep_resume_matches_uninterrupted(tmp_path):
 
     resumed_dir = tmp_path / "resumed"
     run_sweep(exp, resumed_dir)
-    # wipe two runs and the aggregate, then resume
+    # wipe a run, then resume
     import shutil
 
     shutil.rmtree(resumed_dir / "runs" / "cfg001" / "rep01")
-    (resumed_dir / "aggregate.json").unlink()
     run_sweep(exp, resumed_dir)
 
     ta, tb = tree_bytes(full_dir), tree_bytes(resumed_dir)
     assert ta.keys() == tb.keys()
     for name in ta:
         assert ta[name] == tb[name], f"{name} differs after resume"
+
+
+def test_finished_sweep_resumes_without_training(tmp_path, monkeypatch):
+    import nnpatch.harness as harness
+
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    agg = run_sweep(exp, out)
+    before = tree_bytes(out, skip=())
+
+    def untrainable(*_):
+        raise AssertionError("a resume with nothing to run trains nothing")
+
+    monkeypatch.setattr(harness, "train_subject", untrainable)
+    assert run_sweep(exp, out) == agg
+    assert tree_bytes(out, skip=()) == before
+
+
+def test_partial_resume_trains_once_and_reruns_only_the_missing_run(tmp_path, monkeypatch):
+    import nnpatch.harness as harness
+
+    exp = small_experiment()
+    run_sweep(exp, tmp_path / "fresh")
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    (out / "runs" / "cfg001" / "rep02" / "run.json").unlink()
+    before = tree_bytes(out, skip=())
+    trained, ran = [], []
+    real_train, real_run = harness.train_subject, harness.run_repair_pipeline
+    monkeypatch.setattr(harness, "train_subject", lambda *a: trained.append(a) or real_train(*a))
+    monkeypatch.setattr(harness, "run_repair_pipeline",
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+    run_sweep(exp, out)
+    assert len(trained) == 1 and ran == [(1, 2)]
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+    # every other run keeps its files, timing.json included
+    others = lambda tree: {k: v for k, v in tree.items() if "cfg001/rep02" not in k}
+    assert others(tree_bytes(out, skip=())) == others(before)
 
 
 def test_sweep_reruns_a_truncated_record(tmp_path):
