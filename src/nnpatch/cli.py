@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:  # a refused input: a bad config value, a sweep of another spec
+    except (ValueError, FileNotFoundError) as exc:  # a refused input: a bad value, a missing file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,10 @@ _SECTIONS = frozenset({"config_version", "dataset", "split", "drift", "subject",
 
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = yaml.safe_load(fh)
+        try:
+            cfg = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError("config must be a mapping")
     version = cfg.get("config_version")

@@ -17,6 +17,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,11 +107,13 @@ class SplitSpec:
     stratified: bool = True
 
     def __post_init__(self) -> None:
-        fr = self.fractions
-        if any(f <= 0.0 or f > 1.0 for f in fr):
-            raise ValueError("all four fractions must lie in (0, 1]")
-        if abs(sum(fr) - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {sum(fr)!r}")
+        for name, f in zip(SPLIT_NAMES, self.fractions):
+            if not 0.0 < f <= 1.0:
+                raise ValueError(f"split fraction {name} must lie in (0, 1], got {f!r}")
+        if abs(sum(self.fractions) - 1.0) > 1e-9:
+            raise ValueError(f"fractions must sum to 1, got {sum(self.fractions)!r}")
+        if self.seed < 0:
+            raise ValueError("split seed must be >= 0")
 
     @property
     def fractions(self) -> tuple[float, float, float, float]:
@@ -140,24 +143,16 @@ class DriftSpec:
             raise ValueError(
                 "train_fraction_of_class must not exceed repair_fraction_of_class"
             )
+        if self.seed < 0:
+            raise ValueError("drift seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class RepairInputs:
+class RepairInputs(NamedTuple):
     """Sample sets driving a repair: passing train samples and the failing
     target-class samples from the repair split."""
 
     positive_pool: Dataset
     negative_set: Dataset
-    target_class: int
-
-    def __post_init__(self) -> None:
-        pos = set(self.positive_pool.sample_ids)
-        neg = set(self.negative_set.sample_ids)
-        if pos & neg:
-            raise ValueError("positive pool and negative set must be disjoint")
-        if len(self.negative_set) == 0:
-            raise NothingToRepairError("negative set is empty; nothing to repair")
 
 
 def _largest_remainder(n: int, fractions, rotate: int) -> list[int]:
@@ -266,11 +261,11 @@ def select_repair_inputs(
         raise NothingToRepairError(
             f"nothing to repair: no misclassified class-{target_class} samples in the repair split"
         )
-    return RepairInputs(
-        train_split.subset(np.flatnonzero(pass_mask)),
-        repair_split.subset(np.flatnonzero(neg_mask)),
-        target_class,
-    )
+    inputs = RepairInputs(train_split.subset(np.flatnonzero(pass_mask)),
+                          repair_split.subset(np.flatnonzero(neg_mask)))
+    if not set(inputs.positive_pool.sample_ids).isdisjoint(inputs.negative_set.sample_ids):
+        raise RepairInputError("positive pool and negative set must be disjoint")
+    return inputs
 
 
 # ---------------------------------------------------------------------------

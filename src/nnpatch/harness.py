@@ -80,6 +80,8 @@ class ExperimentSpec:
             raise ValueError("grid must not be empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         n_layers = len(self.subject.layer_sizes) - 1
         if not -n_layers <= self.repair_layer < n_layers:
             raise ValueError(f"layer must lie in [{-n_layers}, {n_layers}) for a "
@@ -196,54 +198,36 @@ def run_repair_pipeline(
     entry = exp.grid[config_idx]
     before = {name: evaluate(model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
     evaluate_s = time.perf_counter() - t0
-
-    result = _new_record(exp, config_idx, rep_idx, "ok")
-
     try:
-        inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
+        pool, i_neg = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
     except NothingToRepairError as exc:
-        result.status = "no_op"
-        result.note = str(exc)
-        result.identity_fallback = True
-        result.splits = _split_records(before, before)
+        result = _new_record(exp, config_idx, rep_idx, "no_op", note=str(exc),
+                             identity_fallback=True, splits=_split_records(before, before))
         if out_dir is not None:
             _persist_run(result, None, None, out_dir, {"runtime_seconds": time.perf_counter() - t0})
         return result
 
     t_localize = time.perf_counter()
-    localized = localize_to_count(
-        model, inputs.negative_set, inputs.positive_pool, exp.layer, entry.target_lw
-    )
+    localized = localize_to_count(model, i_neg, pool, exp.layer, entry.target_lw)
     localize_s = time.perf_counter() - t_localize
-    i_pos = sample_positives(inputs.positive_pool, entry.n_pos, result.pos_seed)
-    fcfg, scfg = exp.search(config_idx, result.swarm_seed)
+    pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
+    i_pos = sample_positives(pool, entry.n_pos, pos_seed)
+    fcfg, scfg = exp.search(config_idx, swarm_seed)
     t_repair = time.perf_counter()
-    rr = repair(model, localized, inputs.negative_set, i_pos, fcfg, scfg)
+    rr = repair(model, localized, i_neg, i_pos, fcfg, scfg)
     t_after = time.perf_counter()
     after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
-    telemetry = {
-        "localize_s": localize_s,
-        "repair_s": t_after - t_repair,
-        "evaluate_s": evaluate_s + time.perf_counter() - t_after,
-        "candidates_scored": rr.candidates_scored,
-        "gate_screened": rr.gate_screened,
-        "band_fallback_columns": rr.band_fallback_columns,
-        "units_recomputed": rr.units_recomputed,
-        "units_total": rr.units_total,
-        "n_g": localized.n_g,
-        "localization_curve": localized.curve,
-    }
-
-    result.n_neg = len(inputs.negative_set)
-    result.n_pos = len(i_pos)
-    result.n_localized = len(localized)
-    result.localization_warning = localized.warning
-    result.identity_fallback = rr.identity_fallback
-    result.no_search_space = rr.no_search_space
-    result.best = as_dict(rr.best)
-    result.splits = _split_records(before, after)
+    evaluate_s += time.perf_counter() - t_after
+    result = _new_record(
+        exp, config_idx, rep_idx, "ok", n_neg=len(i_neg), n_pos=len(i_pos),
+        n_localized=len(localized), localization_warning=localized.warning,
+        identity_fallback=rr.identity_fallback, no_search_space=len(localized) == 0,
+        best=as_dict(rr.best), splits=_split_records(before, after),
+    )
     if out_dir is not None:
-        timing = {"runtime_seconds": time.perf_counter() - t0, **telemetry}
+        timing = {"runtime_seconds": time.perf_counter() - t0, "localize_s": localize_s,
+                  "repair_s": t_after - t_repair, "evaluate_s": evaluate_s, **rr.telemetry,
+                  "n_g": localized.n_g, "localization_curve": localized.curve}
         _persist_run(result, rr, localized, out_dir, timing)
     return result
 
@@ -277,8 +261,7 @@ def _load_run(out: Path, exp: ExperimentSpec, ci: int, ri: int) -> RunResult | N
     run_dir = _run_dir(out, ci, ri)
     try:
         r = from_dict(RunResult, read_json(run_dir / "run.json"))
-        if (run_dir / "timing.json").exists():  # it must read back
-            float(read_json(run_dir / "timing.json").get("runtime_seconds", 0.0))
+        float(read_json(run_dir / "timing.json").get("runtime_seconds", 0.0))  # it must read back
         complete = r.status == "error" or all(set(_OUTCOME) <= r.splits[n].keys() for n in SPLIT_NAMES)
     except (OSError, ValueError, TypeError, AttributeError, KeyError):
         return None
@@ -365,6 +348,8 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         )
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", exp)
+    # no longer written; a leftover one would contradict report/report.json
+    (out / "aggregate.json").unlink(missing_ok=True)
     records = {(ci, ri): _load_run(out, exp, ci, ri)
                for ci in range(len(exp.grid)) for ri in range(exp.repetitions)}
     todo = [job for job, record in records.items() if record is None]

@@ -76,8 +76,6 @@ class RepairDiff:
 
     broken: frozenset[str]
     repaired: frozenset[str]
-    unchanged_pass: int
-    unchanged_fail: int
 
     def __post_init__(self) -> None:
         if self.broken & self.repaired:
@@ -115,6 +113,4 @@ def diff(before: EvalReport, after: EvalReport) -> RepairDiff:
     return RepairDiff(
         frozenset(compress(before.sample_ids, b & ~a)),
         frozenset(compress(before.sample_ids, ~b & a)),
-        int(np.count_nonzero(b & a)),
-        int(np.count_nonzero(~b & ~a)),
     )

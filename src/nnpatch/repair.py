@@ -58,6 +58,11 @@ COGNITIVE = 1.49618
 SOCIAL = 1.49618
 VELOCITY_CLAMP = 3.0
 
+# The search's counters, as timing.json names them: candidates scored, I_pos samples
+# counted by softmax + argmax, candidates screened out, and |K| of the layer's width.
+TELEMETRY = ("candidates_scored", "band_fallback_columns", "gate_screened", "units_recomputed",
+             "units_total")
+
 
 @dataclass(frozen=True)
 class FitnessConfig:
@@ -127,14 +132,12 @@ class RepairResult:
     model: Model
     best: FitnessBreakdown
     trace: tuple[TraceRow, ...]
-    best_position: np.ndarray | None
-    identity_fallback: bool
-    no_search_space: bool = False
-    candidates_scored: int = 0  # telemetry: rows the batch scorer evaluated
-    band_fallback_columns: int = 0  # telemetry: I_pos samples counted by softmax + argmax
-    units_recomputed: int = 0  # telemetry: repair-layer units each candidate recomputes
-    units_total: int = 0  # telemetry: the repair layer's width
-    gate_screened: int = 0  # telemetry: candidates the gate screen rejected
+    best_position: np.ndarray | None  # None when the original model is returned
+    telemetry: dict  # the search's counters, under their TELEMETRY names
+
+    @property
+    def identity_fallback(self) -> bool:
+        return self.best_position is None
 
 
 def sample_positives(positive_pool: Dataset, n_pos: int, seed: int) -> Dataset:
@@ -318,7 +321,8 @@ class BatchScorer:
         above = list(zip(model.layers[layer + 1:], model.weights[layer + 1:], model.biases[layer + 1:]))
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
-        self.units = (len(touched), len(w))  # units recomputed per candidate, of the layer's
+        self.telemetry = dict.fromkeys(TELEMETRY, 0)
+        self.telemetry.update(candidates_scored=1, units_recomputed=len(touched), units_total=len(w))
         self.n_classes = model.n_classes
         self.weights = w[touched]  # every candidate's rows before its localized values
         self.flat = np.searchsorted(touched, j) * w.shape[1] + i
@@ -367,7 +371,6 @@ class BatchScorer:
         self.sets = [cache(layer_inputs(model, ds.features, layer).T.copy(), ds.labels)
                      for ds in (i_neg, i_pos)]
         self.chunks = [chunk(len(i_neg), False), chunk(len(i_pos), cfg.variant == "eq2")]
-        self.n_scored, self.n_fallback, self.n_screened = 1, 0, 0  # telemetry, as on RepairResult
         self.screen = None
         counts, losses, undefined, _ = self._kernel(original, True)
         self.base_losses = tuple(float(row[0]) for row in losses)
@@ -495,7 +498,7 @@ class BatchScorer:
             bound = bound @ m + add
         bound = np.maximum(bound.max(axis=1), floor)
         screened = (bound < 1e300) & (least < -(BAND + slack * bound))
-        self.n_screened += int(screened.sum())
+        self.telemetry["gate_screened"] += int(screened.sum())
         return screened
 
     def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
@@ -528,14 +531,14 @@ class BatchScorer:
             probs = _activate(logits, "softmax", axis=-2, out=logits)
             correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == c.labels, correct[rows])
             undefined[rows] = np.isnan(probs).any(axis=(-2, -1))
-            self.n_fallback += int(unsure.sum())
+            self.telemetry["band_fallback_columns"] += int(unsure.sum())
         return correct.sum(axis=-1), undefined
 
     def __call__(self, positions: np.ndarray, full: bool = False) -> Scores:
         """Scores of a (P, D) array of candidate weight values; with `full`,
         every loss is computed even where the objective does not read it, and
         no candidate is screened."""
-        self.n_scored += len(positions)
+        self.telemetry["candidates_scored"] += len(positions)
         counts, losses, undefined, screened = self._kernel(positions, full)
         return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened)
 
@@ -581,7 +584,7 @@ def repair(
     if len(localized) == 0:
         base_losses = tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
         best = fitness(model, i_neg, i_pos, base_losses, fcfg)
-        return RepairResult(model, best, (), None, identity_fallback=True, no_search_space=True)
+        return RepairResult(model, best, (), None, dict.fromkeys(TELEMETRY, 0))
     scorer = BatchScorer(model, localized, i_neg, i_pos, fcfg)
     rng = np.random.default_rng(scfg.seed)
     pos, vel = init_swarm(localized, model, scfg, rng)
@@ -614,10 +617,7 @@ def repair(
     else:
         patched, best, gbest_pos = model, scorer.identity, None
     return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,
-                        identity_fallback=gbest_pos is None,
-                        candidates_scored=scorer.n_scored, band_fallback_columns=scorer.n_fallback,
-                        units_recomputed=scorer.units[0], units_total=scorer.units[1],
-                        gate_screened=scorer.n_screened)
+                        scorer.telemetry)
 
 
 def write_trace_csv(trace, path) -> None:

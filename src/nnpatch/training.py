@@ -3,6 +3,7 @@ data source, with the four-way split (and optional drift) baked into the
 spec so the same spec always yields the same subject."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,16 @@ class SubjectSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
+        if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
+            raise ValueError("layer_sizes must list at least 2 sizes, each >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("subject seed must be >= 0")
 
 
 def load_source(source: dict) -> Dataset:

@@ -181,12 +181,21 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("repair", "layer", "2"),
         ("repair", "layer", "-3"),
         ("experiment", "target_class", "4"),
+        ("experiment", "master_seed", "-1"),
+        ("subject", "seed", "-1"),
+        ("subject", "layer_sizes", "[2, 0, 4]"),
+        ("subject", "layer_sizes", "[4]"),
+        ("subject", "learning_rate", ".nan"),
+        ("subject", "learning_rate", ".inf"),
+        ("split", "seed", "-1"),
+        ("split", "train", ".nan"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
     cfg = load_config(ROOT / "configs" / "quickstart.yaml")
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
-              "grid": cfg["experiment"]["grid"][0]}[section]
+              "grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
+              "split": cfg["split"]}[section]
     target[key] = yaml.safe_load(value)
     out = tmp_path / "sweep"
     with pytest.raises(ValueError, match=key):
@@ -199,6 +208,25 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("subject: [2, 8\n")
+    out = tmp_path / "out"
+    for argv, word in (
+        (["sweep", "--config", missing, "--out-dir", str(out)], "missing.json"),
+        (["sweep", "--config", str(malformed), "--out-dir", str(out)], "malformed.yaml"),
+        (["localize", "--config", str(config_path), "--model", missing, "--out-dir", str(out)],
+         "missing.json"),
+        (["evaluate", "--model", missing, "--data", missing], "missing.json"),
+        (["report", "--sweep-dir", str(tmp_path / "nosweep")], "sweep.json"),
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and word in err and "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "nosweep").exists()
 
 
 def test_drift_section_parsing(tmp_path):

@@ -25,7 +25,7 @@ from nnpatch import (
 from nnpatch.data import apply_drift, predictions
 from nnpatch.synth import make_clusters
 
-from helpers import single_layer_model, toy_dataset
+from helpers import samples, single_layer_model, toy_dataset
 
 
 def uniform_dataset(n, n_classes, d=3, seed=0):
@@ -43,8 +43,13 @@ def uniform_dataset(n, n_classes, d=3, seed=0):
 def test_split_spec_validation():
     with pytest.raises(ValueError, match="sum"):
         SplitSpec(0.5, 0.2, 0.2, 0.2, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train"):
         SplitSpec(0.0, 0.4, 0.3, 0.3, seed=0)
+    # nan fails every comparison, so it is refused by name rather than passed on
+    with pytest.raises(ValueError, match="validation"):
+        SplitSpec(0.5, float("nan"), 0.3, 0.2, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        SplitSpec(0.25, 0.25, 0.25, 0.25, seed=-1)
 
 
 def test_quarter_split_of_100_uniform_is_exact():
@@ -109,6 +114,8 @@ def test_drift_spec_validation():
         DriftSpec(target_class=0, train_fraction_of_class=0.8, repair_fraction_of_class=0.5, seed=0)
     with pytest.raises(ValueError):
         DriftSpec(target_class=0, train_fraction_of_class=-0.1, repair_fraction_of_class=0.5, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        DriftSpec(target_class=0, train_fraction_of_class=0.1, repair_fraction_of_class=0.5, seed=-1)
 
 
 def test_noop_drift_equals_plain_split():
@@ -202,7 +209,7 @@ def test_select_repair_inputs_matches_argmax_filter():
     model = build_mlp([2, 8, 3], seed=5)
     train, repair = parts[0], parts[2]
     target = 2
-    inputs = select_repair_inputs(model, train, repair, target)
+    pool, negative = select_repair_inputs(model, train, repair, target)
 
     pred_train = np.argmax(forward(model, train.features), axis=1)
     pred_repair = np.argmax(forward(model, repair.features), axis=1)
@@ -212,13 +219,23 @@ def test_select_repair_inputs_matches_argmax_filter():
         for i, lab, pr in zip(repair.sample_ids, repair.labels, pred_repair)
         if lab == target and pr != lab
     }
-    assert set(inputs.positive_pool.sample_ids) == want_pos
-    assert set(inputs.negative_set.sample_ids) == want_neg
+    assert set(pool.sample_ids) == want_pos
+    assert set(negative.sample_ids) == want_neg
     assert want_pos.isdisjoint(want_neg)
 
     # soundness: re-evaluating the model confirms the verdicts
-    assert (predictions(model, inputs.positive_pool.features) == inputs.positive_pool.labels).all()
-    assert (predictions(model, inputs.negative_set.features) != inputs.negative_set.labels).all()
+    assert (predictions(model, pool.features) == pool.labels).all()
+    assert (predictions(model, negative.features) != negative.labels).all()
+
+
+def test_select_repair_inputs_refuses_sets_that_share_a_sample():
+    # "a" passes as class 0 in the train split and fails as class 1 in the repair
+    # split, so it would land in both the positive pool and the negative set
+    always0 = single_layer_model(np.zeros((2, 2)), biases=[1.0, 0.0])
+    train = samples([[0.0, 1.0], [1.0, 0.0]], [0, 0], ("a", "b"), 2)
+    repair = samples([[0.0, 1.0]], [1], ("a",), 2)
+    with pytest.raises(RepairInputError, match="disjoint"):
+        select_repair_inputs(always0, train, repair, target_class=1)
 
 
 def test_model_roundtrip_bit_identical(tmp_path):

@@ -2,6 +2,7 @@
 aggregation, and report emission."""
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -14,6 +15,7 @@ from nnpatch import (
     DriftSpec,
     ExperimentSpec,
     GridEntry,
+    LocalizedSet,
     Model,
     RunResult,
     SplitSpec,
@@ -31,6 +33,7 @@ from nnpatch.config import experiment_spec_from_config, load_config
 from nnpatch.formats import as_dict, from_dict, write_json
 from nnpatch.harness import AggregateResult
 from nnpatch.network import full_gradients
+from nnpatch.repair import TELEMETRY
 from nnpatch.training import materialize_splits
 
 from helpers import perceptron_separable
@@ -437,6 +440,50 @@ def test_partial_resume_trains_once_and_reruns_only_the_missing_run(tmp_path, mo
     # every other run keeps its files, timing.json included
     others = lambda tree: {k: v for k, v in tree.items() if "cfg001/rep02" not in k}
     assert others(tree_bytes(out, skip=())) == others(before)
+
+
+def test_sweep_reruns_a_run_without_its_timing_json(tmp_path, monkeypatch):
+    import nnpatch.harness as harness
+
+    exp = small_experiment()
+    run_sweep(exp, tmp_path / "fresh")
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    (out / "runs" / "cfg000" / "rep01" / "timing.json").unlink()
+    ran, real_run = [], harness.run_repair_pipeline
+    monkeypatch.setattr(harness, "run_repair_pipeline",
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+    run_sweep(exp, out)
+    assert ran == [(0, 1)]
+    assert (out / "runs" / "cfg000" / "rep01" / "timing.json").exists()
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+
+def test_sweep_deletes_a_leftover_aggregate_json(tmp_path):
+    # earlier versions wrote aggregate.json beside report/report.json; a resume
+    # that changes the runs would leave it contradicting the report
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    (out / "aggregate.json").write_text("{}\n")
+    run_sweep(dataclasses.replace(exp, repetitions=4), out)
+    assert not (out / "aggregate.json").exists()
+
+
+def test_pipeline_records_no_search_space_for_an_empty_localized_set(trained_subject, tmp_path,
+                                                                      monkeypatch):
+    import nnpatch.harness as harness
+
+    spec, splits, model = trained_subject
+    empty = LocalizedSet(1, [], [], n_g=1, warning="localized set is empty")
+    monkeypatch.setattr(harness, "localize_to_count", lambda *a: empty)
+    out = tmp_path / "run"
+    result = run_repair_pipeline(model, splits, small_experiment(), 0, 0, out_dir=out)
+    assert result.status == "ok" and result.n_localized == 0
+    assert result.no_search_space and result.identity_fallback
+    assert all(result.splits[name]["broken"] == 0 for name in result.splits)
+    timing = json.loads((out / "timing.json").read_text())
+    assert {k: timing[k] for k in TELEMETRY} == dict.fromkeys(TELEMETRY, 0)
 
 
 def test_sweep_reruns_a_truncated_record(tmp_path):

@@ -19,6 +19,7 @@ from nnpatch import (
 from nnpatch.network import forward, loss, write_weights
 from nnpatch.repair import (
     SCREEN,
+    TELEMETRY,
     BatchScorer,
     layer_weight_stats,
     loss_ratio,
@@ -377,9 +378,9 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
         positions[10] = 1e308
 
         want = scorer(positions, full=True)
-        fallback_before = scorer.n_fallback
+        fallback_before = scorer.telemetry["band_fallback_columns"]
         scorer(positions)
-        n_fallback += scorer.n_fallback - fallback_before
+        n_fallback += scorer.telemetry["band_fallback_columns"] - fallback_before
         for chunk in (1, 7, p):
             scorer.chunks = [chunk, chunk]
             for got in (scorer(positions), scorer(positions, full=True)):
@@ -409,7 +410,8 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
                                     alpha=float(rng.uniform(0.5, 8)),
                                     perfect_intact=bool(trial % 2))
                 scorer = BatchScorer(m, localized, neg, pos, cfg)
-                assert scorer.units == (n_units, n_out)
+                assert scorer.telemetry["units_recomputed"] == n_units
+                assert scorer.telemetry["units_total"] == n_out
                 original = m.weights[layer][localized.i, localized.j]
                 p = int(rng.integers(8, 16))
                 positions = original + rng.normal(0.0, 1.0, size=(p, len(localized)))
@@ -440,7 +442,7 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
                                                             scorer.identity.gated[0])
                 # no margin of these random candidates lies in the band, so every
                 # count came from the margins, not from the softmax fallback
-                assert scorer.n_fallback == 0
+                assert scorer.telemetry["band_fallback_columns"] == 0
 
 
 def test_overflowing_candidate_scores_minus_inf():
@@ -555,7 +557,7 @@ def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(repair_module, "SCREEN", len(pos) + 1)
             want = repair(m, localized, neg, pos, fcfg, scfg)
-        assert want.gate_screened == 0
+        assert want.telemetry["gate_screened"] == 0
         assert got.trace == want.trace
         assert got.best == want.best
         assert got.identity_fallback == want.identity_fallback
@@ -563,8 +565,8 @@ def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
         for wa, wb in zip(got.model.weights, want.model.weights):
             np.testing.assert_array_equal(wa, wb)
         if broken:
-            assert got.gate_screened > 0 and got.trace[0].n_intact == len(pos) - 1
-        n_screened += got.gate_screened
+            assert got.telemetry["gate_screened"] > 0 and got.trace[0].n_intact == len(pos) - 1
+        n_screened += got.telemetry["gate_screened"]
         n_repaired += not got.identity_fallback
     assert n_screened > 0 and n_repaired > 0
 
@@ -642,10 +644,12 @@ def test_repair_empty_localized_set_flags_no_search_space():
         FitnessConfig(),
         SwarmConfig(n_particles=2, n_iterations=1, seed=0),
     )
-    assert out.no_search_space
-    assert out.identity_fallback
+    # no search ran: the original model, no trace, every counter 0 (a run records
+    # no_search_space from the empty set itself)
+    assert out.identity_fallback and out.best_position is None
     assert out.model is model
     assert out.trace == ()
+    assert out.telemetry == dict.fromkeys(TELEMETRY, 0)
 
 
 def test_repair_invariants_over_random_scenarios():
