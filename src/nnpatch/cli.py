@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:  # a refused input: a bad value, a missing file
+    except (ValueError, OSError) as exc:  # a refused input: a bad value, an unreadable path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -234,7 +234,9 @@ def run_repair_pipeline(
 
 def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) -> None:
     """The run's files, with run.json, the completion marker, written last.
-    Files of an earlier outcome that this one does not write are removed."""
+    Files of an earlier outcome that this one does not write are removed;
+    timing.json gains `persist_s`, the time of the writes before it."""
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if rr is not None:
@@ -249,7 +251,7 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
     for name, written in (("model.json", rr), ("trace.csv", rr), ("localized.csv", localized)):
         if written is None:
             (out_dir / name).unlink(missing_ok=True)
-    write_json(out_dir / "timing.json", timing)
+    write_json(out_dir / "timing.json", {**timing, "persist_s": time.perf_counter() - t0})
     write_json(out_dir / "run.json", result)
 
 

@@ -205,14 +205,14 @@ def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined,
     mean losses, one column per candidate. A candidate that is `undefined`
     (some sample's softmax is nan) or whose raw fitness is not finite scores
     -inf, raw and gated, whether or not the objective reads the broken loss.
-    A `screened` candidate broke an I_pos sample under finite logits, so its
-    I_pos row (-1, nan) is not scored: its raw score is nan and the gate
-    zeroes it unless I_neg makes it -inf."""
+    A `screened` candidate broke an I_pos sample under logits finite on both
+    sets, so its rows (-1, nan) are not scored: its raw score is nan and the
+    gate zeroes it."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
         raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
     scorable = (np.isfinite(raw) | screened) & ~undefined
-    raw = np.where(screened, np.nan, np.where(scorable, raw, -np.inf))
+    raw = np.where(scorable, raw, -np.inf)  # a screened candidate's nan losses keep it nan
     gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable
     return Scores(*counts, *losses, raw, np.where(gate, 0.0, raw), gate)
 
@@ -300,11 +300,12 @@ class BatchScorer:
     the SCREEN I_pos samples with the smallest margin at the subject, in I_pos
     order. A candidate is screened out when an interval bound, |W| @ max|a| +
     |b| carried up from the repair layer, certifies that all its I_pos logits
-    are finite, and one screen margin lies below -(BAND + slack * bound): the
-    slack covers the rounding by which products over different sample sets
-    can differ, so I_pos's count path would find that sample broken too. A
-    screened candidate skips I_pos, and `_score` gives it the gated score the
-    full count would.
+    and I_neg logits are finite, and one screen margin lies below
+    -(BAND + slack * bound): the slack covers the rounding by which products
+    over different sample sets can differ, so I_pos's count path would find
+    that sample broken too. A screened candidate skips both sets; as finite
+    logits leave every softmax defined, `_score` gives it the gated score the
+    full path would.
     """
 
     def __init__(self, model: Model, localized: LocalizedSet, i_neg: Dataset, i_pos: Dataset,
@@ -392,9 +393,10 @@ class BatchScorer:
         self.sets.append(cache(pos.a[:, picked], pos.labels[picked]))
         self.chunks.append(chunk(SCREEN, True))
         # the interval bound: the K rows' base plus each localized weight's |value|
-        # times its input's largest |a| over I_pos, then per layer above a matrix and
-        # an add; under last-layer repair the untouched logit rows bound it from below
-        amax = np.abs(pos.a).max(axis=1)
+        # times its input's largest |a| over I_pos and I_neg, then per layer above a
+        # matrix and an add; under last-layer repair the untouched logit rows bound it
+        # from below
+        amax = np.abs(np.hstack([pos.a, self.sets[0].a])).max(axis=1)
         kept = np.abs(self.weights)
         kept.reshape(-1)[self.flat] = 0.0
         spread = np.zeros((len(i), len(touched)))
@@ -412,20 +414,20 @@ class BatchScorer:
 
     def _kernel(self, positions: np.ndarray, full: bool):
         """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
-        which candidates are undefined, and which the screen rejected (their
-        I_pos count stays -1 and their I_pos loss nan)."""
-        counts = np.empty((2, len(positions)), dtype=np.int64)
-        losses = np.empty((2, len(positions)))
-        counts[1], losses[1] = -1, np.nan  # what a screened candidate keeps
+        which candidates are undefined, and which the screen rejected (both
+        their counts stay -1 and both their losses nan)."""
+        counts = np.full((2, len(positions)), -1, dtype=np.int64)  # what a screened candidate keeps
+        losses = np.full((2, len(positions)), np.nan)
         undefined = ~np.isfinite(positions).all(axis=1)
-        screened, survivors = np.zeros(len(positions), dtype=bool), slice(None)
+        screened, todo = np.zeros(len(positions), dtype=bool), slice(None)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.screen is not None and not full:
                 screened = self._screen(positions)
-                survivors = np.flatnonzero(~screened)
-            for s, todo in enumerate((slice(None), survivors)):
+                todo = np.flatnonzero(~screened)
+            survivors = positions[todo]
+            for s in (0, 1):
                 count_only = s == 1 and not full and self.cfg.variant == "eq2"
-                counts[s, todo], losses[s, todo], bad = self._set_scores(s, positions[todo], count_only)
+                counts[s, todo], losses[s, todo], bad = self._set_scores(s, survivors, count_only)
                 undefined[todo] |= bad
         return counts, losses, undefined, screened
 
@@ -484,8 +486,8 @@ class BatchScorer:
         return counts, losses, undefined
 
     def _screen(self, positions: np.ndarray) -> np.ndarray:
-        """Candidates whose I_pos logits are certified finite and that break a
-        screen sample by more than BAND plus the rounding slack."""
+        """Candidates whose I_pos and I_neg logits are certified finite and
+        that break a screen sample by more than BAND plus the rounding slack."""
         c = self.sets[2]
         chunk = max(1, min(self.chunks[2], len(positions)))
         spare = np.empty((chunk, len(self.rows), len(c.labels)))

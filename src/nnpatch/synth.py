@@ -40,6 +40,8 @@ def make_clusters(
         raise ValueError("confusion_pull must lie in [0, 1)")
     if not 0 <= target_class < n_classes:
         raise ValueError("target_class out of range")
+    if seed < 0:
+        raise ValueError("dataset seed must be >= 0")
 
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, n_features))

@@ -38,6 +38,8 @@ class SubjectSpec:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
+        if self.source.get("kind") == "clusters" and self.source.get("seed", 0) < 0:
+            raise ValueError("dataset seed must be >= 0")
 
 
 def load_source(source: dict) -> Dataset:

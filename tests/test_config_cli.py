@@ -188,6 +188,7 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("subject", "learning_rate", ".nan"),
         ("subject", "learning_rate", ".inf"),
         ("split", "seed", "-1"),
+        ("dataset", "seed", "-1"),
         ("split", "train", ".nan"),
     ],
 )
@@ -195,7 +196,7 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     cfg = load_config(ROOT / "configs" / "quickstart.yaml")
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
               "grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
-              "split": cfg["split"]}[section]
+              "split": cfg["split"], "dataset": cfg["dataset"]}[section]
     target[key] = yaml.safe_load(value)
     out = tmp_path / "sweep"
     with pytest.raises(ValueError, match=key):
@@ -222,6 +223,9 @@ def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
          "missing.json"),
         (["evaluate", "--model", missing, "--data", missing], "missing.json"),
         (["report", "--sweep-dir", str(tmp_path / "nosweep")], "sweep.json"),
+        # a directory is no readable file either
+        (["sweep", "--config", str(tmp_path), "--out-dir", str(out)], str(tmp_path)),
+        (["evaluate", "--model", str(tmp_path), "--data", missing], str(tmp_path)),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -247,7 +251,7 @@ def test_subject_seed_override(config_path):
     assert subject_spec_from_config(cfg, seed=99).seed == 99
 
 
-def test_cli_gen_data_and_seed_override(config_path, tmp_path):
+def test_cli_gen_data_and_seed_override(config_path, tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["gen-data", "--config", str(config_path), "--out", str(out_a)]) == 0
@@ -256,6 +260,12 @@ def test_cli_gen_data_and_seed_override(config_path, tmp_path):
     b = load_dataset(out_b)
     assert len(a) == 200 and a.n_classes == 4
     assert (a.features != b.features).any()
+    # a negative seed is refused by its key, before the file is written
+    out_c = tmp_path / "c.csv"
+    assert main(["gen-data", "--config", str(config_path), "--out", str(out_c), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dataset seed must be >= 0") and "Traceback" not in err
+    assert not out_c.exists()
 
 
 def test_cli_split_and_drift(config_path, tmp_path, capsys):

@@ -343,6 +343,8 @@ def test_make_clusters_shape_and_determinism():
     assert a.sample_ids == b.sample_ids
     c = make_clusters(n_classes=4, n_per_class=10, seed=4)
     assert (a.features != c.features).any()
+    with pytest.raises(ValueError, match="dataset seed must be >= 0"):
+        make_clusters(seed=-1)
 
 
 def test_make_clusters_confusion_pull_moves_target_mean():

@@ -310,6 +310,7 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
             assert 0 < timing["repair_s"] <= timing["runtime_seconds"]
             stages = [timing[k] for k in ("localize_s", "repair_s", "evaluate_s")]
             assert min(stages) > 0 and sum(stages) <= timing["runtime_seconds"]
+            assert timing["persist_s"] > 0
             # I_pos holds fewer than 4 * SCREEN samples here, so nothing is screened
             assert timing["gate_screened"] == 0
             # the repair layer is the last one; its units owning a localized weight
@@ -484,6 +485,25 @@ def test_pipeline_records_no_search_space_for_an_empty_localized_set(trained_sub
     assert all(result.splits[name]["broken"] == 0 for name in result.splits)
     timing = json.loads((out / "timing.json").read_text())
     assert {k: timing[k] for k in TELEMETRY} == dict.fromkeys(TELEMETRY, 0)
+
+
+def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path, monkeypatch):
+    import time
+
+    import nnpatch.harness as harness
+
+    _, splits, model = trained_subject
+    write_trace = harness.write_trace_csv
+
+    def slow_trace(*args):
+        time.sleep(0.05)
+        write_trace(*args)
+
+    monkeypatch.setattr(harness, "write_trace_csv", slow_trace)
+    out = tmp_path / "run"
+    run_repair_pipeline(model, splits, small_experiment(), 0, 0, out_dir=out)
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["persist_s"] >= 0.05
 
 
 def test_sweep_reruns_a_truncated_record(tmp_path):

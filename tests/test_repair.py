@@ -516,7 +516,17 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 positions[6, 0] = -np.inf
                 positions[7] = 1e308
 
-                got, want, full = scorer(positions), ref(positions), scorer(positions, full=True)
+                scored = []  # (set, candidates) of each set the call scores
+                score_set = scorer._set_scores
+
+                def recording(s, candidates, count_only):
+                    scored.append((s, len(candidates)))
+                    return score_set(s, candidates, count_only)
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(scorer, "_set_scores", recording)
+                    got = scorer(positions)
+                want, full = ref(positions), scorer(positions, full=True)
                 # the screen changes no gated score and no gate verdict
                 np.testing.assert_array_equal(got.gated, full.gated)
                 np.testing.assert_array_equal(got.gated, want.gated)
@@ -525,6 +535,9 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 assert not screened[0] and not screened[~np.isfinite(positions).all(axis=1)].any()
                 assert np.isnan(got.raw[screened]).all() and np.isnan(got.loss_pos[screened]).all()
                 assert (full.n_intact[screened] < len(pos)).all()
+                # a screened candidate is scored on neither set: both sets see only the rest
+                assert (got.n_patched[screened] == -1).all() and np.isnan(got.loss_neg[screened]).all()
+                assert scored == [(0, (~screened).sum()), (1, (~screened).sum())]
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a[~screened], b[~screened])
                 # one chunk loop for all three sets: no score depends on the chunk
@@ -536,6 +549,29 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 n_screened += screened.sum()
                 n_passed += (~got.gate & np.isfinite(got.gated)).sum()
     assert n_screened > 0 and n_passed > 0
+
+
+def test_gate_screen_leaves_a_candidate_that_overflows_on_ineg_to_score_minus_inf(monkeypatch):
+    # I_pos's inputs are at most 1, I_neg's is 1e200: W[0, 1] = 1e150 breaks every
+    # I_pos sample under finite logits, which a bound over I_pos alone would screen,
+    # but sends I_neg's class-1 logit to +inf, so its softmax is nan
+    rng = np.random.default_rng(5)
+    model = single_layer_model([[1.0, 0.0], [0.0, 1.0]])
+    n = 4 * SCREEN
+    x = np.column_stack([rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)])
+    i_pos = samples(x, np.zeros(n), (f"p{k}" for k in range(n)), 2)
+    i_neg = samples([[1e200, 0.0]], [1], ("n0",), 2)
+    localized = localized_over(0, [(0, 1)])
+    positions = np.array([[0.0], [1e150]])
+    for variant in ("eq1", "eq2"):
+        cfg = FitnessConfig(variant=variant, perfect_intact=True)
+        scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
+        assert scorer.screen is not None
+        got = scorer(positions)
+        want = unscreened(monkeypatch, model, localized, i_neg, i_pos, cfg)(positions)
+        np.testing.assert_array_equal(got.n_intact, [n, 0])
+        assert got.raw[1] == got.gated[1] == want.gated[1] == -np.inf
+        assert got.gated[0] == want.gated[0] == scorer.identity.gated[0]
 
 
 def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
