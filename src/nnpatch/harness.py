@@ -1,7 +1,8 @@
 """End-to-end pipeline and the averaged sweep protocol.
 
 A sweep trains one subject, then runs every grid config for a fixed number
-of repetitions; a resume trains it only if some run is not done. Each run
+of repetitions; a resume trains it only if some run is not done, and reruns
+every run if the retrained subject differs from the saved one. Each run
 gets its own directory and RNG streams derived from (master_seed, config
 index, repetition index). A run.json that reads back, names its own
 directory and grid entry, and holds every split marks a completed run of a
@@ -326,7 +327,9 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     are reused; a run whose record is missing, unreadable or stale is run
     again. The subject is trained and saved to subject/ only when some run
     is to be run, so a resume with nothing left to run trains nothing and
-    leaves subject/ as it is. A directory without a readable
+    leaves subject/ as it is. When the retrained subject's model.json differs
+    from the one on disk (or there was none), every run is rerun, since the
+    completed ones repaired another subject. A directory without a readable
     sweep.json has its records deleted first, since nothing there says which
     spec made its runs. A directory whose readable sweep.json holds a spec
     that differs from `exp` in anything but `repetitions` is refused with
@@ -357,7 +360,11 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     todo = [job for job, record in records.items() if record is None]
     if not todo:
         return aggregate_runs(exp, records.values())
+    subject = out / "subject" / "model.json"
+    repaired = subject.read_bytes() if subject.is_file() else None
     model, splits = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
+    if subject.read_bytes() != repaired:
+        todo = list(records)
 
     def run(job: tuple[int, int]) -> RunResult:
         ci, ri = job

@@ -47,7 +47,8 @@ BAND = 1e-9
 # Under the perfect-intact gate, each search call first scores the SCREEN samples of
 # I_pos with the smallest logit margin at the subject, and rejects a candidate that
 # clearly breaks one of them without scoring the rest of I_pos; sets smaller than
-# 4 * SCREEN are scored in full.
+# 4 * SCREEN are scored in full. Under eq2 the same size rule decides whether a
+# search call skips I_pos for a candidate that cannot beat its personal best.
 SCREEN = 32
 
 # The swarm's dynamics: the constriction coefficients of Clerc & Kennedy (IEEE TEC
@@ -59,9 +60,10 @@ SOCIAL = 1.49618
 VELOCITY_CLAMP = 3.0
 
 # The search's counters, as timing.json names them: candidates scored, I_pos samples
-# counted by softmax + argmax, candidates screened out, and |K| of the layer's width.
-TELEMETRY = ("candidates_scored", "band_fallback_columns", "gate_screened", "units_recomputed",
-             "units_total")
+# counted by softmax + argmax, candidates screened out, candidates that skipped I_pos
+# below their personal best, and |K| of the layer's width.
+TELEMETRY = ("candidates_scored", "band_fallback_columns", "gate_screened", "pos_skipped",
+             "units_recomputed", "units_total")
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ class TraceRow:
     gbest_fitness: float
     n_patched: int
     n_intact: int
-    n_gated: int  # candidates of this iteration the gate zeroed (screened ones included)
+    n_gated: int  # candidates of this iteration the gate zeroed (screened in, skipped out)
     n_pbest_improved: int  # particles whose personal best rose this iteration
 
 
@@ -180,7 +182,13 @@ def raw_fitness(
 
 
 class Scores(NamedTuple):
-    """Fitness ingredients of many candidates, one array entry each."""
+    """Fitness ingredients of many candidates, one array entry each.
+
+    A candidate the gate screen rejected reads -1 for both counts, nan for both
+    losses and raw, and gated 0. One that skipped I_pos below its floor reads -1
+    and nan for I_pos, raw and gated nan (-inf if it is undefined on I_neg), and
+    its gate is False: either way its gated score does not beat the floor.
+    """
 
     n_patched: np.ndarray
     n_intact: np.ndarray
@@ -200,20 +208,22 @@ class Scores(NamedTuple):
 
 
 def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined,
-           screened=False) -> Scores:
+           screened=np.False_, skipped=np.False_) -> Scores:
     """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
     mean losses, one column per candidate. A candidate that is `undefined`
     (some sample's softmax is nan) or whose raw fitness is not finite scores
     -inf, raw and gated, whether or not the objective reads the broken loss.
     A `screened` candidate broke an I_pos sample under logits finite on both
     sets, so its rows (-1, nan) are not scored: its raw score is nan and the
-    gate zeroes it."""
+    gate zeroes it. A `skipped` candidate's I_pos row (-1, nan) is not scored
+    either: its raw and gated scores are nan and the gate leaves it."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
-        raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
-    scorable = (np.isfinite(raw) | screened) & ~undefined
-    raw = np.where(scorable, raw, -np.inf)  # a screened candidate's nan losses keep it nan
-    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable
+        raw = np.where(skipped, np.nan, raw_fitness(counts[0], sizes[0], counts[1], sizes[1],
+                                                    *ratios, cfg))
+    scorable = (np.isfinite(raw) | screened | skipped) & ~undefined
+    raw = np.where(scorable, raw, -np.inf)  # a screened or skipped candidate stays nan
+    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable & ~skipped
     return Scores(*counts, *losses, raw, np.where(gate, 0.0, raw), gate)
 
 
@@ -303,9 +313,19 @@ class BatchScorer:
     and I_neg logits are finite, and one screen margin lies below
     -(BAND + slack * bound): the slack covers the rounding by which products
     over different sample sets can differ, so I_pos's count path would find
-    that sample broken too. A screened candidate skips both sets; as finite
-    logits leave every softmax defined, `_score` gives it the gated score the
-    full path would.
+    that sample broken too; the bound in the slack takes max|a| over I_pos
+    alone, since only I_pos's margins are compared. A screened candidate skips
+    both sets; as finite logits leave every softmax defined, `_score` gives it
+    the gated score the full path would.
+
+    Under eq2, with at least 4 * SCREEN I_pos samples, a call given a `floor`
+    per candidate (the search's personal bests) scores I_pos only for a
+    survivor whose best case beats its floor: its raw fitness with every I_pos
+    sample intact, raised to 0 under the gate. That is the score an intact
+    candidate gets, by the same float operations, and an upper bound of any
+    other's, as alpha >= 0. A survivor undefined on I_neg, or whose best case
+    is not above its floor, skips I_pos; no gated score it could get would beat
+    the floor.
     """
 
     def __init__(self, model: Model, localized: LocalizedSet, i_neg: Dataset, i_pos: Dataset,
@@ -318,10 +338,14 @@ class BatchScorer:
         original = read_weights(model, layer, i, j)[None]
         w, b = model.weights[layer].T.copy(), model.biases[layer][:, None]
         uses = np.bincount(j, minlength=len(w))  # localized weights per unit of the layer
+        if not len(j):  # an empty set recomputes unit 0 as it is, so no product is empty
+            uses[0] = 1
         touched, untouched = np.flatnonzero(uses), np.flatnonzero(uses == 0)
         above = list(zip(model.layers[layer + 1:], model.weights[layer + 1:], model.biases[layer + 1:]))
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
+        # whether a search call may skip I_pos for a candidate below its floor
+        self.bounded = cfg.variant == "eq2" and len(i_pos) >= 4 * SCREEN
         self.telemetry = dict.fromkeys(TELEMETRY, 0)
         self.telemetry.update(candidates_scored=1, units_recomputed=len(touched), units_total=len(w))
         self.n_classes = model.n_classes
@@ -373,7 +397,7 @@ class BatchScorer:
                      for ds in (i_neg, i_pos)]
         self.chunks = [chunk(len(i_neg), False), chunk(len(i_pos), cfg.variant == "eq2")]
         self.screen = None
-        counts, losses, undefined, _ = self._kernel(original, True)
+        counts, losses, undefined, _, _ = self._kernel(original, True, None)
         self.base_losses = tuple(float(row[0]) for row in losses)
         self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
 
@@ -392,44 +416,63 @@ class BatchScorer:
         # the screen reads I_pos's own inputs, bit for bit
         self.sets.append(cache(pos.a[:, picked], pos.labels[picked]))
         self.chunks.append(chunk(SCREEN, True))
-        # the interval bound: the K rows' base plus each localized weight's |value|
-        # times its input's largest |a| over I_pos and I_neg, then per layer above a
-        # matrix and an add; under last-layer repair the untouched logit rows bound it
-        # from below
-        amax = np.abs(np.hstack([pos.a, self.sets[0].a])).max(axis=1)
+        # two interval bounds, one per leading index: the first from the largest |a|
+        # over I_pos, the second over I_pos and I_neg. Each is the K rows' base plus
+        # each localized weight's |value| times its input's largest |a|, then per
+        # layer above a matrix and an add; under last-layer repair the untouched
+        # logit rows bound it from below
+        amax = np.abs(pos.a).max(axis=1)
+        amax = np.stack([amax, np.maximum(amax, np.abs(self.sets[0].a).max(axis=1))])
         kept = np.abs(self.weights)
         kept.reshape(-1)[self.flat] = 0.0
-        spread = np.zeros((len(i), len(touched)))
-        spread[np.arange(len(i)), np.searchsorted(touched, j)] = amax[i]
-        units = np.abs(w) @ amax + np.abs(b[:, 0])
-        ups = [(np.abs(wk[touched]), units[untouched] @ np.abs(wk[untouched]) + np.abs(bk)) if k == 0
+        spread = np.zeros((2, len(i), len(touched)))
+        spread[:, np.arange(len(i)), np.searchsorted(touched, j)] = amax[:, i]
+        units = amax @ np.abs(w).T + np.abs(b[:, 0])
+        ups = [(np.abs(wk[touched]),
+                (units[:, untouched] @ np.abs(wk[untouched]) + np.abs(bk))[:, None]) if k == 0
                else (np.abs(wk), np.abs(bk)) for k, (_, wk, bk) in enumerate(above)]
-        floor = 0.0 if above else units[untouched].max(initial=0.0)
+        lower = np.zeros(2) if above else units[:, untouched].max(axis=1, initial=0.0)
         # two float evaluations of one margin differ by at most about 2u * terms * bound
         # (u = eps / 2; per layer, a dot product of fan-in terms and an add; then the
         # label's add and the subtraction); the slack is four times that
         terms = sum(spec.input_size + 1 for spec in model.layers[layer:]) + 2
         slack = 4 * np.finfo(np.float64).eps * terms
-        self.screen = (kept @ amax + np.abs(b[touched, 0]), spread, ups, floor, slack)
+        base = (amax @ kept.T + np.abs(b[touched, 0]))[:, None]
+        self.screen = (base, spread, ups, lower[:, None], slack)
 
-    def _kernel(self, positions: np.ndarray, full: bool):
+    def _kernel(self, positions: np.ndarray, full: bool, floor: np.ndarray | None):
         """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
-        which candidates are undefined, and which the screen rejected (both
-        their counts stay -1 and both their losses nan)."""
-        counts = np.full((2, len(positions)), -1, dtype=np.int64)  # what a screened candidate keeps
+        which candidates are undefined, which the screen rejected (both their
+        counts stay -1 and both their losses nan), and which skipped I_pos
+        below their `floor` (their I_pos row stays -1, nan)."""
+        counts = np.full((2, len(positions)), -1, dtype=np.int64)  # what an unscored set keeps
         losses = np.full((2, len(positions)), np.nan)
         undefined = ~np.isfinite(positions).all(axis=1)
-        screened, todo = np.zeros(len(positions), dtype=bool), slice(None)
+        screened = skipped = np.zeros(len(positions), dtype=bool)  # replaced, never written
+        todo = slice(None)
         with np.errstate(over="ignore", invalid="ignore"):
             if self.screen is not None and not full:
                 screened = self._screen(positions)
                 todo = np.flatnonzero(~screened)
             survivors = positions[todo]
-            for s in (0, 1):
-                count_only = s == 1 and not full and self.cfg.variant == "eq2"
-                counts[s, todo], losses[s, todo], bad = self._set_scores(s, survivors, count_only)
-                undefined[todo] |= bad
-        return counts, losses, undefined, screened
+            counts[0, todo], losses[0, todo], bad = self._set_scores(0, survivors, False)
+            undefined[todo] |= bad
+            if floor is not None and self.bounded and not full:
+                # every I_pos sample intact, by the float operations `_score` applies
+                best = raw_fitness(counts[0, todo], self.sizes[0], self.sizes[1], self.sizes[1],
+                                   loss_ratio(self.base_losses[0], losses[0, todo], self.cfg),
+                                   np.nan, self.cfg)
+                if self.cfg.perfect_intact:
+                    best = np.maximum(best, 0.0)
+                skipped = np.zeros(len(positions), dtype=bool)
+                skipped[todo] = ~(best > floor[todo]) | undefined[todo]
+                self.telemetry["pos_skipped"] += int(skipped.sum())
+                todo = np.flatnonzero(~(screened | skipped))
+                survivors = positions[todo]
+            count_only = not full and self.cfg.variant == "eq2"
+            counts[1, todo], losses[1, todo], bad = self._set_scores(1, survivors, count_only)
+            undefined[todo] |= bad
+        return counts, losses, undefined, screened, skipped
 
     def _products(self, c: _Cached, positions: np.ndarray, chunk: int):
         """Each `chunk` of `positions` on set `c`: its slice of the candidates and
@@ -494,12 +537,12 @@ class BatchScorer:
         least = np.empty(len(positions))
         for cols, z in self._products(c, positions, chunk):
             least[cols] = self._margins(z, c, spare[:len(z)]).min(axis=-1)
-        base, spread, ups, floor, slack = self.screen
+        base, spread, ups, lower, slack = self.screen
         bound = base + np.abs(positions) @ spread
         for m, add in ups:
             bound = bound @ m + add
-        bound = np.maximum(bound.max(axis=1), floor)
-        screened = (bound < 1e300) & (least < -(BAND + slack * bound))
+        pos_bound, bound = np.maximum(bound.max(axis=-1), lower)
+        screened = (bound < 1e300) & (least < -(BAND + slack * pos_bound))
         self.telemetry["gate_screened"] += int(screened.sum())
         return screened
 
@@ -536,13 +579,16 @@ class BatchScorer:
             self.telemetry["band_fallback_columns"] += int(unsure.sum())
         return correct.sum(axis=-1), undefined
 
-    def __call__(self, positions: np.ndarray, full: bool = False) -> Scores:
+    def __call__(self, positions: np.ndarray, full: bool = False,
+                 floor: np.ndarray | None = None) -> Scores:
         """Scores of a (P, D) array of candidate weight values; with `full`,
         every loss is computed even where the objective does not read it, and
-        no candidate is screened."""
+        no candidate is screened. With a (P,) `floor`, a candidate whose gated
+        score could not beat its floor may skip I_pos."""
         self.telemetry["candidates_scored"] += len(positions)
-        counts, losses, undefined, screened = self._kernel(positions, full)
-        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened)
+        counts, losses, undefined, screened, skipped = self._kernel(positions, full, floor)
+        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened,
+                      skipped)
 
 
 def init_swarm(
@@ -600,7 +646,7 @@ def repair(
                    + SOCIAL * r2 * (gbest_pos - pos))
             np.clip(vel, -vmax, vmax, out=vel)
             pos = pos + vel
-        scores = scorer(pos)
+        scores = scorer(pos, floor=pbest_fit if it else None)
         improved = scores.gated > pbest_fit
         pbest_fit[improved] = scores.gated[improved]
         pbest_pos[improved] = pos[improved]

@@ -443,6 +443,30 @@ def test_partial_resume_trains_once_and_reruns_only_the_missing_run(tmp_path, mo
     assert others(tree_bytes(out, skip=())) == others(before)
 
 
+def test_partial_resume_on_another_subject_reruns_every_run(tmp_path, monkeypatch):
+    # the runs kept were made on the subject saved before; when the retrained subject
+    # differs from it (here: one weight edited on disk), none of them is reused
+    import nnpatch.harness as harness
+    from nnpatch.data import load_model, save_model
+
+    exp = small_experiment()
+    run_sweep(exp, tmp_path / "fresh")
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    subject = out / "subject" / "model.json"
+    model = load_model(subject)
+    weights = [w.copy() for w in model.weights]
+    weights[0][0, 0] += 0.5
+    save_model(Model(model.layers, tuple(weights), model.biases), subject)
+    (out / "runs" / "cfg001" / "rep02" / "run.json").unlink()
+    ran, real_run = [], harness.run_repair_pipeline
+    monkeypatch.setattr(harness, "run_repair_pipeline",
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+    run_sweep(exp, out)
+    assert sorted(ran) == [(ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)]
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+
 def test_sweep_reruns_a_run_without_its_timing_json(tmp_path, monkeypatch):
     import nnpatch.harness as harness
 

@@ -1,6 +1,7 @@
 """Fitness variants, gating, swarm initialization, and the PSO repair loop."""
 from __future__ import annotations
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -20,6 +21,7 @@ from nnpatch.network import forward, loss, write_weights
 from nnpatch.repair import (
     SCREEN,
     TELEMETRY,
+    VARIANTS,
     BatchScorer,
     layer_weight_stats,
     loss_ratio,
@@ -467,6 +469,40 @@ def test_overflowing_candidate_scores_minus_inf():
                 assert scores.raw[0] == scores.gated[0] == -np.inf
 
 
+def test_batch_scorer_identity_equals_fitness_on_an_empty_set():
+    # no localized weight: every candidate is the subject, at every layer, on the
+    # full path, on the count path and (128 I_pos samples under the gate) the screen
+    rng = np.random.default_rng(83)
+    for trial in range(4):
+        m = random_model(rng, n_layers=trial % 3 + 1)
+        neg = random_batch(rng, m, prefix="n")
+        x = rng.normal(0.0, 1.5, size=(4 * SCREEN, m.input_size))
+        pos = samples(x, np.argmax(forward(m, x), axis=1), (f"p{k}" for k in range(len(x))),
+                      m.n_classes)
+        for layer in range(m.n_layers):
+            empty = LocalizedSet(layer, [], [], n_g=1)
+            for variant in VARIANTS:
+                for gate in (False, True):
+                    cfg = FitnessConfig(variant=variant, perfect_intact=gate)
+                    scorer = BatchScorer(m, empty, neg, pos, cfg)
+                    base = scorer.base_losses
+                    assert base == pytest.approx(base_losses(m, neg, pos), rel=1e-12)
+                    # the same counts as `fitness`, and its losses up to the rounding
+                    # of another summation order, as for a set that is not empty
+                    ref, got = fitness(m, neg, pos, base, cfg), scorer.identity.breakdown(0, base)
+                    assert (got.n_patched, got.n_intact) == (ref.n_patched, ref.n_intact)
+                    np.testing.assert_allclose(
+                        [got.loss_neg_after, got.loss_pos_after, got.raw_fitness, got.gated_fitness],
+                        [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness],
+                        rtol=1e-12, atol=0)
+                    # and every candidate, on any path, scores as the identity does
+                    for full in (False, True):
+                        scores = scorer(np.empty((3, 0)), full=full, floor=np.full(3, -np.inf))
+                        for name in ("n_patched", "n_intact", "raw", "gated"):
+                            want = np.repeat(getattr(scorer.identity, name), 3)
+                            np.testing.assert_array_equal(getattr(scores, name), want)
+
+
 def screened_scenario(rng, m, layer):
     """An I_pos of 4 * SCREEN or more passing samples for `m`, an I_neg of the
     1..8 samples of the same draw with the smallest margin, each labelled with
@@ -572,6 +608,103 @@ def test_gate_screen_leaves_a_candidate_that_overflows_on_ineg_to_score_minus_in
         np.testing.assert_array_equal(got.n_intact, [n, 0])
         assert got.raw[1] == got.gated[1] == want.gated[1] == -np.inf
         assert got.gated[0] == want.gated[0] == scorer.identity.gated[0]
+
+
+def test_gate_screen_slack_ignores_a_large_ineg_input(monkeypatch):
+    # I_pos's inputs are at most 1, I_neg's is 1e200: W[0, 1] = 2 breaks every I_pos
+    # sample with logits finite on both sets; the rounding slack bounds I_pos alone,
+    # so I_neg's size does not keep the screen from rejecting it
+    rng = np.random.default_rng(5)
+    model = single_layer_model([[1.0, 0.0], [0.0, 1.0]])
+    n = 4 * SCREEN
+    x = np.column_stack([rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)])
+    i_pos = samples(x, np.zeros(n), (f"p{k}" for k in range(n)), 2)
+    i_neg = samples([[1e200, 0.0]], [1], ("n0",), 2)
+    localized = localized_over(0, [(0, 1)])
+    positions = np.array([[0.0], [2.0]])
+    for variant in ("eq1", "eq2"):
+        cfg = FitnessConfig(variant=variant, perfect_intact=True)
+        scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
+        got = scorer(positions)
+        want = unscreened(monkeypatch, model, localized, i_neg, i_pos, cfg)(positions)
+        assert scorer.telemetry["gate_screened"] == 1
+        np.testing.assert_array_equal(got.n_intact, [n, -1])
+        np.testing.assert_array_equal(want.n_intact, [n, 0])
+        assert want.n_patched[1] == 1 and want.gate[1]
+        np.testing.assert_array_equal(got.gated, want.gated)
+        np.testing.assert_array_equal(got.gate, want.gate)
+
+
+def test_skipped_candidate_cannot_beat_its_floor():
+    rng = np.random.default_rng(61)
+    n_skipped = n_kept = 0
+    for trial in range(8):
+        m = random_model(rng, n_layers=trial % 3 + 1)
+        for layer in range(m.n_layers):
+            localized, neg, pos = screened_scenario(rng, m, layer)
+            cfg = FitnessConfig(alpha=float(rng.uniform(0.5, 8)), perfect_intact=bool(trial % 2))
+            scorer = BatchScorer(m, localized, neg, pos, cfg)
+            original = m.weights[layer][localized.i, localized.j]
+            p = int(rng.integers(24, 40))
+            scale = np.array([0.0, 1e-3, 0.1, 1.0])[np.arange(p) % 4][:, None]
+            positions = original + scale * rng.normal(size=(p, len(original)))
+            positions[3, 0] = np.nan
+            positions[5] = 1e308
+            full = scorer(positions, full=True)
+            # floors from the same scores: some exactly a candidate's own, some -inf
+            floor = np.where(rng.random(p) < 0.3, full.gated, rng.permutation(full.gated))
+            plain = scorer(positions)
+            before = scorer.telemetry["pos_skipped"]
+            got = scorer(positions, floor=floor)
+            skipped = (got.n_intact == -1) & (got.n_patched >= 0)
+            assert scorer.telemetry["pos_skipped"] - before == skipped.sum()
+            assert (full.gated[skipped] <= floor[skipped]).all()
+            assert not got.gate[skipped].any()
+            assert (np.isnan(got.gated[skipped]) | (got.gated[skipped] == -np.inf)).all()
+            assert np.isnan(got.loss_pos[skipped]).all()
+            # the rest are scored as without a floor; every candidate that beats its
+            # floor is among them
+            for a, b in zip(got, plain):
+                np.testing.assert_array_equal(a[~skipped], b[~skipped])
+            assert not skipped[full.gated > floor].any()
+            n_skipped += skipped.sum()
+            n_kept += (~skipped & (plain.n_intact >= 0)).sum()
+    assert n_skipped > 0 and n_kept > 0
+
+
+def test_repair_is_unchanged_by_the_pos_skip(monkeypatch):
+    rng = np.random.default_rng(29)
+    scorer_call = BatchScorer.__call__
+
+    def floorless(self, positions, full=False, floor=None):
+        return scorer_call(self, positions, full)
+
+    n_skipped = 0
+    for trial in range(12):
+        m = random_model(rng)
+        # hidden and last layers in turn
+        layer = m.n_layers - 1 if trial % 2 else int(rng.integers(0, m.n_layers))
+        localized, neg, pos = screened_scenario(rng, m, layer)
+        fcfg = FitnessConfig(alpha=float(rng.uniform(0.5, 8)), perfect_intact=trial % 4 < 2)
+        scfg = SwarmConfig(n_particles=int(rng.integers(8, 16)),
+                           n_iterations=int(rng.integers(2, 8)), seed=trial)
+        got = repair(m, localized, neg, pos, fcfg, scfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(BatchScorer, "__call__", floorless)
+            want = repair(m, localized, neg, pos, fcfg, scfg)
+        assert want.telemetry["pos_skipped"] == 0
+        assert got.best == want.best
+        assert got.identity_fallback == want.identity_fallback
+        np.testing.assert_array_equal(got.best_position, want.best_position)
+        for wa, wb in zip(got.model.weights, want.model.weights):
+            np.testing.assert_array_equal(wa, wb)
+        assert len(got.trace) == len(want.trace)
+        for a, b in zip(got.trace, want.trace):
+            # a skipped candidate that broke I_pos is no longer counted as gated
+            assert dataclasses.replace(a, n_gated=0) == dataclasses.replace(b, n_gated=0)
+            assert a.n_gated <= b.n_gated if fcfg.perfect_intact else a.n_gated == b.n_gated == 0
+        n_skipped += got.telemetry["pos_skipped"]
+    assert n_skipped > 0
 
 
 def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
