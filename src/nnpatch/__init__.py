@@ -55,7 +55,6 @@ from .repair import (
     FitnessConfig,
     RepairResult,
     SwarmConfig,
-    fitness,
     init_swarm,
     repair,
     sample_positives,
@@ -96,7 +95,6 @@ __all__ = [
     "diff",
     "emit_report",
     "evaluate",
-    "fitness",
     "forward",
     "init_swarm",
     "load_dataset",

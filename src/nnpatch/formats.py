@@ -34,31 +34,44 @@ def as_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
-def _converter(hint):
-    """A function that turns a JSON or YAML value into a value of type `hint`."""
+def _converter(hint, name: str):
+    """A function that turns a JSON or YAML value of field `name` into a value of
+    type `hint`. An int or bool takes only its own type (a bool is no int), a float
+    any number or numeric string but a bool (PyYAML reads `1e-6` as a string)."""
     if dataclasses.is_dataclass(hint):
         return lambda v: v if isinstance(v, hint) else from_dict(hint, v)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        item = _converter(args[0])
+        item = _converter(args[0], name)
         return lambda v: tuple(map(item, v))
     if type(None) in args:  # X | None
         (inner,) = (a for a in args if a is not type(None))
-        inner = _converter(inner)
+        inner = _converter(inner, name)
         return lambda v: None if v is None else inner(v)
-    return hint  # int, float, str, bool, dict
+    if hint not in (int, bool, float):
+        return hint  # str, dict
+
+    def convert(v):
+        if type(v) is hint or hint is float and not isinstance(v, bool):
+            try:
+                return hint(v)
+            except (TypeError, ValueError):
+                pass
+        raise ValueError(f"{name} must be {hint.__name__}, got {v!r}")
+    return convert
 
 
 @functools.cache
 def _converters(cls) -> dict:
     hints = typing.get_type_hints(cls)
-    return {name: _converter(hints[name]) for name in _field_names(cls)}
+    return {name: _converter(hints[name], name) for name in _field_names(cls)}
 
 
 def from_dict(cls, d):
     """Build dataclass `cls`, nested dataclasses included, from a JSON or YAML
-    mapping. Each value is converted by its field's type hint; an omitted key
-    takes the field's default; a key that names no field raises ValueError."""
+    mapping. Each value is converted by its field's type hint, and one of
+    another type raises ValueError; an omitted key takes the field's default;
+    a key that names no field raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
     convert = _converters(cls)

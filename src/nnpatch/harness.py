@@ -340,6 +340,8 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     identical at any worker count because every run owns its directory and
     its RNG streams.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     out = Path(out_dir)
     try:
         previous = from_dict(ExperimentSpec, read_json(out / "sweep.json"))

@@ -18,12 +18,10 @@ from .data import Dataset
 from .formats import write_csv
 from .localization import LocalizedSet
 from .network import (
-    PROB_CLAMP,
     Model,
     _activate,
     forward,
     layer_inputs,
-    loss,
     loss_from_picked,
     loss_from_probs,
     read_weights,
@@ -33,7 +31,7 @@ from .network import (
 VARIANTS = ("eq1", "eq2")
 
 # Cap on each stacked weight or activation array that BatchScorer computes on the
-# objective's path (a `full=True` call on a count-only set may pass it by C/|K|):
+# objective's path (a floorless call on a count-only set may pass it by C/|K|):
 # bounds its memory; the chunk it implies depends only on sample counts and layer
 # widths, never on the machine.
 CHUNK_BYTES = 512 * 1024
@@ -45,10 +43,11 @@ CHUNK_BYTES = 512 * 1024
 BAND = 1e-9
 
 # Under the perfect-intact gate, each search call first scores the SCREEN samples of
-# I_pos with the smallest logit margin at the subject, and rejects a candidate that
-# clearly breaks one of them without scoring the rest of I_pos; sets smaller than
-# 4 * SCREEN are scored in full. Under eq2 the same size rule decides whether a
-# search call skips I_pos for a candidate that cannot beat its personal best.
+# I_pos with the smallest logit margin at the subject, and rejects a candidate whose
+# personal best is >= 0 and that clearly breaks one of them without scoring the rest
+# of I_pos; sets smaller than 4 * SCREEN are scored in full. Under eq2 the same size
+# rule decides whether a search call skips I_pos for a candidate that cannot beat its
+# personal best.
 SCREEN = 32
 
 # The swarm's dynamics: the constriction coefficients of Clerc & Kennedy (IEEE TEC
@@ -185,9 +184,10 @@ class Scores(NamedTuple):
     """Fitness ingredients of many candidates, one array entry each.
 
     A candidate the gate screen rejected reads -1 for both counts, nan for both
-    losses and raw, and gated 0. One that skipped I_pos below its floor reads -1
-    and nan for I_pos, raw and gated nan (-inf if it is undefined on I_neg), and
-    its gate is False: either way its gated score does not beat the floor.
+    losses and raw, and gated 0 with its gate set: an upper bound of its real
+    gated score, which is 0 or -inf. One that skipped I_pos below its floor reads
+    -1 and nan for I_pos, raw and gated nan (-inf if it is undefined on I_neg),
+    and its gate is False. Either way its real gated score does not beat the floor.
     """
 
     n_patched: np.ndarray
@@ -213,10 +213,10 @@ def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined,
     mean losses, one column per candidate. A candidate that is `undefined`
     (some sample's softmax is nan) or whose raw fitness is not finite scores
     -inf, raw and gated, whether or not the objective reads the broken loss.
-    A `screened` candidate broke an I_pos sample under logits finite on both
-    sets, so its rows (-1, nan) are not scored: its raw score is nan and the
-    gate zeroes it. A `skipped` candidate's I_pos row (-1, nan) is not scored
-    either: its raw and gated scores are nan and the gate leaves it."""
+    A `screened` candidate broke an I_pos sample, so its rows (-1, nan) are not
+    scored: its raw score is nan and the gate zeroes it. A `skipped`
+    candidate's I_pos row (-1, nan) is not scored either: its raw and gated
+    scores are nan and the gate leaves it."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
         raw = np.where(skipped, np.nan, raw_fitness(counts[0], sizes[0], counts[1], sizes[1],
@@ -234,7 +234,8 @@ def fitness(
     base_losses: tuple[float, float],
     cfg: FitnessConfig,
 ) -> FitnessBreakdown:
-    """Score a candidate model against fixed I_neg / I_pos.
+    """Score a candidate model against fixed I_neg / I_pos: the reference
+    objective that `BatchScorer` reproduces (`repair()` does not call it).
 
     base_losses are the pre-repair losses on (I_neg, I_pos), computed once.
     A candidate with non-finite loss on either set scores -inf instead of
@@ -301,31 +302,27 @@ class BatchScorer:
     logits: a sample counts as correct where its label logit beats every other
     logit by more than BAND, and candidates with a sample inside the band or
     with a non-finite margin take softmax + argmax, so the counts equal the
-    full path's bit for bit. Its loss is then left nan; `full=True` computes
-    every loss. A candidate with a non-finite value, or under which any
-    sample's softmax is nan (a +inf or nan logit), scores -inf.
+    full path's bit for bit. Its loss is then left nan; a call without a
+    floor computes every loss. A candidate with a non-finite value, or under
+    which any sample's softmax is nan (a +inf or nan logit), scores -inf.
 
-    Under the perfect-intact gate, with at least 4 * SCREEN I_pos samples, a
-    call that is not `full` first computes the label margins of a third set:
-    the SCREEN I_pos samples with the smallest margin at the subject, in I_pos
-    order. A candidate is screened out when an interval bound, |W| @ max|a| +
-    |b| carried up from the repair layer, certifies that all its I_pos logits
-    and I_neg logits are finite, and one screen margin lies below
-    -(BAND + slack * bound): the slack covers the rounding by which products
-    over different sample sets can differ, so I_pos's count path would find
-    that sample broken too; the bound in the slack takes max|a| over I_pos
-    alone, since only I_pos's margins are compared. A screened candidate skips
-    both sets; as finite logits leave every softmax defined, `_score` gives it
-    the gated score the full path would.
+    A call given a `floor` per candidate (the search's personal bests), with at
+    least 4 * SCREEN I_pos samples, leaves out work for candidates that could
+    not beat it. Under the perfect-intact gate a defined candidate's gated
+    score is 0 or above, and one that breaks an I_pos sample scores 0 or -inf,
+    so a candidate whose floor is >= 0 is screened out, scored on neither set,
+    when a margin of a third set (the SCREEN I_pos samples with the smallest
+    margin at the subject, in I_pos order) lies below -(BAND + slack * bound).
+    The bound is |W| @ max|a| + |b| over I_pos, carried up from the repair
+    layer; the slack covers the rounding by which products over different
+    sample sets can differ, so I_pos's count path would find that sample
+    broken too. A bound that is not finite screens nothing.
 
-    Under eq2, with at least 4 * SCREEN I_pos samples, a call given a `floor`
-    per candidate (the search's personal bests) scores I_pos only for a
-    survivor whose best case beats its floor: its raw fitness with every I_pos
-    sample intact, raised to 0 under the gate. That is the score an intact
-    candidate gets, by the same float operations, and an upper bound of any
-    other's, as alpha >= 0. A survivor undefined on I_neg, or whose best case
-    is not above its floor, skips I_pos; no gated score it could get would beat
-    the floor.
+    Under eq2 a survivor scores I_pos only when its best case beats its floor:
+    its raw fitness with every I_pos sample intact, raised to 0 under the
+    gate. That is the score an intact candidate gets, by the same float
+    operations, and an upper bound of any other's, as alpha >= 0. A survivor
+    undefined on I_neg, or whose best case is not above its floor, skips I_pos.
     """
 
     def __init__(self, model: Model, localized: LocalizedSet, i_neg: Dataset, i_pos: Dataset,
@@ -397,16 +394,10 @@ class BatchScorer:
                      for ds in (i_neg, i_pos)]
         self.chunks = [chunk(len(i_neg), False), chunk(len(i_pos), cfg.variant == "eq2")]
         self.screen = None
-        counts, losses, undefined, _, _ = self._kernel(original, True, None)
+        counts, losses, undefined, _, _ = self._kernel(original, None)
         self.base_losses = tuple(float(row[0]) for row in losses)
         self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
-
-        # a defined candidate's losses lie in [0, -log(PROB_CLAMP)], so its raw score
-        # is finite, and a screened one's gated score is known, when this bound is
-        ratio = (1.0 - math.log(PROB_CLAMP) + cfg.delta) / cfg.delta
-        raw_max = 1.0 + cfg.alpha + (2.0 if cfg.variant == "eq1" else cfg.beta) * ratio
-        if not (cfg.perfect_intact and len(i_pos) >= 4 * SCREEN and raw_max < 1e300
-                and np.isfinite(self.base_losses).all()):
+        if not (cfg.perfect_intact and len(i_pos) >= 4 * SCREEN):
             return
         pos = self.sets[1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -416,48 +407,47 @@ class BatchScorer:
         # the screen reads I_pos's own inputs, bit for bit
         self.sets.append(cache(pos.a[:, picked], pos.labels[picked]))
         self.chunks.append(chunk(SCREEN, True))
-        # two interval bounds, one per leading index: the first from the largest |a|
-        # over I_pos, the second over I_pos and I_neg. Each is the K rows' base plus
-        # each localized weight's |value| times its input's largest |a|, then per
-        # layer above a matrix and an add; under last-layer repair the untouched
-        # logit rows bound it from below
+        # an interval bound of I_pos's logits: the K rows' base plus each localized
+        # weight's |value| times its input's largest |a| over I_pos, then per layer
+        # above a matrix and an add; under last-layer repair the untouched logit rows
+        # bound it from below
         amax = np.abs(pos.a).max(axis=1)
-        amax = np.stack([amax, np.maximum(amax, np.abs(self.sets[0].a).max(axis=1))])
         kept = np.abs(self.weights)
         kept.reshape(-1)[self.flat] = 0.0
-        spread = np.zeros((2, len(i), len(touched)))
-        spread[:, np.arange(len(i)), np.searchsorted(touched, j)] = amax[:, i]
+        spread = np.zeros((len(i), len(touched)))
+        spread[np.arange(len(i)), np.searchsorted(touched, j)] = amax[i]
         units = amax @ np.abs(w).T + np.abs(b[:, 0])
-        ups = [(np.abs(wk[touched]),
-                (units[:, untouched] @ np.abs(wk[untouched]) + np.abs(bk))[:, None]) if k == 0
-               else (np.abs(wk), np.abs(bk)) for k, (_, wk, bk) in enumerate(above)]
-        lower = np.zeros(2) if above else units[:, untouched].max(axis=1, initial=0.0)
+        ups = [(np.abs(wk[touched]), units[untouched] @ np.abs(wk[untouched]) + np.abs(bk))
+               if k == 0 else (np.abs(wk), np.abs(bk)) for k, (_, wk, bk) in enumerate(above)]
+        lower = 0.0 if above else units[untouched].max(initial=0.0)
         # two float evaluations of one margin differ by at most about 2u * terms * bound
         # (u = eps / 2; per layer, a dot product of fan-in terms and an add; then the
         # label's add and the subtraction); the slack is four times that
         terms = sum(spec.input_size + 1 for spec in model.layers[layer:]) + 2
         slack = 4 * np.finfo(np.float64).eps * terms
-        base = (amax @ kept.T + np.abs(b[touched, 0]))[:, None]
-        self.screen = (base, spread, ups, lower[:, None], slack)
+        base = amax @ kept.T + np.abs(b[touched, 0])
+        self.screen = (base, spread, ups, lower, slack)
 
-    def _kernel(self, positions: np.ndarray, full: bool, floor: np.ndarray | None):
+    def _kernel(self, positions: np.ndarray, floor: np.ndarray | None):
         """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
         which candidates are undefined, which the screen rejected (both their
         counts stay -1 and both their losses nan), and which skipped I_pos
-        below their `floor` (their I_pos row stays -1, nan)."""
+        below their `floor` (their I_pos row stays -1, nan); none without one."""
         counts = np.full((2, len(positions)), -1, dtype=np.int64)  # what an unscored set keeps
         losses = np.full((2, len(positions)), np.nan)
         undefined = ~np.isfinite(positions).all(axis=1)
         screened = skipped = np.zeros(len(positions), dtype=bool)  # replaced, never written
         todo = slice(None)
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.screen is not None and not full:
-                screened = self._screen(positions)
+            if floor is not None and self.screen is not None:
+                # a candidate that breaks I_pos scores 0 or -inf: no better than a floor >= 0
+                screened = (floor >= 0) & self._screen(positions)
+                self.telemetry["gate_screened"] += int(screened.sum())
                 todo = np.flatnonzero(~screened)
             survivors = positions[todo]
             counts[0, todo], losses[0, todo], bad = self._set_scores(0, survivors, False)
             undefined[todo] |= bad
-            if floor is not None and self.bounded and not full:
+            if floor is not None and self.bounded:
                 # every I_pos sample intact, by the float operations `_score` applies
                 best = raw_fitness(counts[0, todo], self.sizes[0], self.sizes[1], self.sizes[1],
                                    loss_ratio(self.base_losses[0], losses[0, todo], self.cfg),
@@ -469,7 +459,7 @@ class BatchScorer:
                 self.telemetry["pos_skipped"] += int(skipped.sum())
                 todo = np.flatnonzero(~(screened | skipped))
                 survivors = positions[todo]
-            count_only = not full and self.cfg.variant == "eq2"
+            count_only = floor is not None and self.cfg.variant == "eq2"
             counts[1, todo], losses[1, todo], bad = self._set_scores(1, survivors, count_only)
             undefined[todo] |= bad
         return counts, losses, undefined, screened, skipped
@@ -529,8 +519,8 @@ class BatchScorer:
         return counts, losses, undefined
 
     def _screen(self, positions: np.ndarray) -> np.ndarray:
-        """Candidates whose I_pos and I_neg logits are certified finite and
-        that break a screen sample by more than BAND plus the rounding slack."""
+        """Candidates that break a screen sample by more than BAND plus the
+        rounding slack."""
         c = self.sets[2]
         chunk = max(1, min(self.chunks[2], len(positions)))
         spare = np.empty((chunk, len(self.rows), len(c.labels)))
@@ -541,10 +531,7 @@ class BatchScorer:
         bound = base + np.abs(positions) @ spread
         for m, add in ups:
             bound = bound @ m + add
-        pos_bound, bound = np.maximum(bound.max(axis=-1), lower)
-        screened = (bound < 1e300) & (least < -(BAND + slack * pos_bound))
-        self.telemetry["gate_screened"] += int(screened.sum())
-        return screened
+        return least < -(BAND + slack * np.maximum(bound.max(axis=-1), lower))
 
     def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
         """Label margins of set `c`, (chunk, n): each sample's label logit less its
@@ -579,14 +566,13 @@ class BatchScorer:
             self.telemetry["band_fallback_columns"] += int(unsure.sum())
         return correct.sum(axis=-1), undefined
 
-    def __call__(self, positions: np.ndarray, full: bool = False,
-                 floor: np.ndarray | None = None) -> Scores:
-        """Scores of a (P, D) array of candidate weight values; with `full`,
-        every loss is computed even where the objective does not read it, and
-        no candidate is screened. With a (P,) `floor`, a candidate whose gated
-        score could not beat its floor may skip I_pos."""
+    def __call__(self, positions: np.ndarray, floor: np.ndarray | None = None) -> Scores:
+        """Scores of a (P, D) array of candidate weight values. Without a
+        floor, every candidate is scored in full, every loss included; with a
+        (P,) `floor`, a candidate whose gated score could not beat its floor
+        may be screened out or skip I_pos."""
         self.telemetry["candidates_scored"] += len(positions)
-        counts, losses, undefined, screened, skipped = self._kernel(positions, full, floor)
+        counts, losses, undefined, screened, skipped = self._kernel(positions, floor)
         return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened,
                       skipped)
 
@@ -627,13 +613,13 @@ def repair(
     for the cognitive term and one for the social term. If nothing strictly
     beats the identity patch the original model is returned unchanged. The
     search scores only what the objective reads; the returned breakdown has
-    every loss.
+    every loss. An empty localized set runs no search: the identity's
+    breakdown comes back with no trace and every counter 0.
     """
-    if len(localized) == 0:
-        base_losses = tuple(loss(model, s.features, s.labels) for s in (i_neg, i_pos))
-        best = fitness(model, i_neg, i_pos, base_losses, fcfg)
-        return RepairResult(model, best, (), None, dict.fromkeys(TELEMETRY, 0))
     scorer = BatchScorer(model, localized, i_neg, i_pos, fcfg)
+    if len(localized) == 0:
+        return RepairResult(model, scorer.identity.breakdown(0, scorer.base_losses), (), None,
+                            dict.fromkeys(TELEMETRY, 0))
     rng = np.random.default_rng(scfg.seed)
     pos, vel = init_swarm(localized, model, scfg, rng)
     vmax = VELOCITY_CLAMP * layer_weight_stats(model, localized.layer)[1]
@@ -646,22 +632,21 @@ def repair(
                    + SOCIAL * r2 * (gbest_pos - pos))
             np.clip(vel, -vmax, vmax, out=vel)
             pos = pos + vel
-        scores = scorer(pos, floor=pbest_fit if it else None)
+        scores = scorer(pos, floor=pbest_fit)
         improved = scores.gated > pbest_fit
         pbest_fit[improved] = scores.gated[improved]
         pbest_pos[improved] = pos[improved]
         # a particle that overtakes gbest improved just now, so `scores` holds its pbest
+        # scored on both sets: a screened or skipped candidate does not beat its floor
         k = int(np.argmax(pbest_fit))
         if gbest is None or pbest_fit[k] > gbest.gated_fitness:
             gbest, gbest_pos = scores.breakdown(k, scorer.base_losses), pbest_pos[k].copy()
-            if gbest.n_intact < 0:  # screened; the trace reports its I_pos count
-                gbest = scorer(gbest_pos[None], full=True).breakdown(0, scorer.base_losses)
         trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact,
                               int(scores.gate.sum()), int(improved.sum())))
 
     if gbest.gated_fitness > scorer.identity.gated[0]:
         patched = write_weights(model, localized.layer, localized.i, localized.j, gbest_pos)
-        best = scorer(gbest_pos[None], full=True)
+        best = scorer(gbest_pos[None])
     else:
         patched, best, gbest_pos = model, scorer.identity, None
     return RepairResult(patched, best.breakdown(0, scorer.base_losses), tuple(trace), gbest_pos,

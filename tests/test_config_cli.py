@@ -190,6 +190,15 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("split", "seed", "-1"),
         ("dataset", "seed", "-1"),
         ("split", "train", ".nan"),
+        # a value of another type is refused, not coerced: "false" is no bool
+        # (bool("false") is True), 8.9 no int, and a bool is neither int nor float
+        ("grid", "pi", '"false"'),
+        ("grid", "target_lw", "8.9"),
+        ("grid", "n_particles", "20.5"),
+        ("grid", "n_pos", "true"),
+        ("grid", "alpha", "true"),
+        ("repair", "n_iterations", '"20"'),
+        ("subject", "layer_sizes", "[2, 8.5, 4]"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
@@ -211,6 +220,14 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+def test_spec_reads_a_float_that_yaml_leaves_a_string(tmp_path):
+    # PyYAML reads 1e-6 (no dot) as a string; a float field takes it as a number
+    cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    cfg["repair"]["delta"] = yaml.safe_load("1e-6")
+    assert cfg["repair"]["delta"] == "1e-6"
+    assert experiment_spec_from_config(cfg).delta == 1e-6
+
+
 def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     malformed = tmp_path / "malformed.yaml"
@@ -226,6 +243,10 @@ def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
         # a directory is no readable file either
         (["sweep", "--config", str(tmp_path), "--out-dir", str(out)], str(tmp_path)),
         (["evaluate", "--model", str(tmp_path), "--data", missing], str(tmp_path)),
+        # no worker count below 1 falls back to a serial sweep
+        (["sweep", "--config", str(config_path), "--out-dir", str(out), "--workers", "0"], "n_workers"),
+        (["sweep", "--config", str(config_path), "--out-dir", str(out), "--workers", "-3"],
+         "n_workers"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

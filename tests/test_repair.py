@@ -12,7 +12,6 @@ from nnpatch import (
     LocalizedSet,
     Model,
     SwarmConfig,
-    fitness,
     init_swarm,
     repair,
     sample_positives,
@@ -23,6 +22,7 @@ from nnpatch.repair import (
     TELEMETRY,
     VARIANTS,
     BatchScorer,
+    fitness,
     layer_weight_stats,
     loss_ratio,
     raw_fitness,
@@ -308,12 +308,12 @@ def test_batch_scorer_matches_fitness_reference():
         positions[5, 0] = -np.inf
         finite = np.isfinite(positions).all(axis=1)
 
-        scores, full = scorer(positions), scorer(positions, full=True)
+        scores, full = scorer(positions, floor=np.zeros(p)), scorer(positions)
         for chunk in (1, 7, p):
             scorer.chunks = [chunk, chunk]
-            for a, b in zip(scorer(positions), scores):
+            for a, b in zip(scorer(positions, floor=np.zeros(p)), scores):
                 np.testing.assert_array_equal(a, b)
-            for a, b in zip(scorer(positions, full=True), full):
+            for a, b in zip(scorer(positions), full):
                 np.testing.assert_array_equal(a, b)
         for s in (scores, full):
             assert (s.raw[~finite] == -np.inf).all()
@@ -379,13 +379,13 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
         positions[9, 0] = -np.inf
         positions[10] = 1e308
 
-        want = scorer(positions, full=True)
+        want = scorer(positions)
         fallback_before = scorer.telemetry["band_fallback_columns"]
-        scorer(positions)
+        scorer(positions, floor=np.zeros(p))
         n_fallback += scorer.telemetry["band_fallback_columns"] - fallback_before
         for chunk in (1, 7, p):
             scorer.chunks = [chunk, chunk]
-            for got in (scorer(positions), scorer(positions, full=True)):
+            for got in (scorer(positions, floor=np.zeros(p)), scorer(positions)):
                 for name in ("n_patched", "n_intact", "raw", "gated"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
                 assert (got.gated != got.raw).sum() == (want.gated != want.raw).sum()
@@ -419,14 +419,14 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
                 positions = original + rng.normal(0.0, 1.0, size=(p, len(localized)))
                 positions[0] = original
 
-                scores, full = scorer(positions), scorer(positions, full=True)
+                scores, full = scorer(positions, floor=np.zeros(p)), scorer(positions)
                 for chunk in (1, 7, p):
                     scorer.chunks = [chunk, chunk]
-                    for got in (scorer(positions), scorer(positions, full=True)):
+                    for got in (scorer(positions, floor=np.zeros(p)), scorer(positions)):
                         for name in ("n_patched", "n_intact", "raw", "gated"):
                             np.testing.assert_array_equal(getattr(got, name), getattr(scores, name))
                             np.testing.assert_array_equal(getattr(got, name), getattr(full, name))
-                    for a, b in zip(scorer(positions, full=True), full):
+                    for a, b in zip(scorer(positions), full):
                         np.testing.assert_array_equal(a, b)
 
                 for k in range(p):
@@ -464,8 +464,8 @@ def test_overflowing_candidate_scores_minus_inf():
             assert bd.n_patched == 1
             assert bd.raw_fitness == bd.gated_fitness == -np.inf
             scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
-            for full in (False, True):
-                scores = scorer(np.array([[1e308]]), full=full)
+            for floor in (None, np.zeros(1)):
+                scores = scorer(np.array([[1e308]]), floor=floor)
                 assert scores.raw[0] == scores.gated[0] == -np.inf
 
 
@@ -496,8 +496,8 @@ def test_batch_scorer_identity_equals_fitness_on_an_empty_set():
                         [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness],
                         rtol=1e-12, atol=0)
                     # and every candidate, on any path, scores as the identity does
-                    for full in (False, True):
-                        scores = scorer(np.empty((3, 0)), full=full, floor=np.full(3, -np.inf))
+                    for floor in (None, np.full(3, -np.inf), np.zeros(3)):
+                        scores = scorer(np.empty((3, 0)), floor=floor)
                         for name in ("n_patched", "n_intact", "raw", "gated"):
                             want = np.repeat(getattr(scorer.identity, name), 3)
                             np.testing.assert_array_equal(getattr(scores, name), want)
@@ -529,6 +529,20 @@ def unscreened(monkeypatch, *args):
         return BatchScorer(*args)
 
 
+def screen_positions(rng, original, p):
+    """`p` candidates around `original`: at it, a little, somewhat and far off it,
+    in turn, with non-finite and overflowing rows among them."""
+    scale = np.array([0.0, 1e-3, 0.1, 1.0])[np.arange(p) % 4][:, None]
+    positions = original + scale * rng.normal(size=(p, len(original)))
+    positions[1, 0] = 1e308
+    positions[2, -1] = -1e308
+    positions[3, 0] = np.nan
+    positions[5, -1] = np.inf
+    positions[6, 0] = -np.inf
+    positions[7] = 1e308
+    return positions
+
+
 def test_gate_screen_keeps_every_gated_score(monkeypatch):
     rng = np.random.default_rng(97)
     n_screened = n_passed = 0
@@ -543,14 +557,8 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 ref = unscreened(monkeypatch, m, localized, neg, pos, cfg)
                 original = m.weights[layer][localized.i, localized.j]
                 p = int(rng.integers(24, 40))
-                scale = np.array([0.0, 1e-3, 0.1, 1.0])[np.arange(p) % 4][:, None]
-                positions = original + scale * rng.normal(size=(p, len(localized)))
-                positions[1, 0] = 1e308
-                positions[2, -1] = -1e308
-                positions[3, 0] = np.nan
-                positions[5, -1] = np.inf
-                positions[6, 0] = -np.inf
-                positions[7] = 1e308
+                positions = screen_positions(rng, original, p)
+                floor = np.where(rng.random(p) < 0.25, -np.inf, 0.0)
 
                 scored = []  # (set, candidates) of each set the call scores
                 score_set = scorer._set_scores
@@ -561,25 +569,31 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
 
                 with monkeypatch.context() as mp:
                     mp.setattr(scorer, "_set_scores", recording)
-                    got = scorer(positions)
-                want, full = ref(positions), scorer(positions, full=True)
-                # the screen changes no gated score and no gate verdict
-                np.testing.assert_array_equal(got.gated, full.gated)
-                np.testing.assert_array_equal(got.gated, want.gated)
-                np.testing.assert_array_equal(got.gate, full.gate)
-                screened = got.n_intact == -1
+                    got = scorer(positions, floor=floor)
+                want, full = ref(positions, floor=floor), scorer(positions)
+                np.testing.assert_array_equal(full.gated, ref(positions).gated)
+                screened = got.n_patched == -1
+                skipped = (got.n_intact == -1) & ~screened
                 assert not screened[0] and not screened[~np.isfinite(positions).all(axis=1)].any()
-                assert np.isnan(got.raw[screened]).all() and np.isnan(got.loss_pos[screened]).all()
+                assert not screened[floor < 0].any()
+                # a screened candidate broke I_pos: the gate zeroes it, an upper bound of
+                # its real gated score (0, or -inf if it is undefined), which does not beat
+                # its floor; nor does a skipped one's
                 assert (full.n_intact[screened] < len(pos)).all()
+                assert got.gate[screened].all() and (got.gated[screened] == 0).all()
+                assert np.isnan(got.raw[screened]).all() and np.isnan(got.loss_pos[screened]).all()
+                cut = screened | skipped
+                assert (full.gated[cut] <= floor[cut]).all()
                 # a screened candidate is scored on neither set: both sets see only the rest
-                assert (got.n_patched[screened] == -1).all() and np.isnan(got.loss_neg[screened]).all()
-                assert scored == [(0, (~screened).sum()), (1, (~screened).sum())]
+                assert np.isnan(got.loss_neg[screened]).all()
+                assert scored == [(0, (~screened).sum()), (1, (~cut).sum())]
+                # every other candidate scores as without the screen
                 for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a[~screened], b[~screened])
+                    np.testing.assert_array_equal(a[~cut], b[~cut])
                 # one chunk loop for all three sets: no score depends on the chunk
                 for chunk in (1, 7, p):
                     scorer.chunks = [chunk] * 3
-                    for a, b in zip(scorer(positions), got):
+                    for a, b in zip(scorer(positions, floor=floor), got):
                         np.testing.assert_array_equal(a, b)
                 assert full.breakdown(0, scorer.base_losses) == scorer.identity.breakdown(0, scorer.base_losses)
                 n_screened += screened.sum()
@@ -587,45 +601,91 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
     assert n_screened > 0 and n_passed > 0
 
 
-def test_gate_screen_leaves_a_candidate_that_overflows_on_ineg_to_score_minus_inf(monkeypatch):
-    # I_pos's inputs are at most 1, I_neg's is 1e200: W[0, 1] = 1e150 breaks every
-    # I_pos sample under finite logits, which a bound over I_pos alone would screen,
-    # but sends I_neg's class-1 logit to +inf, so its softmax is nan
+def test_gate_screen_never_rejects_a_candidate_whose_floor_is_below_zero():
+    # such a candidate could beat its floor with a gated 0, so it is scored on I_neg
+    rng = np.random.default_rng(19)
+    n_screened = 0
+    for trial in range(6):
+        m = random_model(rng, n_layers=trial % 3 + 1)
+        for layer in range(m.n_layers):
+            localized, neg, pos = screened_scenario(rng, m, layer)
+            cfg = FitnessConfig(variant=VARIANTS[trial % 2], perfect_intact=True)
+            scorer = BatchScorer(m, localized, neg, pos, cfg)
+            original = m.weights[layer][localized.i, localized.j]
+            p = int(rng.integers(24, 40))
+            positions = screen_positions(rng, original, p)
+            below = rng.choice([-np.inf, -1.0, -1e-300], size=p)
+            got = scorer(positions, floor=below)
+            assert scorer.telemetry["gate_screened"] == 0 and (got.n_patched >= 0).all()
+            # the same candidates under floors of 0 are screened
+            at_zero = scorer(positions, floor=np.zeros(p))
+            assert scorer.telemetry["gate_screened"] == (at_zero.n_patched == -1).sum()
+            n_screened += scorer.telemetry["gate_screened"]
+            # and under mixed floors only those at 0
+            mixed = np.where(rng.random(p) < 0.5, below, 0.0)
+            screened = scorer(positions, floor=mixed).n_patched == -1
+            assert not screened[mixed < 0].any()
+    assert n_screened > 0
+
+
+def overflow_on_ineg_setup():
+    """I_pos's inputs are at most 1, I_neg's is 1e200; W[0, 1] = 1e150 breaks every
+    I_pos sample under finite logits but sends I_neg's class-1 logit to +inf, so
+    its softmax is nan. Returns the model, localized set, I_neg and I_pos."""
     rng = np.random.default_rng(5)
     model = single_layer_model([[1.0, 0.0], [0.0, 1.0]])
     n = 4 * SCREEN
     x = np.column_stack([rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)])
     i_pos = samples(x, np.zeros(n), (f"p{k}" for k in range(n)), 2)
     i_neg = samples([[1e200, 0.0]], [1], ("n0",), 2)
-    localized = localized_over(0, [(0, 1)])
+    return model, localized_over(0, [(0, 1)]), i_neg, i_pos
+
+
+def test_gate_screen_leaves_a_candidate_that_overflows_on_ineg_to_score_minus_inf(monkeypatch):
+    # without a floor, or below a floor under 0, the candidate is scored: -inf
+    model, localized, i_neg, i_pos = overflow_on_ineg_setup()
     positions = np.array([[0.0], [1e150]])
     for variant in ("eq1", "eq2"):
         cfg = FitnessConfig(variant=variant, perfect_intact=True)
         scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
         assert scorer.screen is not None
-        got = scorer(positions)
         want = unscreened(monkeypatch, model, localized, i_neg, i_pos, cfg)(positions)
-        np.testing.assert_array_equal(got.n_intact, [n, 0])
-        assert got.raw[1] == got.gated[1] == want.gated[1] == -np.inf
-        assert got.gated[0] == want.gated[0] == scorer.identity.gated[0]
+        np.testing.assert_array_equal(scorer(positions).n_intact, [len(i_pos), 0])
+        for floor in (None, np.full(2, -np.inf), np.array([0.0, -1.0])):
+            got = scorer(positions, floor=floor)
+            assert got.raw[1] == got.gated[1] == want.gated[1] == -np.inf
+            assert got.gated[0] == want.gated[0] == scorer.identity.gated[0]
+        assert scorer.telemetry["gate_screened"] == 0
+
+
+def test_gate_screen_rejects_a_candidate_that_overflows_on_ineg():
+    # with no finiteness certificate, the screen rejects it below a floor >= 0: its
+    # gated 0 bounds its real score, -inf, which does not beat the floor either
+    model, localized, i_neg, i_pos = overflow_on_ineg_setup()
+    positions = np.array([[0.0], [1e150]])
+    floor = np.zeros(2)
+    for variant in ("eq1", "eq2"):
+        cfg = FitnessConfig(variant=variant, perfect_intact=True)
+        scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
+        got, full = scorer(positions, floor=floor), scorer(positions)
+        assert scorer.telemetry["gate_screened"] == 1
+        np.testing.assert_array_equal(got.n_patched, [0, -1])
+        assert got.gate[1] and got.gated[1] == 0.0
+        assert full.gated[1] == -np.inf <= floor[1]
+        assert got.gated[0] == full.gated[0] == scorer.identity.gated[0]
 
 
 def test_gate_screen_slack_ignores_a_large_ineg_input(monkeypatch):
     # I_pos's inputs are at most 1, I_neg's is 1e200: W[0, 1] = 2 breaks every I_pos
     # sample with logits finite on both sets; the rounding slack bounds I_pos alone,
     # so I_neg's size does not keep the screen from rejecting it
-    rng = np.random.default_rng(5)
-    model = single_layer_model([[1.0, 0.0], [0.0, 1.0]])
-    n = 4 * SCREEN
-    x = np.column_stack([rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.4, n)])
-    i_pos = samples(x, np.zeros(n), (f"p{k}" for k in range(n)), 2)
-    i_neg = samples([[1e200, 0.0]], [1], ("n0",), 2)
-    localized = localized_over(0, [(0, 1)])
+    model, localized, i_neg, i_pos = overflow_on_ineg_setup()
+    n = len(i_pos)
     positions = np.array([[0.0], [2.0]])
     for variant in ("eq1", "eq2"):
         cfg = FitnessConfig(variant=variant, perfect_intact=True)
         scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
-        got = scorer(positions)
+        got = scorer(positions, floor=np.zeros(2))
         want = unscreened(monkeypatch, model, localized, i_neg, i_pos, cfg)(positions)
         assert scorer.telemetry["gate_screened"] == 1
         np.testing.assert_array_equal(got.n_intact, [n, -1])
@@ -635,7 +695,7 @@ def test_gate_screen_slack_ignores_a_large_ineg_input(monkeypatch):
         np.testing.assert_array_equal(got.gate, want.gate)
 
 
-def test_skipped_candidate_cannot_beat_its_floor():
+def test_skipped_candidate_cannot_beat_its_floor(monkeypatch):
     rng = np.random.default_rng(61)
     n_skipped = n_kept = 0
     for trial in range(8):
@@ -650,25 +710,27 @@ def test_skipped_candidate_cannot_beat_its_floor():
             positions = original + scale * rng.normal(size=(p, len(original)))
             positions[3, 0] = np.nan
             positions[5] = 1e308
-            full = scorer(positions, full=True)
+            full = scorer(positions)
             # floors from the same scores: some exactly a candidate's own, some -inf
             floor = np.where(rng.random(p) < 0.3, full.gated, rng.permutation(full.gated))
-            plain = scorer(positions)
+            want = unscreened(monkeypatch, m, localized, neg, pos, cfg)(positions, floor=floor)
             before = scorer.telemetry["pos_skipped"]
             got = scorer(positions, floor=floor)
-            skipped = (got.n_intact == -1) & (got.n_patched >= 0)
+            screened = got.n_patched == -1
+            skipped = (got.n_intact == -1) & ~screened
             assert scorer.telemetry["pos_skipped"] - before == skipped.sum()
-            assert (full.gated[skipped] <= floor[skipped]).all()
+            cut = screened | skipped
+            assert (full.gated[cut] <= floor[cut]).all()
             assert not got.gate[skipped].any()
             assert (np.isnan(got.gated[skipped]) | (got.gated[skipped] == -np.inf)).all()
             assert np.isnan(got.loss_pos[skipped]).all()
-            # the rest are scored as without a floor; every candidate that beats its
-            # floor is among them
-            for a, b in zip(got, plain):
-                np.testing.assert_array_equal(a[~skipped], b[~skipped])
-            assert not skipped[full.gated > floor].any()
+            # the rest are scored as with neither the screen nor the skip; every
+            # candidate that beats its floor is among them
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a[~cut], b[~cut])
+            assert not cut[full.gated > floor].any()
             n_skipped += skipped.sum()
-            n_kept += (~skipped & (plain.n_intact >= 0)).sum()
+            n_kept += (~cut).sum()
     assert n_skipped > 0 and n_kept > 0
 
 
@@ -676,8 +738,8 @@ def test_repair_is_unchanged_by_the_pos_skip(monkeypatch):
     rng = np.random.default_rng(29)
     scorer_call = BatchScorer.__call__
 
-    def floorless(self, positions, full=False, floor=None):
-        return scorer_call(self, positions, full)
+    def floorless(self, positions, floor=None):
+        return scorer_call(self, positions)
 
     n_skipped = 0
     for trial in range(12):
@@ -738,6 +800,39 @@ def test_repair_is_unchanged_by_the_gate_screen(monkeypatch):
         n_screened += got.telemetry["gate_screened"]
         n_repaired += not got.identity_fallback
     assert n_screened > 0 and n_repaired > 0
+
+
+def test_repair_scores_only_the_identity_and_the_winner_without_a_floor(monkeypatch):
+    # every other call is a search call, with the personal bests as floors; a gbest
+    # is always a candidate scored on both sets, so it is never scored again
+    rng = np.random.default_rng(47)
+    kernel = BatchScorer._kernel
+    n_repaired = 0
+    for trial in range(10):
+        m = random_model(rng)
+        localized, neg, pos = screened_scenario(rng, m, int(rng.integers(0, m.n_layers)))
+        if trial >= 6:  # I_pos holds a sample the subject gets wrong
+            labels = pos.labels.copy()
+            labels[0] = (labels[0] + 1) % m.n_classes
+            pos = samples(pos.features, labels, pos.sample_ids, m.n_classes)
+        fcfg = FitnessConfig(variant=VARIANTS[trial % 2], alpha=float(rng.uniform(0.5, 8)),
+                             perfect_intact=trial % 4 > 0)
+        scfg = SwarmConfig(n_particles=int(rng.integers(8, 16)),
+                           n_iterations=int(rng.integers(2, 8)), seed=trial)
+        floorless = []
+
+        def recording(self, positions, *args):  # args end with the floor
+            if args[-1] is None:
+                floorless.append(len(positions))
+            return kernel(self, positions, *args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(BatchScorer, "_kernel", recording)
+            got = repair(m, localized, neg, pos, fcfg, scfg)
+        assert floorless == [1] if got.identity_fallback else floorless == [1, 1]
+        assert got.trace[0].n_intact >= 0 and all(row.n_patched >= 0 for row in got.trace)
+        n_repaired += not got.identity_fallback
+    assert n_repaired > 0
 
 
 def test_tie_with_identity_returns_the_original_model():
