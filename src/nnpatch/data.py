@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formats import read_json, write_csv, write_json
+from .formats import from_dict, read_json, write_csv, write_json
 from .network import LayerSpec, Model, forward, _frozen_array
 
 DATASET_MAGIC = "# nnpatch-dataset v1"
@@ -279,10 +279,10 @@ def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
         raw = base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
-        raise ValueError(f"corrupt model file: bad array encoding ({exc})") from exc
+        raise ValueError(f"bad array encoding ({exc})") from exc
     expect = 8 * int(np.prod(shape))
     if len(raw) != expect:
-        raise ValueError(f"corrupt model file: array has {len(raw)} bytes, expected {expect}")
+        raise ValueError(f"array has {len(raw)} bytes, expected {expect}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
@@ -322,12 +322,7 @@ def load_model(path) -> Model:
     if manifest.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {manifest.get('version')!r}")
     try:
-        specs = tuple(
-            LayerSpec(
-                int(l["input_size"]), int(l["output_size"]), str(l["activation"]), str(l["kind"])
-            )
-            for l in manifest["layers"]
-        )
+        specs = tuple(from_dict(LayerSpec, l) for l in manifest["layers"])
         weights = tuple(
             _decode_array(t, (s.input_size, s.output_size))
             for t, s in zip(manifest["weights"], specs, strict=True)
@@ -338,6 +333,8 @@ def load_model(path) -> Model:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"corrupt model file: missing field ({exc})") from exc
+    except ValueError as exc:  # a layer field of another type (2.7 is no size), a bad array
+        raise ValueError(f"corrupt model file: {exc}") from exc
     return Model(specs, weights, biases)
 
 

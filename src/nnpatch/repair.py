@@ -42,12 +42,12 @@ CHUNK_BYTES = 512 * 1024
 # hide inside either case; samples in between go through softmax + argmax.
 BAND = 1e-9
 
-# Under the perfect-intact gate, each search call first scores the SCREEN samples of
-# I_pos with the smallest logit margin at the subject, and rejects a candidate whose
-# personal best is >= 0 and that clearly breaks one of them without scoring the rest
-# of I_pos; sets smaller than 4 * SCREEN are scored in full. Under eq2 the same size
-# rule decides whether a search call skips I_pos for a candidate that cannot beat its
-# personal best.
+# Under the perfect-intact gate, I_pos is scored in two parts, first the SCREEN samples
+# with the smallest logit margin at the subject; a search call rejects a candidate whose
+# personal best is >= 0 and that breaks one of them, by that part's own count, without
+# scoring I_neg or the rest of I_pos. Sets smaller than 4 * SCREEN are one part. Under
+# eq2 the same size rule decides whether a search call skips I_pos for a candidate that
+# cannot beat its personal best.
 SCREEN = 32
 
 # The swarm's dynamics: the constriction coefficients of Clerc & Kennedy (IEEE TEC
@@ -278,6 +278,7 @@ class _Cached(NamedTuple):
     fixed_best: np.ndarray | None  # best untouched logit other than the label, per sample
     label_is_fixed: np.ndarray | None  # samples whose label row is untouched
     fixed_label: np.ndarray | None  # their label logit
+    chunk: int  # candidates per stacked product
 
 
 class BatchScorer:
@@ -308,15 +309,14 @@ class BatchScorer:
 
     A call given a `floor` per candidate (the search's personal bests), with at
     least 4 * SCREEN I_pos samples, leaves out work for candidates that could
-    not beat it. Under the perfect-intact gate a defined candidate's gated
-    score is 0 or above, and one that breaks an I_pos sample scores 0 or -inf,
-    so a candidate whose floor is >= 0 is screened out, scored on neither set,
-    when a margin of a third set (the SCREEN I_pos samples with the smallest
-    margin at the subject, in I_pos order) lies below -(BAND + slack * bound).
-    The bound is |W| @ max|a| + |b| over I_pos, carried up from the repair
-    layer; the slack covers the rounding by which products over different
-    sample sets can differ, so I_pos's count path would find that sample
-    broken too. A bound that is not finite screens nothing.
+    not beat it. Under the perfect-intact gate I_pos is cached as two parts:
+    S, the SCREEN samples with the smallest margin at the subject, and R, the
+    rest. Every I_pos pass scores S first, for every candidate, then R; its
+    count is the sum of both, and its loss is taken over the label
+    probabilities put back in I_pos order. A defined candidate's gated score
+    is 0 or above, and one that breaks an I_pos sample scores 0 or -inf, so a
+    candidate defined on S whose floor is >= 0 and whose S count is short of
+    |S| is screened out, scored on neither I_neg nor R.
 
     Under eq2 a survivor scores I_pos only when its best case beats its floor:
     its raw fitness with every I_pos sample intact, raised to 0 under the
@@ -357,7 +357,7 @@ class BatchScorer:
         self.rows = np.arange(model.n_classes) if above else touched
         self.fixed_rows = untouched if not above and untouched.size else None
 
-        def cache(a: np.ndarray, labels: np.ndarray) -> _Cached:
+        def cache(a: np.ndarray, labels: np.ndarray, count_only: bool) -> _Cached:
             n = len(labels)
             samples = np.arange(n)
             z0 = w @ a + b
@@ -381,52 +381,29 @@ class BatchScorer:
                 fixed_others = fixed.copy()
                 fixed_others[urow[label_is_fixed], samples[label_is_fixed]] = -np.inf
                 fixed_best = fixed_others.max(axis=0)
-            return _Cached(a, labels, samples, adds, others, row * n + samples,
-                           label_add, fixed, fixed_best, label_is_fixed, fixed_label)
-
-        def chunk(n: int, count_only: bool) -> int:
-            # sized by the widest array the set's path computes per candidate: the
+            # chunked by the widest array the set's path computes per candidate: the
             # K rows and the layers above, and all classes for softmax
             widest = max(self.widths) if count_only else max(*self.widths, self.n_classes)
-            return max(1, CHUNK_BYTES // (8 * widest * max(n, w.shape[1])))
+            return _Cached(a, labels, samples, adds, others, row * n + samples,
+                           label_add, fixed, fixed_best, label_is_fixed, fixed_label,
+                           max(1, CHUNK_BYTES // (8 * widest * max(n, w.shape[1]))))
 
-        self.sets = [cache(layer_inputs(model, ds.features, layer).T.copy(), ds.labels)
-                     for ds in (i_neg, i_pos)]
-        self.chunks = [chunk(len(i_neg), False), chunk(len(i_pos), cfg.variant == "eq2")]
-        self.screen = None
+        self.neg = cache(layer_inputs(model, i_neg.features, layer).T.copy(), i_neg.labels, False)
+        pos = cache(layer_inputs(model, i_pos.features, layer).T.copy(), i_pos.labels,
+                    cfg.variant == "eq2")
+        self.pos = (pos,)  # I_pos's parts: the whole set, or S and R
+        if cfg.perfect_intact and len(i_pos) >= 4 * SCREEN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, z = next(self._products(pos, original, 1))
+                margin = self._margins(z, pos, np.empty_like(z))[0]
+            self.in_s = np.zeros(len(i_pos), dtype=bool)  # I_pos's samples that S holds
+            self.in_s[np.argsort(margin, kind="stable")[:SCREEN]] = True
+            # C order: a masked column copy is not, and products over it run slower
+            self.pos = tuple(cache(np.ascontiguousarray(pos.a[:, part]), pos.labels[part],
+                                   cfg.variant == "eq2") for part in (self.in_s, ~self.in_s))
         counts, losses, undefined, _, _ = self._kernel(original, None)
         self.base_losses = tuple(float(row[0]) for row in losses)
         self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
-        if not (cfg.perfect_intact and len(i_pos) >= 4 * SCREEN):
-            return
-        pos = self.sets[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, z = next(self._products(pos, original, 1))
-            margin = self._margins(z, pos, np.empty_like(z))[0]
-        picked = np.sort(np.argsort(margin, kind="stable")[:SCREEN])
-        # the screen reads I_pos's own inputs, bit for bit
-        self.sets.append(cache(pos.a[:, picked], pos.labels[picked]))
-        self.chunks.append(chunk(SCREEN, True))
-        # an interval bound of I_pos's logits: the K rows' base plus each localized
-        # weight's |value| times its input's largest |a| over I_pos, then per layer
-        # above a matrix and an add; under last-layer repair the untouched logit rows
-        # bound it from below
-        amax = np.abs(pos.a).max(axis=1)
-        kept = np.abs(self.weights)
-        kept.reshape(-1)[self.flat] = 0.0
-        spread = np.zeros((len(i), len(touched)))
-        spread[np.arange(len(i)), np.searchsorted(touched, j)] = amax[i]
-        units = amax @ np.abs(w).T + np.abs(b[:, 0])
-        ups = [(np.abs(wk[touched]), units[untouched] @ np.abs(wk[untouched]) + np.abs(bk))
-               if k == 0 else (np.abs(wk), np.abs(bk)) for k, (_, wk, bk) in enumerate(above)]
-        lower = 0.0 if above else units[untouched].max(initial=0.0)
-        # two float evaluations of one margin differ by at most about 2u * terms * bound
-        # (u = eps / 2; per layer, a dot product of fan-in terms and an add; then the
-        # label's add and the subtraction); the slack is four times that
-        terms = sum(spec.input_size + 1 for spec in model.layers[layer:]) + 2
-        slack = 4 * np.finfo(np.float64).eps * terms
-        base = amax @ kept.T + np.abs(b[touched, 0])
-        self.screen = (base, spread, ups, lower, slack)
 
     def _kernel(self, positions: np.ndarray, floor: np.ndarray | None):
         """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
@@ -438,14 +415,18 @@ class BatchScorer:
         undefined = ~np.isfinite(positions).all(axis=1)
         screened = skipped = np.zeros(len(positions), dtype=bool)  # replaced, never written
         todo = slice(None)
+        count_only = floor is not None and self.cfg.variant == "eq2"
+        *s, rest = self.pos
         with np.errstate(over="ignore", invalid="ignore"):
-            if floor is not None and self.screen is not None:
-                # a candidate that breaks I_pos scores 0 or -inf: no better than a floor >= 0
-                screened = (floor >= 0) & self._screen(positions)
-                self.telemetry["gate_screened"] += int(screened.sum())
-                todo = np.flatnonzero(~screened)
+            if s:  # S first, for every candidate
+                s_n, s_picked, s_bad = self._set_scores(s[0], positions, count_only, split=True)
+                if floor is not None:
+                    # a candidate that breaks I_pos scores 0 or -inf: no better than a floor >= 0
+                    screened = (floor >= 0) & (s_n < len(s[0].labels)) & ~(undefined | s_bad)
+                    self.telemetry["gate_screened"] += int(screened.sum())
+                    todo = np.flatnonzero(~screened)
             survivors = positions[todo]
-            counts[0, todo], losses[0, todo], bad = self._set_scores(0, survivors, False)
+            counts[0, todo], losses[0, todo], bad = self._set_scores(self.neg, survivors, False)
             undefined[todo] |= bad
             if floor is not None and self.bounded:
                 # every I_pos sample intact, by the float operations `_score` applies
@@ -459,8 +440,15 @@ class BatchScorer:
                 self.telemetry["pos_skipped"] += int(skipped.sum())
                 todo = np.flatnonzero(~(screened | skipped))
                 survivors = positions[todo]
-            count_only = floor is not None and self.cfg.variant == "eq2"
-            counts[1, todo], losses[1, todo], bad = self._set_scores(1, survivors, count_only)
+            n, loss, bad = self._set_scores(rest, survivors, count_only, split=bool(s))
+            if s:  # add S's share of the same candidates
+                n += s_n[todo]
+                bad |= s_bad[todo]
+                if not count_only:
+                    picked = np.empty((len(n), len(self.in_s)))
+                    picked[:, self.in_s], picked[:, ~self.in_s] = s_picked[todo], loss
+                    loss = loss_from_picked(picked)
+            counts[1, todo], losses[1, todo] = n, loss
             undefined[todo] |= bad
         return counts, losses, undefined, screened, skipped
 
@@ -487,14 +475,16 @@ class BatchScorer:
                     out = _activate(z, activation, axis=-2, out=z)
             yield slice(lo, lo + n), z
 
-    def _set_scores(self, s: int, positions: np.ndarray, count_only: bool):
+    def _set_scores(self, c: _Cached, positions: np.ndarray, count_only: bool, split=False):
         """Correct counts, mean losses (nan when count_only) and undefined flags
-        of `positions` on set `s`, one per candidate."""
-        c = self.sets[s]
+        of `positions` on set `c`, one per candidate. On a `split` part of I_pos
+        the full path gives each candidate's label probabilities in place of its
+        loss, for `_kernel` to put back in I_pos order."""
         counts = np.zeros(len(positions), dtype=np.int64)
-        losses = np.full(len(positions), np.nan)
+        keep = split and not count_only  # label probabilities in place of losses
+        losses = np.full((len(positions), len(c.labels)) if keep else len(positions), np.nan)
         undefined = np.zeros(len(positions), dtype=bool)
-        chunk = max(1, min(self.chunks[s], len(positions)))
+        chunk = max(1, min(c.chunk, len(positions)))
         # the count path's scratch, or the softmax output
         spare = np.empty((chunk, len(self.rows) if count_only else self.n_classes, len(c.labels)))
         logits = None
@@ -512,26 +502,15 @@ class BatchScorer:
                 z = logits[:n]
             out = _activate(z, "softmax", axis=-2, out=spare[:n])
             counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
+            picked = out[:, c.labels, c.samples]
+            if keep:
+                losses[cols] = picked
+                undefined[cols] = np.isnan(picked).any(axis=-1)
+                continue
             # C order, so each mean sums its samples as a 1-D batch would
-            picked = np.ascontiguousarray(out[:, c.labels, c.samples])
-            losses[cols] = loss_from_picked(picked)
+            losses[cols] = loss_from_picked(np.ascontiguousarray(picked))
             undefined[cols] = np.isnan(losses[cols])
         return counts, losses, undefined
-
-    def _screen(self, positions: np.ndarray) -> np.ndarray:
-        """Candidates that break a screen sample by more than BAND plus the
-        rounding slack."""
-        c = self.sets[2]
-        chunk = max(1, min(self.chunks[2], len(positions)))
-        spare = np.empty((chunk, len(self.rows), len(c.labels)))
-        least = np.empty(len(positions))
-        for cols, z in self._products(c, positions, chunk):
-            least[cols] = self._margins(z, c, spare[:len(z)]).min(axis=-1)
-        base, spread, ups, lower, slack = self.screen
-        bound = base + np.abs(positions) @ spread
-        for m, add in ups:
-            bound = bound @ m + add
-        return least < -(BAND + slack * np.maximum(bound.max(axis=-1), lower))
 
     def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
         """Label margins of set `c`, (chunk, n): each sample's label logit less its

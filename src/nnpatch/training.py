@@ -4,11 +4,13 @@ spec so the same spec always yields the same subject."""
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
+from .formats import _converter
 from .network import Model, _backprop, _trace, build_mlp, loss_from_probs
 from .synth import make_clusters
 
@@ -38,19 +40,40 @@ class SubjectSpec:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
-        if self.source.get("kind") == "clusters" and self.source.get("seed", 0) < 0:
+        # checked only: `source` is kept as written
+        if _source_args(self.source).get("seed", 0) < 0:
             raise ValueError("dataset seed must be >= 0")
+
+
+# each data source kind's arguments, by type
+_SOURCE_ARGS = {
+    "clusters": {k: t for k, t in typing.get_type_hints(make_clusters).items() if k != "return"},
+    "file": {"path": str},
+}
+
+
+def _source_args(source: dict) -> dict:
+    """A data source's arguments but `kind`, each converted by its type as a
+    config value is. An unknown kind, a missing path, a key the kind does not
+    take or a value of another type raises ValueError naming it."""
+    kind = source.get("kind")
+    if not isinstance(kind, str) or kind not in _SOURCE_ARGS:
+        raise ValueError(f"unknown data source kind {kind!r}")
+    args = {k: v for k, v in source.items() if k != "kind"}
+    if kind == "file" and "path" not in args:
+        raise ValueError("dataset of kind 'file' needs a path")
+    unknown = sorted(map(repr, args.keys() - _SOURCE_ARGS[kind].keys()))
+    if unknown:
+        raise ValueError(f"dataset of kind {kind!r} has no key {', '.join(unknown)}")
+    return {k: _converter(_SOURCE_ARGS[kind][k], f"dataset {k}")(v) for k, v in args.items()}
 
 
 def load_source(source: dict) -> Dataset:
     """Materialize the declared data source."""
-    kind = source.get("kind")
-    if kind == "clusters":
-        params = {k: v for k, v in source.items() if k != "kind"}
-        return make_clusters(**params)
-    if kind == "file":
-        return load_dataset(source["path"])
-    raise ValueError(f"unknown data source kind {kind!r}")
+    args = _source_args(source)
+    if source["kind"] == "clusters":
+        return make_clusters(**args)
+    return load_dataset(args["path"])
 
 
 def materialize_splits(spec: SubjectSpec):

@@ -199,6 +199,12 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("grid", "alpha", "true"),
         ("repair", "n_iterations", '"20"'),
         ("subject", "layer_sizes", "[2, 8.5, 4]"),
+        # the dataset section is checked against its data source's arguments
+        ("dataset", "foo", "1"),
+        ("dataset", "seed", '"x"'),
+        ("dataset", "n_per_class", '"many"'),
+        ("dataset", "kind", "file"),
+        ("dataset", "kind", "[clusters]"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):

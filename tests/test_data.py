@@ -274,6 +274,19 @@ def test_model_load_rejects_corruption(tmp_path):
         load_model(tampered)
 
 
+@pytest.mark.parametrize("sizes, size", [([2, 3], "2.7"), ([2, 3], "2.0"), ([1, 2], "true")])
+def test_model_load_refuses_a_layer_size_that_is_no_int(tmp_path, sizes, size):
+    # int() would read 2.7 as 2 and true as 1: a layer of another width
+    path = tmp_path / "m.json"
+    save_model(build_mlp(sizes, seed=1), path)
+    text = path.read_text()
+    written = f'"input_size":{sizes[0]},'
+    assert written in text
+    path.write_text(text.replace(written, f'"input_size":{size},'))
+    with pytest.raises(ValueError, match="corrupt model file"):
+        load_model(path)
+
+
 def test_dataset_roundtrip_preserves_order_and_labels(tmp_path):
     ds = toy_dataset(n=25, n_classes=4, seed=9)
     path = tmp_path / "d.csv"

@@ -48,6 +48,13 @@ def write_localized(model, localized, values):
     return write_weights(model, localized.layer, localized.i, localized.j, values)
 
 
+def set_chunk(scorer, chunk):
+    """Chunk every set `scorer` caches, each part of I_pos included, by `chunk`
+    candidates."""
+    scorer.neg = scorer.neg._replace(chunk=chunk)
+    scorer.pos = tuple(c._replace(chunk=chunk) for c in scorer.pos)
+
+
 def repair_scenario(rng, pin_labels=True, any_layer=False):
     """Random model plus I_neg (all failing) and I_pos (all passing),
     localized on the last layer or, with any_layer, on a random one."""
@@ -310,7 +317,7 @@ def test_batch_scorer_matches_fitness_reference():
 
         scores, full = scorer(positions, floor=np.zeros(p)), scorer(positions)
         for chunk in (1, 7, p):
-            scorer.chunks = [chunk, chunk]
+            set_chunk(scorer, chunk)
             for a, b in zip(scorer(positions, floor=np.zeros(p)), scores):
                 np.testing.assert_array_equal(a, b)
             for a, b in zip(scorer(positions), full):
@@ -384,7 +391,7 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
         scorer(positions, floor=np.zeros(p))
         n_fallback += scorer.telemetry["band_fallback_columns"] - fallback_before
         for chunk in (1, 7, p):
-            scorer.chunks = [chunk, chunk]
+            set_chunk(scorer, chunk)
             for got in (scorer(positions, floor=np.zeros(p)), scorer(positions)):
                 for name in ("n_patched", "n_intact", "raw", "gated"):
                     np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
@@ -421,7 +428,7 @@ def test_touched_units_kernel_matches_fitness_at_every_layer():
 
                 scores, full = scorer(positions, floor=np.zeros(p)), scorer(positions)
                 for chunk in (1, 7, p):
-                    scorer.chunks = [chunk, chunk]
+                    set_chunk(scorer, chunk)
                     for got in (scorer(positions, floor=np.zeros(p)), scorer(positions)):
                         for name in ("n_patched", "n_intact", "raw", "gated"):
                             np.testing.assert_array_equal(getattr(got, name), getattr(scores, name))
@@ -560,12 +567,15 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 positions = screen_positions(rng, original, p)
                 floor = np.where(rng.random(p) < 0.25, -np.inf, 0.0)
 
-                scored = []  # (set, candidates) of each set the call scores
+                assert len(scorer.pos) == 2  # I_pos is cached as S and R, each in C order
+                assert all(c.a.flags.c_contiguous for c in scorer.pos)
+                sets = (scorer.neg, *scorer.pos)
+                scored = []  # (I_neg 0, S 1 or R 2, candidates) of each set the call scores
                 score_set = scorer._set_scores
 
-                def recording(s, candidates, count_only):
-                    scored.append((s, len(candidates)))
-                    return score_set(s, candidates, count_only)
+                def recording(c, candidates, *args, **kwargs):
+                    scored.append((next(k for k, x in enumerate(sets) if x is c), len(candidates)))
+                    return score_set(c, candidates, *args, **kwargs)
 
                 with monkeypatch.context() as mp:
                     mp.setattr(scorer, "_set_scores", recording)
@@ -584,15 +594,16 @@ def test_gate_screen_keeps_every_gated_score(monkeypatch):
                 assert np.isnan(got.raw[screened]).all() and np.isnan(got.loss_pos[screened]).all()
                 cut = screened | skipped
                 assert (full.gated[cut] <= floor[cut]).all()
-                # a screened candidate is scored on neither set: both sets see only the rest
+                # S is scored for every candidate; a screened one on neither I_neg nor R,
+                # a skipped one not on R
                 assert np.isnan(got.loss_neg[screened]).all()
-                assert scored == [(0, (~screened).sum()), (1, (~cut).sum())]
+                assert scored == [(1, p), (0, (~screened).sum()), (2, (~cut).sum())]
                 # every other candidate scores as without the screen
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a[~cut], b[~cut])
-                # one chunk loop for all three sets: no score depends on the chunk
+                # one chunk loop for I_neg, S and R: no score depends on the chunk
                 for chunk in (1, 7, p):
-                    scorer.chunks = [chunk] * 3
+                    set_chunk(scorer, chunk)
                     for a, b in zip(scorer(positions, floor=floor), got):
                         np.testing.assert_array_equal(a, b)
                 assert full.breakdown(0, scorer.base_losses) == scorer.identity.breakdown(0, scorer.base_losses)
@@ -648,7 +659,7 @@ def test_gate_screen_leaves_a_candidate_that_overflows_on_ineg_to_score_minus_in
     for variant in ("eq1", "eq2"):
         cfg = FitnessConfig(variant=variant, perfect_intact=True)
         scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
-        assert scorer.screen is not None
+        assert len(scorer.pos) == 2  # I_pos is cached as S and R
         want = unscreened(monkeypatch, model, localized, i_neg, i_pos, cfg)(positions)
         np.testing.assert_array_equal(scorer(positions).n_intact, [len(i_pos), 0])
         for floor in (None, np.full(2, -np.inf), np.array([0.0, -1.0])):
@@ -675,10 +686,10 @@ def test_gate_screen_rejects_a_candidate_that_overflows_on_ineg():
         assert got.gated[0] == full.gated[0] == scorer.identity.gated[0]
 
 
-def test_gate_screen_slack_ignores_a_large_ineg_input(monkeypatch):
+def test_gate_screen_is_not_stopped_by_a_large_ineg_input(monkeypatch):
     # I_pos's inputs are at most 1, I_neg's is 1e200: W[0, 1] = 2 breaks every I_pos
-    # sample with logits finite on both sets; the rounding slack bounds I_pos alone,
-    # so I_neg's size does not keep the screen from rejecting it
+    # sample with logits finite on both sets, and the screen, which reads I_pos
+    # alone, rejects it
     model, localized, i_neg, i_pos = overflow_on_ineg_setup()
     n = len(i_pos)
     positions = np.array([[0.0], [2.0]])
@@ -693,6 +704,35 @@ def test_gate_screen_slack_ignores_a_large_ineg_input(monkeypatch):
         assert want.n_patched[1] == 1 and want.gate[1]
         np.testing.assert_array_equal(got.gated, want.gated)
         np.testing.assert_array_equal(got.gate, want.gate)
+
+
+def test_gate_screen_rejects_a_break_inside_the_rounding_of_large_logits():
+    # the first I_pos sample has logits of about 4e6; the candidate W[1, 1] = 1e-8
+    # breaks it by a margin of about -1e-8, past BAND though within the rounding
+    # that products over other sample sets could show at that size. The screen
+    # counts that sample as I_pos's own count does, so it rejects the candidate,
+    # whose full-path gated score (0: one sample broken) does not beat its floor
+    model = single_layer_model([[1.0, 1.0], [0.0, -1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(3)
+    n = 4 * SCREEN
+    x = np.column_stack([rng.uniform(1.0, 2.0, n), np.zeros(n), rng.uniform(2.0, 3.0, n)])
+    x[0] = [4e6, 1.0, 0.0]
+    i_pos = samples(x, np.zeros(n), (f"p{k}" for k in range(n)), 2)
+    i_neg = samples([[1.0, 1.0, 0.0]], [1], ("n0",), 2)
+    localized = localized_over(0, [(1, 1)])
+    positions = np.array([[-1.0], [1e-8]])
+    floor = np.zeros(2)
+    for variant in ("eq1", "eq2"):
+        cfg = FitnessConfig(variant=variant, perfect_intact=True)
+        scorer = BatchScorer(model, localized, i_neg, i_pos, cfg)
+        full = scorer(positions)
+        np.testing.assert_array_equal(full.n_intact, [n, n - 1])
+        got = scorer(positions, floor=floor)
+        assert scorer.telemetry["gate_screened"] == 1
+        np.testing.assert_array_equal(got.n_patched, [0, -1])
+        assert got.gate[1] and got.gated[1] == 0.0
+        assert full.gated[1] <= floor[1]
+        assert got.gated[0] == full.gated[0] == scorer.identity.gated[0]
 
 
 def test_skipped_candidate_cannot_beat_its_floor(monkeypatch):
