@@ -1,8 +1,10 @@
 """Command line entry points.
 
-Every verb reads its hyperparameters from a versioned YAML config; --seed
-overrides the one seed that verb cares about (dataset seed for gen-data,
-subject seed for train, master seed for sweep, and so on).
+Each verb takes only the flags it reads. `--config` is a versioned YAML
+config, read by every verb but evaluate and report; `--seed` overrides the
+one seed a verb uses: the dataset, split, drift or subject seed for gen-data,
+split, drift and train, the master seed for repair and sweep. localize takes
+no `--seed`, as localization draws nothing at random.
 """
 from __future__ import annotations
 
@@ -89,7 +91,7 @@ def _cmd_train(args) -> int:
 def _subject_and_splits(cfg, args):
     spec = subject_spec_from_config(cfg)
     _, splits = materialize_splits(spec)
-    if getattr(args, "model", None):
+    if args.model:
         model = load_model(args.model)
     else:
         model = train_subject(spec, splits)
@@ -98,7 +100,7 @@ def _subject_and_splits(cfg, args):
 
 def _cmd_localize(args) -> int:
     cfg = load_config(args.config)
-    exp = experiment_spec_from_config(cfg, master_seed=args.seed)
+    exp = experiment_spec_from_config(cfg)
     model, splits = _subject_and_splits(cfg, args)
     inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
     localized = localize_to_count(
@@ -163,10 +165,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, needs_config=True):
+    def add(name, fn, config=True, seed=True):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None, help="override the verb's seed")
+        if config:
+            p.add_argument("--config", required=True, help="YAML config file")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the verb's seed")
         p.set_defaults(fn=fn)
         return p
 
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
     p = add("train", _cmd_train)
     p.add_argument("--out-dir", required=True)
 
-    p = add("localize", _cmd_localize)
+    p = add("localize", _cmd_localize, seed=False)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", help="reuse a trained model file instead of retraining")
 
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", help="reuse a trained model file instead of retraining")
 
-    p = add("evaluate", _cmd_evaluate, needs_config=False)
+    p = add("evaluate", _cmd_evaluate, config=False, seed=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out")
@@ -199,7 +203,7 @@ def main(argv=None) -> int:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--workers", type=int, default=1)
 
-    p = add("report", _cmd_report, needs_config=False)
+    p = add("report", _cmd_report, config=False, seed=False)
     p.add_argument("--sweep-dir", required=True)
 
     args = parser.parse_args(argv)

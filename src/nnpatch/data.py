@@ -97,14 +97,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Fractions for the train/validation/repair/test partition."""
+    """Fractions for the train/validation/repair/test partition, applied to
+    each class."""
 
     train: float
     validation: float
     repair: float
     test: float
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self) -> None:
         for name, f in zip(SPLIT_NAMES, self.fractions):
@@ -176,29 +176,18 @@ def _largest_remainder(n: int, fractions, rotate: int) -> list[int]:
 def split(dataset: Dataset, spec: SplitSpec):
     """Partition into (train, validation, repair, test) Datasets.
 
-    Deterministic per seed; stratified mode allocates per class with
-    largest-remainder rounding. Output rows keep dataset order.
+    Deterministic per seed; stratified: each class is allocated on its own
+    with largest-remainder rounding. Output rows keep dataset order.
     """
     rng = np.random.default_rng(spec.seed)
     buckets: list[list[int]] = [[], [], [], []]
-
-    def _allocate(indices: np.ndarray, rotate: int) -> None:
-        perm = rng.permutation(indices)
-        counts = _largest_remainder(len(indices), spec.fractions, rotate)
-        start = 0
-        for s, c in enumerate(counts):
-            buckets[s].extend(perm[start : start + c].tolist())
-            start += c
-
-    if spec.stratified:
-        for c in range(dataset.n_classes):
-            members = np.flatnonzero(dataset.labels == c)
-            if len(members) == 0:
-                raise ValueError(f"stratified split needs >= 1 sample of class {c}")
-            _allocate(members, rotate=c)
-    else:
-        _allocate(np.arange(len(dataset)), rotate=0)
-
+    for c in range(dataset.n_classes):
+        members = np.flatnonzero(dataset.labels == c)
+        if len(members) == 0:
+            raise ValueError(f"stratified split needs >= 1 sample of class {c}")
+        bounds = np.cumsum(_largest_remainder(len(members), spec.fractions, rotate=c))[:-1]
+        for bucket, part in zip(buckets, np.split(rng.permutation(members), bounds)):
+            bucket.extend(part.tolist())
     return tuple(dataset.subset(sorted(b)) for b in buckets)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 PROB_CLAMP = 1e-12
 
-_ACTIVATIONS = ("relu", "identity", "softmax")
+_ACTIVATIONS = ("relu", "softmax")  # relu on every hidden layer, softmax on the last
 
 
 class ShapeError(ValueError):
@@ -56,7 +56,7 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable stack of dense layers ending in a softmax head."""
+    """Immutable stack of dense relu layers ending in a softmax head."""
 
     layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
@@ -100,8 +100,8 @@ class Model:
         return len(self.layers)
 
 
-def build_mlp(layer_sizes, seed: int = 0, hidden_activation: str = "relu") -> Model:
-    """He-initialized MLP with the given layer widths and a softmax head."""
+def build_mlp(layer_sizes, seed: int = 0) -> Model:
+    """He-initialized relu MLP with the given layer widths and a softmax head."""
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
@@ -109,7 +109,7 @@ def build_mlp(layer_sizes, seed: int = 0, hidden_activation: str = "relu") -> Mo
     specs, ws, bs = [], [], []
     for k, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
         last = k == len(sizes) - 2
-        act = "softmax" if last else hidden_activation
+        act = "softmax" if last else "relu"
         scale = np.sqrt((1.0 if last else 2.0) / nin)
         specs.append(LayerSpec(nin, nout, act))
         ws.append(rng.normal(0.0, scale, size=(nin, nout)))
@@ -121,11 +121,6 @@ def _activate(z: np.ndarray, activation: str, axis: int = -1, out: np.ndarray | 
     """The activation of z, written to `out` when given (which may be z itself)."""
     if activation == "relu":
         return np.maximum(z, 0.0, out=out)
-    if activation == "identity":
-        if out is None or out is z:
-            return z
-        np.copyto(out, z)
-        return out
     # softmax over the class axis, stabilized; an empty input stays empty
     if not z.size:
         return np.exp(z)
@@ -133,14 +128,6 @@ def _activate(z: np.ndarray, activation: str, axis: int = -1, out: np.ndarray | 
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
-
-
-def _activation_grad(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    if activation == "identity":
-        return np.ones_like(z)
-    raise ValueError("no elementwise gradient for softmax")
 
 
 def _check_inputs(model: Model, inputs) -> np.ndarray:
@@ -283,5 +270,5 @@ def _backprop(layers, weights, biases, inputs: np.ndarray, labels: np.ndarray):
         grad_w[k] = layer_in.T @ delta
         grad_b[k] = delta.sum(axis=0)
         if k:
-            delta = (delta @ weights[k].T) * _activation_grad(pre[k - 1], layers[k - 1].activation)
+            delta = (delta @ weights[k].T) * (pre[k - 1] > 0.0)  # relu's gradient
     return grad_w, grad_b

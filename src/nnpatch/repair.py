@@ -487,20 +487,12 @@ class BatchScorer:
         chunk = max(1, min(c.chunk, len(positions)))
         # the count path's scratch, or the softmax output
         spare = np.empty((chunk, len(self.rows) if count_only else self.n_classes, len(c.labels)))
-        logits = None
-        if not count_only and self.fixed_rows is not None:  # the logits keep their fixed rows
-            logits = np.empty_like(spare)
-            logits[:, self.fixed_rows] = c.fixed
         for cols, z in self._products(c, positions, chunk):
             n = len(z)
             if count_only:
                 counts[cols], undefined[cols] = self._count_from_logits(z, c, spare[:n])
                 continue
-            z += c.adds[-1]
-            if logits is not None:
-                logits[:n, self.rows] = z
-                z = logits[:n]
-            out = _activate(z, "softmax", axis=-2, out=spare[:n])
+            out = self._softmax(z, c, spare[:n])
             counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
             picked = out[:, c.labels, c.samples]
             if keep:
@@ -511,6 +503,17 @@ class BatchScorer:
             losses[cols] = loss_from_picked(np.ascontiguousarray(picked))
             undefined[cols] = np.isnan(losses[cols])
         return counts, losses, undefined
+
+    def _softmax(self, z: np.ndarray, c: _Cached, out: np.ndarray) -> np.ndarray:
+        """Class probabilities of set `c`, (chunk, classes, n), written to `out`,
+        from the computed logit rows' (chunk, rows, n) products `z` before the
+        last add, which this adds in place; the fixed rows are filled in."""
+        z += c.adds[-1]
+        if c.fixed is not None:
+            out[:, self.fixed_rows] = c.fixed
+            out[:, self.rows] = z
+            z = out
+        return _activate(z, "softmax", axis=-2, out=out)
 
     def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
         """Label margins of set `c`, (chunk, n): each sample's label logit less its
@@ -533,13 +536,7 @@ class BatchScorer:
         undefined = np.zeros(len(z), dtype=bool)
         rows = np.flatnonzero(unsure.any(axis=1))
         if rows.size:
-            logits = z[rows] + c.adds[-1]
-            if c.fixed is not None:
-                computed = logits
-                logits = np.empty((len(rows), self.n_classes, z.shape[-1]))
-                logits[:, self.fixed_rows] = c.fixed
-                logits[:, self.rows] = computed
-            probs = _activate(logits, "softmax", axis=-2, out=logits)
+            probs = self._softmax(z[rows], c, np.empty((len(rows), self.n_classes, z.shape[-1])))
             correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == c.labels, correct[rows])
             undefined[rows] = np.isnan(probs).any(axis=(-2, -1))
             self.telemetry["band_fallback_columns"] += int(unsure.sum())

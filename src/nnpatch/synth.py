@@ -7,9 +7,28 @@ repair scenarios are staged.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .data import Dataset
+
+
+def check_clusters(args: dict) -> None:
+    """Raise ValueError naming the first of `make_clusters`'s arguments, all
+    given in `args`, whose value is out of its range."""
+    for key, ok, rule in (
+        ("n_classes", args["n_classes"] >= 2, ">= 2"),
+        ("n_per_class", args["n_per_class"] >= 1, ">= 1"),
+        ("n_features", args["n_features"] >= 2, ">= 2 to place means on a circle"),
+        ("radius", 0.0 <= args["radius"] < math.inf, "finite and >= 0"),
+        ("cluster_std", 0.0 <= args["cluster_std"] < math.inf, "finite and >= 0"),
+        ("confusion_pull", 0.0 <= args["confusion_pull"] < 1.0, "in [0, 1)"),
+        ("target_class", 0 <= args["target_class"] < args["n_classes"], "in [0, n_classes)"),
+        ("seed", args["seed"] >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise ValueError(f"dataset {key} must be {rule}, got {args[key]!r}")
 
 
 def make_clusters(
@@ -21,27 +40,15 @@ def make_clusters(
     confusion_pull: float = 0.0,
     target_class: int = 0,
     seed: int = 0,
-    id_prefix: str = "s",
 ) -> Dataset:
-    """One isotropic Gaussian blob per class.
+    """One isotropic Gaussian blob per class; sample ids are s000000, s000001, ...
 
     Means sit evenly on a circle of the given radius (first two feature
     dimensions; any extra dimensions center at 0). confusion_pull in [0, 1)
     moves the target class mean toward the next class around the circle, so
     misclassifications concentrate on that pair.
     """
-    if n_classes < 2:
-        raise ValueError("need >= 2 classes")
-    if n_per_class < 1:
-        raise ValueError("need >= 1 sample per class")
-    if n_features < 2:
-        raise ValueError("need >= 2 features to place means on a circle")
-    if not 0.0 <= confusion_pull < 1.0:
-        raise ValueError("confusion_pull must lie in [0, 1)")
-    if not 0 <= target_class < n_classes:
-        raise ValueError("target_class out of range")
-    if seed < 0:
-        raise ValueError("dataset seed must be >= 0")
+    check_clusters(locals())  # every argument, before anything else is bound
 
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, n_features))
@@ -56,6 +63,6 @@ def make_clusters(
         [rng.normal(means[c], cluster_std, size=(n_per_class, n_features)) for c in range(n_classes)]
     )
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
-    ids = tuple(f"{id_prefix}{k:06d}" for k in range(len(labels)))
+    ids = tuple(f"s{k:06d}" for k in range(len(labels)))
     names = tuple(f"c{c}" for c in range(n_classes))
     return Dataset(feats, labels, ids, n_classes, names)

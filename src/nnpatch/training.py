@@ -3,6 +3,7 @@ data source, with the four-way split (and optional drift) baked into the
 spec so the same spec always yields the same subject."""
 from __future__ import annotations
 
+import inspect
 import math
 import typing
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
 from .formats import _converter
 from .network import Model, _backprop, _trace, build_mlp, loss_from_probs
-from .synth import make_clusters
+from .synth import check_clusters, make_clusters
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,7 @@ class SubjectSpec:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
-        # checked only: `source` is kept as written
-        if _source_args(self.source).get("seed", 0) < 0:
-            raise ValueError("dataset seed must be >= 0")
+        _source_args(self.source)  # checked only: `source` is kept as written
 
 
 # each data source kind's arguments, by type
@@ -50,12 +49,14 @@ _SOURCE_ARGS = {
     "clusters": {k: t for k, t in typing.get_type_hints(make_clusters).items() if k != "return"},
     "file": {"path": str},
 }
+_CLUSTER_DEFAULTS = {k: p.default for k, p in inspect.signature(make_clusters).parameters.items()}
 
 
 def _source_args(source: dict) -> dict:
     """A data source's arguments but `kind`, each converted by its type as a
     config value is. An unknown kind, a missing path, a key the kind does not
-    take or a value of another type raises ValueError naming it."""
+    take, a value of another type or one out of its range raises ValueError
+    naming it."""
     kind = source.get("kind")
     if not isinstance(kind, str) or kind not in _SOURCE_ARGS:
         raise ValueError(f"unknown data source kind {kind!r}")
@@ -65,7 +66,10 @@ def _source_args(source: dict) -> dict:
     unknown = sorted(map(repr, args.keys() - _SOURCE_ARGS[kind].keys()))
     if unknown:
         raise ValueError(f"dataset of kind {kind!r} has no key {', '.join(unknown)}")
-    return {k: _converter(_SOURCE_ARGS[kind][k], f"dataset {k}")(v) for k, v in args.items()}
+    args = {k: _converter(_SOURCE_ARGS[kind][k], f"dataset {k}")(v) for k, v in args.items()}
+    if kind == "clusters":
+        check_clusters(_CLUSTER_DEFAULTS | args)
+    return args
 
 
 def load_source(source: dict) -> Dataset:

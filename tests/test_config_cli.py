@@ -205,6 +205,17 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("dataset", "n_per_class", '"many"'),
         ("dataset", "kind", "file"),
         ("dataset", "kind", "[clusters]"),
+        # and against their ranges, before the data is generated
+        ("dataset", "n_classes", "1"),
+        ("dataset", "n_per_class", "0"),
+        ("dataset", "n_features", "1"),
+        ("dataset", "confusion_pull", "1.0"),
+        ("dataset", "target_class", "9"),
+        ("dataset", "cluster_std", "-1"),
+        # keys that are no longer settings: sample ids have one prefix, and
+        # every split is stratified
+        ("dataset", "id_prefix", "x"),
+        ("split", "stratified", "false"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
@@ -258,6 +269,21 @@ def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and word in err and "Traceback" not in err
         assert not out.exists() and not (tmp_path / "nosweep").exists()
+
+
+def test_cli_verbs_take_only_the_flags_they_read(config_path, tmp_path, capsys):
+    # evaluate and report read no config, and localization draws nothing at random
+    out = tmp_path / "loc"
+    for argv, flag in (
+        (["report", "--sweep-dir", str(tmp_path), "--seed", "1"], "--seed"),
+        (["evaluate", "--model", "m.json", "--data", "d.csv", "--config", "x"], "--config"),
+        (["localize", "--config", str(config_path), "--out-dir", str(out), "--seed", "1"], "--seed"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_drift_section_parsing(tmp_path):

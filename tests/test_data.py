@@ -174,33 +174,20 @@ def test_drift_missing_class_errors():
 
 def test_select_repair_inputs_boundaries():
     ds = toy_dataset(n=24, n_classes=2, seed=3)
-    parts = split(ds, SplitSpec(0.5, 0.1, 0.2, 0.2, seed=1))
     # zero weights + biased logits force class 0 on every input
     always0 = single_layer_model(np.zeros((ds.features.shape[1], 2)), biases=[1.0, 0.0])
-    # perfect-on-repair model: pick target class with no repair failures
-    # by using the always-0 model and target class 0 only if class 0 has
-    # no misclassified repair samples; easier to synthesize directly:
-    labels_all_zero = Dataset(
-        features=ds.features,
-        labels=np.zeros(len(ds), dtype=int),
-        sample_ids=ds.sample_ids,
-        n_classes=2,
-        class_names=ds.class_names,
-    )
-    p2 = split(labels_all_zero, SplitSpec(0.5, 0.1, 0.2, 0.2, seed=1, stratified=False))
+
+    def relabelled(label):
+        """(train, repair): the halves of `ds` with every sample's label set to `label`."""
+        one_class = Dataset(ds.features, np.full(len(ds), label), ds.sample_ids, 2, ds.class_names)
+        return one_class.subset(range(12)), one_class.subset(range(12, 24))
+
+    # a model that passes every class-0 sample has nothing to repair on class 0
     with pytest.raises(NothingToRepairError):
-        select_repair_inputs(always0, p2[0], p2[2], target_class=0)
-    # model that misclassifies everything -> empty positive pool
-    labels_all_one = Dataset(
-        features=ds.features,
-        labels=np.ones(len(ds), dtype=int),
-        sample_ids=ds.sample_ids,
-        n_classes=2,
-        class_names=ds.class_names,
-    )
-    p3 = split(labels_all_one, SplitSpec(0.5, 0.1, 0.2, 0.2, seed=1, stratified=False))
+        select_repair_inputs(always0, *relabelled(0), target_class=0)
+    # a model that misclassifies everything -> empty positive pool
     with pytest.raises(RepairInputError, match="positive pool"):
-        select_repair_inputs(always0, p3[0], p3[2], target_class=1)
+        select_repair_inputs(always0, *relabelled(1), target_class=1)
 
 
 def test_select_repair_inputs_matches_argmax_filter():
@@ -272,6 +259,14 @@ def test_model_load_rejects_corruption(tmp_path):
     tampered.write_text(text.replace('"version":1', '"version":9'))
     with pytest.raises(ValueError, match="version"):
         load_model(tampered)
+    # hidden layers are relu: a file that declares another activation is refused
+    path = tmp_path / "h.json"
+    save_model(build_mlp([3, 4, 2], seed=1), path)
+    text = path.read_text()
+    assert text.count('"activation":"relu"') == 1
+    path.write_text(text.replace('"activation":"relu"', '"activation":"identity"'))
+    with pytest.raises(ValueError, match="corrupt model file: unknown activation 'identity'"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("sizes, size", [([2, 3], "2.7"), ([2, 3], "2.0"), ([1, 2], "true")])
@@ -358,6 +353,12 @@ def test_make_clusters_shape_and_determinism():
     assert (a.features != c.features).any()
     with pytest.raises(ValueError, match="dataset seed must be >= 0"):
         make_clusters(seed=-1)
+    # otherwise an infinite spread or radius surfaces as non-finite features and a
+    # negative spread as numpy's error when the data is drawn, neither naming the key
+    for key, value in (("cluster_std", -1.0), ("cluster_std", np.nan), ("radius", np.inf),
+                       ("radius", -0.5)):
+        with pytest.raises(ValueError, match=f"dataset {key} must be finite and >= 0"):
+            make_clusters(**{key: value})
 
 
 def test_make_clusters_confusion_pull_moves_target_mean():

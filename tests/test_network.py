@@ -31,6 +31,8 @@ def test_layer_spec_validation():
         LayerSpec(0, 3, "relu")
     with pytest.raises(ValueError):
         LayerSpec(2, 3, "tanh")
+    with pytest.raises(ValueError, match="activation"):  # hidden layers are relu
+        LayerSpec(2, 3, "identity")
     with pytest.raises(ValueError):
         LayerSpec(2, 3, "relu", kind="conv")
 
@@ -167,7 +169,7 @@ def test_layer_inputs_match_manual_forward():
         a = b.features
         for k in range(layer):
             z = a @ m.weights[k] + m.biases[k]
-            a = np.maximum(z, 0) if m.layers[k].activation == "relu" else z
+            a = np.maximum(z, 0)  # every hidden layer is relu
         np.testing.assert_array_equal(layer_inputs(m, b.features, layer), a)
 
 
