@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .formats import from_dict, read_json, write_csv, write_json
+from .formats import as_dict, from_dict, read_json, write_csv, write_json
 from .network import LayerSpec, Model, forward, _frozen_array
 
 DATASET_MAGIC = "# nnpatch-dataset v1"
@@ -282,15 +282,7 @@ def save_model(model: Model, path, provenance: dict | None = None) -> None:
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "n_classes": model.n_classes,
-        "layers": [
-            {
-                "input_size": s.input_size,
-                "output_size": s.output_size,
-                "activation": s.activation,
-                "kind": s.kind,
-            }
-            for s in model.layers
-        ],
+        "layers": [as_dict(s) for s in model.layers],
         "weights": [_encode_array(w) for w in model.weights],
         "biases": [_encode_array(b) for b in model.biases],
     }
@@ -300,8 +292,8 @@ def save_model(model: Model, path, provenance: dict | None = None) -> None:
 
 
 def load_model(path) -> Model:
-    """Inverse of save_model. Rejects malformed files, version mismatches and
-    non-finite values; never returns a partial model."""
+    """Inverse of save_model. Rejects malformed files, version mismatches, non-finite
+    values and declared layers unlike the decoded model's; never returns a partial model."""
     try:
         manifest = read_json(path)
     except json.JSONDecodeError as exc:
@@ -320,11 +312,17 @@ def load_model(path) -> Model:
             _decode_array(t, (s.output_size,))
             for t, s in zip(manifest["biases"], specs, strict=True)
         )
+        model = Model(weights, biases)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"corrupt model file: missing field ({exc})") from exc
     except ValueError as exc:  # a layer field of another type (2.7 is no size), a bad array
         raise ValueError(f"corrupt model file: {exc}") from exc
-    return Model(specs, weights, biases)
+    for k, (declared, layer) in enumerate(zip(specs, model.layers)):
+        for key, value in as_dict(declared).items():
+            if value != getattr(layer, key):
+                raise ValueError(f"corrupt model file: layer {k} declares {key} {value!r}, "
+                                 f"not {getattr(layer, key)!r}")
+    return model
 
 
 def save_dataset(dataset: Dataset, path) -> None:

@@ -5,11 +5,12 @@ of repetitions; a resume trains it only if some run is not done, and reruns
 every run if the retrained subject differs from the saved one. Each run
 gets its own directory and RNG streams derived from (master_seed, config
 index, repetition index). A run.json that reads back, names its own
-directory and grid entry, and holds every split marks a completed run of a
-directory whose sweep.json reads back, which is what makes sweeps
-resumable; any other record is rerun. Wall-clock runtimes live in
-timing.json sidecars so everything else is byte-stable. Every file is
-written through `nnpatch.formats`.
+directory and grid entry, and holds every split (and, if ok, has its model,
+trace and localized files beside it) marks a completed run of a directory
+whose sweep.json reads back, which is what makes sweeps resumable; any other
+record is rerun. Wall-clock runtimes live in timing.json sidecars so
+everything else is byte-stable. Every file is written through
+`nnpatch.formats`.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -36,6 +38,7 @@ from .training import SubjectSpec, materialize_splits, train_subject
 # and the order of the per-config means in report.json and config_summary.csv
 _OUTCOME = ("before_accuracy", "after_accuracy", "broken", "repaired")
 _MEANS = ("broken", "repaired", "before_accuracy", "after_accuracy")
+_RUN_FILES = ("model.json", "trace.csv", "localized.csv")  # an ok run's, beside run.json
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,7 @@ def _config_hash(config: dict) -> str:
 
 
 def _run_dir(out: Path, ci: int, ri: int) -> Path:
-    return out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}"
+    return out.joinpath("runs", f"cfg{ci:03d}", f"rep{ri:02d}")  # one join: a resume calls it per run
 
 
 def _split_records(before: dict, after: dict) -> dict:
@@ -249,7 +252,7 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
         write_trace_csv(rr.trace, out_dir / "trace.csv")
     if localized is not None:
         write_localized_csv(localized, out_dir / "localized.csv")
-    for name, written in (("model.json", rr), ("trace.csv", rr), ("localized.csv", localized)):
+    for name, written in zip(_RUN_FILES, (rr, rr, localized)):
         if written is None:
             (out_dir / name).unlink(missing_ok=True)
     write_json(out_dir / "timing.json", {**timing, "persist_s": time.perf_counter() - t0})
@@ -258,18 +261,20 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
 
 def _load_run(out: Path, exp: ExperimentSpec, ci: int, ri: int) -> RunResult | None:
     """The persisted record of run (ci, ri), or None when the run is not done:
-    its run.json or timing.json is missing, truncated or malformed, or the
+    its run.json or timing.json is missing, truncated or malformed, the
     record is stale (it names another directory or grid entry, or a run that
-    did not fail lacks a split's outcome)."""
+    did not fail lacks a split's outcome), or it is ok and lacks its model,
+    trace or localized file (each is written whole, so one that exists is)."""
     run_dir = _run_dir(out, ci, ri)
     try:
         r = from_dict(RunResult, read_json(run_dir / "run.json"))
         float(read_json(run_dir / "timing.json").get("runtime_seconds", 0.0))  # it must read back
         complete = r.status == "error" or all(set(_OUTCOME) <= r.splits[n].keys() for n in SPLIT_NAMES)
+        files = r.status != "ok" or set(_RUN_FILES).issubset(os.listdir(run_dir))  # one syscall
     except (OSError, ValueError, TypeError, AttributeError, KeyError):
         return None
     own = (r.config_id, r.rep, r.config) == (f"cfg{ci:03d}", ri, as_dict(exp.grid[ci]))
-    return r if own and complete else None
+    return r if own and complete and files else None
 
 
 def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:

@@ -17,8 +17,6 @@ import numpy as np
 
 PROB_CLAMP = 1e-12
 
-_ACTIVATIONS = ("relu", "softmax")  # relu on every hidden layer, softmax on the last
-
 
 class ShapeError(ValueError):
     """Input or label dimensions do not match the model or each other."""
@@ -26,20 +24,12 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Shape and activation of one dense layer."""
+    """One dense layer as a model file lists it."""
 
     input_size: int
     output_size: int
     activation: str
     kind: str = "dense"
-
-    def __post_init__(self) -> None:
-        if self.kind != "dense":
-            raise ValueError(f"unsupported layer kind {self.kind!r}")
-        if self.input_size < 1 or self.output_size < 1:
-            raise ValueError("layer sizes must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -56,48 +46,50 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable stack of dense relu layers ending in a softmax head."""
+    """Immutable stack of dense layers: layer k maps weights[k].shape[0]
+    inputs to weights[k].shape[1] outputs, through relu on every hidden
+    layer and softmax on the last."""
 
-    layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        layers = tuple(self.layers)
         weights = tuple(_frozen_array(w, np.float64) for w in self.weights)
         biases = tuple(_frozen_array(b, np.float64) for b in self.biases)
-        object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
-        if not layers:
+        if not weights:
             raise ValueError("model needs at least one layer")
-        if not (len(layers) == len(weights) == len(biases)):
-            raise ValueError("layers, weights and biases must have equal length")
-        for k, (spec, w, b) in enumerate(zip(layers, weights, biases)):
-            if w.shape != (spec.input_size, spec.output_size):
-                raise ValueError(f"layer {k}: weight shape {w.shape} does not match spec")
-            if b.shape != (spec.output_size,):
-                raise ValueError(f"layer {k}: bias shape {b.shape} does not match spec")
+        if len(weights) != len(biases):
+            raise ValueError("weights and biases must have equal length")
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or not w.size:
+                raise ValueError(f"layer {k}: weight shape {w.shape} must be 2-D and non-empty")
+            if b.shape != (w.shape[1],):
+                raise ValueError(f"layer {k}: bias shape {b.shape} does not match its weights")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {k}: non-finite parameter values")
-            if k > 0 and layers[k - 1].output_size != spec.input_size:
+            if k > 0 and weights[k - 1].shape[1] != w.shape[0]:
                 raise ValueError(f"layer {k}: input size does not chain from layer {k - 1}")
-            if spec.activation == "softmax" and k != len(layers) - 1:
-                raise ValueError("softmax is only allowed on the final layer")
-        if layers[-1].activation != "softmax":
-            raise ValueError("the final layer must use softmax")
+
+    @property
+    def layers(self) -> tuple[LayerSpec, ...]:
+        """Each layer's sizes and activation, as a model file lists them."""
+        last = len(self.weights) - 1
+        return tuple(LayerSpec(*w.shape, "softmax" if k == last else "relu")
+                     for k, w in enumerate(self.weights))
 
     @property
     def input_size(self) -> int:
-        return self.layers[0].input_size
+        return self.weights[0].shape[0]
 
     @property
     def n_classes(self) -> int:
-        return self.layers[-1].output_size
+        return self.weights[-1].shape[1]
 
     @property
     def n_layers(self) -> int:
-        return len(self.layers)
+        return len(self.weights)
 
 
 def build_mlp(layer_sizes, seed: int = 0) -> Model:
@@ -106,24 +98,17 @@ def build_mlp(layer_sizes, seed: int = 0) -> Model:
     if len(sizes) < 2:
         raise ValueError("need at least input and output sizes")
     rng = np.random.default_rng(seed)
-    specs, ws, bs = [], [], []
+    ws, bs = [], []
     for k, (nin, nout) in enumerate(zip(sizes, sizes[1:])):
-        last = k == len(sizes) - 2
-        act = "softmax" if last else "relu"
-        scale = np.sqrt((1.0 if last else 2.0) / nin)
-        specs.append(LayerSpec(nin, nout, act))
+        scale = np.sqrt((1.0 if k == len(sizes) - 2 else 2.0) / nin)
         ws.append(rng.normal(0.0, scale, size=(nin, nout)))
         bs.append(np.zeros(nout))
-    return Model(tuple(specs), tuple(ws), tuple(bs))
+    return Model(tuple(ws), tuple(bs))
 
 
-def _activate(z: np.ndarray, activation: str, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """The activation of z, written to `out` when given (which may be z itself)."""
-    if activation == "relu":
-        return np.maximum(z, 0.0, out=out)
-    # softmax over the class axis, stabilized; an empty input stays empty
-    if not z.size:
-        return np.exp(z)
+def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of z over `axis`, a non-empty one, stabilized, written to `out`
+    when given (which may be z itself)."""
     e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
@@ -156,22 +141,20 @@ def _check_labelled(model: Model, inputs, labels) -> tuple[np.ndarray, np.ndarra
     return inputs, labels
 
 
-def _trace(layers, weights, biases, inputs: np.ndarray):
-    """Per-layer pre-activations and post-activations of a stack of layers
-    for a raw input matrix; the one forward loop."""
-    pre, post = [], []
-    a = inputs
-    for spec, w, b in zip(layers, weights, biases):
-        z = a @ w + b
-        a = _activate(z, spec.activation)
-        pre.append(z)
-        post.append(a)
-    return pre, post
+def _trace(weights, biases, inputs: np.ndarray, stop: int | None = None) -> list:
+    """A raw input matrix, then the output of each of the first `stop` layers
+    (all by default) of a stack of layers: relu on every hidden layer, softmax
+    on the last. The one forward loop."""
+    acts = [inputs]
+    for k, (w, b) in enumerate(zip(weights[:stop], biases[:stop])):
+        z = acts[-1] @ w + b
+        acts.append(softmax(z) if k == len(weights) - 1 else np.maximum(z, 0.0))
+    return acts
 
 
 def forward(model: Model, inputs) -> np.ndarray:
     """Class probabilities, one row per input row (rows sum to 1)."""
-    return _trace(model.layers, model.weights, model.biases, _check_inputs(model, inputs))[1][-1]
+    return _trace(model.weights, model.biases, _check_inputs(model, inputs))[-1]
 
 
 def loss_from_picked(picked: np.ndarray) -> np.ndarray:
@@ -210,7 +193,7 @@ def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
     a = _check_inputs(model, inputs)
     if layer == 0:
         return a.copy()
-    return _trace(model.layers[:layer], model.weights[:layer], model.biases[:layer], a)[1][-1]
+    return _trace(model.weights, model.biases, a, stop=layer)[-1]
 
 
 def _check_index(model: Model, layer: int, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -247,28 +230,27 @@ def write_weights(model: Model, layer: int, i, j, values) -> Model:
     w = model.weights[layer].copy()
     w[i, j] = values
     w.setflags(write=False)
-    return Model(model.layers, model.weights[:layer] + (w,) + model.weights[layer + 1:], model.biases)
+    return Model(model.weights[:layer] + (w,) + model.weights[layer + 1:], model.biases)
 
 
 def full_gradients(model: Model, inputs, labels):
     """Weight and bias gradients of the mean loss for every layer, by exact
     backpropagation from the softmax/cross-entropy head."""
     inputs, labels = _check_labelled(model, inputs, labels)
-    return _backprop(model.layers, model.weights, model.biases, inputs, labels)
+    return _backprop(model.weights, model.biases, inputs, labels)
 
 
-def _backprop(layers, weights, biases, inputs: np.ndarray, labels: np.ndarray):
+def _backprop(weights, biases, inputs: np.ndarray, labels: np.ndarray):
     """`full_gradients` of a stack of layers, on inputs and labels already checked."""
-    pre, post = _trace(layers, weights, biases, inputs)
-    delta = post[-1].copy()  # softmax minus one-hot labels, over the sample count
+    acts = _trace(weights, biases, inputs)
+    delta = acts[-1].copy()  # softmax minus one-hot labels, over the sample count
     delta[np.arange(len(labels)), labels] -= 1.0
     delta /= len(inputs)
-    grad_w = [None] * len(layers)
-    grad_b = [None] * len(layers)
-    for k in range(len(layers) - 1, -1, -1):
-        layer_in = inputs if k == 0 else post[k - 1]
-        grad_w[k] = layer_in.T @ delta
+    grad_w = [None] * len(weights)
+    grad_b = [None] * len(weights)
+    for k in range(len(weights) - 1, -1, -1):
+        grad_w[k] = acts[k].T @ delta
         grad_b[k] = delta.sum(axis=0)
         if k:
-            delta = (delta @ weights[k].T) * (pre[k - 1] > 0.0)  # relu's gradient
+            delta = (delta @ weights[k].T) * (acts[k] > 0.0)  # relu's gradient: z > 0 iff relu(z) > 0
     return grad_w, grad_b

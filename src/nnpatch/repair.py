@@ -19,12 +19,12 @@ from .formats import write_csv
 from .localization import LocalizedSet
 from .network import (
     Model,
-    _activate,
     forward,
     layer_inputs,
     loss_from_picked,
     loss_from_probs,
     read_weights,
+    softmax,
     write_weights,
 )
 
@@ -319,9 +319,10 @@ class BatchScorer:
     |S| is screened out, scored on neither I_neg nor R.
 
     Under eq2 a survivor scores I_pos only when its best case beats its floor:
-    its raw fitness with every I_pos sample intact, raised to 0 under the
-    gate. That is the score an intact candidate gets, by the same float
-    operations, and an upper bound of any other's, as alpha >= 0. A survivor
+    its raw fitness with every I_pos sample intact. That is the score an
+    intact candidate gets, by the same float operations, and an upper bound
+    of any other's, as alpha >= 0; it is >= 0 or nan, as beta >= 0 and the
+    loss ratio is > 0, so it also bounds the gate's 0. A survivor
     undefined on I_neg, or whose best case is not above its floor, skips I_pos.
     """
 
@@ -338,7 +339,7 @@ class BatchScorer:
         if not len(j):  # an empty set recomputes unit 0 as it is, so no product is empty
             uses[0] = 1
         touched, untouched = np.flatnonzero(uses), np.flatnonzero(uses == 0)
-        above = list(zip(model.layers[layer + 1:], model.weights[layer + 1:], model.biases[layer + 1:]))
+        above = [wk.T.copy() for wk in model.weights[layer + 1:]]  # none at the last layer
         self.cfg = cfg
         self.sizes = (len(i_neg), len(i_pos))
         # whether a search call may skip I_pos for a candidate below its floor
@@ -348,11 +349,9 @@ class BatchScorer:
         self.n_classes = model.n_classes
         self.weights = w[touched]  # every candidate's rows before its localized values
         self.flat = np.searchsorted(touched, j) * w.shape[1] + i
-        # stage 0 is the candidates' K rows; the stage above reads only their columns
-        self.stages = [(model.layers[layer].activation, None)] + [
-            (spec.activation, wk.T[:, touched].copy() if k == 0 else wk.T.copy())
-            for k, (spec, wk, _) in enumerate(above)]
-        self.widths = [len(touched)] + [spec.output_size for spec, _, _ in above]
+        # the layers above the candidates' K rows, the first read only at their columns
+        self.above = [wk[:, touched] if k == 0 else wk for k, wk in enumerate(above)]
+        self.widths = [len(touched)] + [len(wk) for wk in above]
         # the logit rows each candidate computes; under last-layer repair the rest are fixed
         self.rows = np.arange(model.n_classes) if above else touched
         self.fixed_rows = untouched if not above and untouched.size else None
@@ -363,9 +362,9 @@ class BatchScorer:
             z0 = w @ a + b
             adds = [b[touched]]
             if above:
-                h = _activate(z0[untouched], model.layers[layer].activation)
-                adds.append(above[0][1].T[:, untouched] @ h + above[0][2][:, None])
-                adds += [bk[:, None] for _, _, bk in above[1:]]
+                h = np.maximum(z0[untouched], 0.0)
+                adds.append(above[0][:, untouched] @ h + model.biases[layer + 1][:, None])
+                adds += [bk[:, None] for bk in model.biases[layer + 2:]]
             row = np.minimum(np.searchsorted(self.rows, labels), len(self.rows) - 1)
             computed = self.rows[row] == labels
             others = np.empty((len(self.rows), n))
@@ -433,8 +432,6 @@ class BatchScorer:
                 best = raw_fitness(counts[0, todo], self.sizes[0], self.sizes[1], self.sizes[1],
                                    loss_ratio(self.base_losses[0], losses[0, todo], self.cfg),
                                    np.nan, self.cfg)
-                if self.cfg.perfect_intact:
-                    best = np.maximum(best, 0.0)
                 skipped = np.zeros(len(positions), dtype=bool)
                 skipped[todo] = ~(best > floor[todo]) | undefined[todo]
                 self.telemetry["pos_skipped"] += int(skipped.sum())
@@ -461,18 +458,17 @@ class BatchScorer:
         weight_stack = np.empty((chunk, *self.weights.shape))
         weight_stack[...] = self.weights
         z_stacks = [np.empty((chunk, width, len(c.labels))) for width in self.widths]
-        last = len(self.stages) - 1
         for lo in range(0, len(positions), chunk):
             block = positions[lo:lo + chunk]
             n = len(block)
             weights = weight_stack[:n]
             weights.reshape(n, -1)[:, self.flat] = block
             out = c.a
-            for k, ((activation, w), add) in enumerate(zip(self.stages, c.adds)):
-                z = np.matmul(weights if k == 0 else w, out, out=z_stacks[k][:n])
-                if k < last:
+            for k, (w, add) in enumerate(zip([weights, *self.above], c.adds)):
+                z = np.matmul(w, out, out=z_stacks[k][:n])
+                if k < len(self.above):  # a hidden layer
                     z += add
-                    out = _activate(z, activation, axis=-2, out=z)
+                    out = np.maximum(z, 0.0, out=z)
             yield slice(lo, lo + n), z
 
     def _set_scores(self, c: _Cached, positions: np.ndarray, count_only: bool, split=False):
@@ -513,7 +509,7 @@ class BatchScorer:
             out[:, self.fixed_rows] = c.fixed
             out[:, self.rows] = z
             z = out
-        return _activate(z, "softmax", axis=-2, out=out)
+        return softmax(z, axis=-2, out=out)
 
     def _margins(self, z: np.ndarray, c: _Cached, spare: np.ndarray) -> np.ndarray:
         """Label margins of set `c`, (chunk, n): each sample's label logit less its

@@ -41,7 +41,19 @@ class SubjectSpec:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
-        _source_args(self.source)  # checked only: `source` is kept as written
+        args = _source_args(self.source)  # `source` itself is kept as written
+        n_classes = self.layer_sizes[-1]
+        if self.source["kind"] == "clusters":  # a file's shape is known once it is read
+            if args["n_features"] != self.layer_sizes[0]:
+                raise ValueError(f"dataset n_features must equal layer_sizes[0] = "
+                                 f"{self.layer_sizes[0]}, got {args['n_features']}")
+            if args["n_classes"] > n_classes:
+                raise ValueError(f"dataset n_classes must be <= layer_sizes[-1] = {n_classes}, "
+                                 f"got {args['n_classes']}")
+            n_classes = args["n_classes"]
+        if self.drift is not None and not 0 <= self.drift.target_class < n_classes:
+            raise ValueError(f"drift target_class must lie in [0, {n_classes}), "
+                             f"got {self.drift.target_class}")
 
 
 # each data source kind's arguments, by type
@@ -54,9 +66,9 @@ _CLUSTER_DEFAULTS = {k: p.default for k, p in inspect.signature(make_clusters).p
 
 def _source_args(source: dict) -> dict:
     """A data source's arguments but `kind`, each converted by its type as a
-    config value is. An unknown kind, a missing path, a key the kind does not
-    take, a value of another type or one out of its range raises ValueError
-    naming it."""
+    config value is, a `clusters` source's with their defaults filled in. An
+    unknown kind, a missing path, a key the kind does not take, a value of
+    another type or one out of its range raises ValueError naming it."""
     kind = source.get("kind")
     if not isinstance(kind, str) or kind not in _SOURCE_ARGS:
         raise ValueError(f"unknown data source kind {kind!r}")
@@ -68,7 +80,8 @@ def _source_args(source: dict) -> dict:
         raise ValueError(f"dataset of kind {kind!r} has no key {', '.join(unknown)}")
     args = {k: _converter(_SOURCE_ARGS[kind][k], f"dataset {k}")(v) for k, v in args.items()}
     if kind == "clusters":
-        check_clusters(_CLUSTER_DEFAULTS | args)
+        args = _CLUSTER_DEFAULTS | args
+        check_clusters(args)
     return args
 
 
@@ -107,7 +120,6 @@ def train_subject(spec: SubjectSpec, splits) -> Model:
     if train.n_features != model.input_size or int(train.labels.max()) >= model.n_classes:
         raise ValueError("train split does not fit the declared architecture")
 
-    layers = model.layers
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
@@ -116,13 +128,13 @@ def train_subject(spec: SubjectSpec, splits) -> Model:
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            grad_w, grad_b = _backprop(layers, weights, biases, train.features[idx], train.labels[idx])
+            grad_w, grad_b = _backprop(weights, biases, train.features[idx], train.labels[idx])
             for k in range(len(weights)):
                 weights[k] -= spec.learning_rate * grad_w[k]
                 biases[k] -= spec.learning_rate * grad_b[k]
-        probs = _trace(layers, weights, biases, train.features)[1][-1]
+        probs = _trace(weights, biases, train.features)[-1]
         finite = all(np.isfinite(p).all() for p in (*weights, *biases))
         if not (finite and np.isfinite(loss_from_probs(probs, train.labels))):
             raise RuntimeError(f"training diverged (non-finite weights or loss) at epoch {epoch}")
 
-    return Model(layers, tuple(weights), tuple(biases))
+    return Model(tuple(weights), tuple(biases))

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nnpatch import Model, LayerSpec, build_mlp
+from nnpatch import Model, build_mlp
 from nnpatch.data import Dataset
 
 
@@ -17,7 +17,7 @@ def random_model(rng, max_layers=3, max_width=8, n_layers=None) -> Model:
     # overwrite with a spread of magnitudes so gradients are not all tiny
     weights = tuple(rng.normal(0.0, 1.0, size=w.shape) for w in model.weights)
     biases = tuple(rng.normal(0.0, 0.3, size=b.shape) for b in model.biases)
-    return Model(model.layers, weights, biases)
+    return Model(weights, biases)
 
 
 def samples(inputs, labels, ids, n_classes=None) -> Dataset:
@@ -48,7 +48,7 @@ def single_layer_model(weights, biases=None) -> Model:
     """One dense softmax layer with explicit weights."""
     w = np.asarray(weights, dtype=np.float64)
     b = np.zeros(w.shape[1]) if biases is None else np.asarray(biases, dtype=np.float64)
-    return Model((LayerSpec(w.shape[0], w.shape[1], "softmax"),), (w,), (b,))
+    return Model((w,), (b,))
 
 
 def perceptron_separable(features, labels, max_epochs=200) -> bool:

@@ -216,13 +216,22 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         # every split is stratified
         ("dataset", "id_prefix", "x"),
         ("split", "stratified", "false"),
+        # and against the subject's layer sizes: a 2-8-4 subject takes 2 features
+        # and at most 4 classes, and its drift targets one of them
+        ("dataset", "n_features", "3"),
+        ("dataset", "n_classes", "5"),
+        ("drift", "target_class", "4"),
+        ("drift", "target_class", "-1"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
     cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    if section == "drift":  # quickstart has none
+        cfg["drift"] = {"target_class": 1, "train_fraction_of_class": 0.5,
+                        "repair_fraction_of_class": 1.0}
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
               "grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
-              "split": cfg["split"], "dataset": cfg["dataset"]}[section]
+              "split": cfg["split"], "dataset": cfg["dataset"], "drift": cfg.get("drift")}[section]
     target[key] = yaml.safe_load(value)
     out = tmp_path / "sweep"
     with pytest.raises(ValueError, match=key):

@@ -2,6 +2,7 @@
 serialization round-trips."""
 from __future__ import annotations
 
+import base64
 import json
 
 import numpy as np
@@ -259,13 +260,44 @@ def test_model_load_rejects_corruption(tmp_path):
     tampered.write_text(text.replace('"version":1', '"version":9'))
     with pytest.raises(ValueError, match="version"):
         load_model(tampered)
-    # hidden layers are relu: a file that declares another activation is refused
+    # non-finite values are refused as in memory
+    manifest = json.loads(text)
+    manifest["weights"][0] = base64.b64encode(np.full(6, np.nan, dtype="<f8").tobytes()).decode()
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="corrupt model file: layer 0: non-finite"):
+        load_model(path)
+
+
+def test_model_load_refuses_a_layer_the_model_does_not_have(tmp_path):
+    # a model is its arrays: relu on every hidden layer, softmax on the last, each
+    # layer at least one unit wide; a file that declares anything else is refused
     path = tmp_path / "h.json"
     save_model(build_mlp([3, 4, 2], seed=1), path)
     text = path.read_text()
-    assert text.count('"activation":"relu"') == 1
-    path.write_text(text.replace('"activation":"relu"', '"activation":"identity"'))
-    with pytest.raises(ValueError, match="corrupt model file: unknown activation 'identity'"):
+    hidden = '{"activation":"relu","input_size":3,"kind":"dense","output_size":4}'
+    head = '{"activation":"softmax","input_size":4,"kind":"dense","output_size":2}'
+    assert hidden in text and head in text
+    for old, new, match in (
+        (hidden, hidden.replace("relu", "tanh"), "layer 0 declares activation 'tanh', not 'relu'"),
+        (hidden, hidden.replace("relu", "identity"), "layer 0 declares activation 'identity'"),
+        (hidden, hidden.replace("relu", "softmax"), "layer 0 declares activation 'softmax'"),
+        (head, head.replace("softmax", "relu"), "layer 1 declares activation 'relu', not 'softmax'"),
+        (hidden, hidden.replace("dense", "conv"), "layer 0 declares kind 'conv', not 'dense'"),
+        (hidden, hidden.replace('"output_size":4', '"output_size":0'), "corrupt model file"),
+        (hidden, hidden.replace('"input_size":3', '"input_size":0'), "corrupt model file"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match=match):
+            load_model(bad)
+    # a zero-width layer whose arrays are empty as declared is refused by `Model`
+    path = tmp_path / "z.json"
+    save_model(build_mlp([1, 2], seed=1), path)
+    manifest = json.loads(path.read_text())
+    manifest["layers"][0]["input_size"] = 0
+    manifest["weights"] = [""]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="corrupt model file: layer 0: weight shape"):
         load_model(path)
 
 

@@ -181,12 +181,12 @@ def reference_training(spec, splits):
         order = rng.permutation(len(train))
         for start in range(0, len(train), spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            step = Model(model.layers, tuple(weights), tuple(biases))
+            step = Model(tuple(weights), tuple(biases))
             grad_w, grad_b = full_gradients(step, train.features[idx], train.labels[idx])
             for k in range(len(weights)):
                 weights[k] -= spec.learning_rate * grad_w[k]
                 biases[k] -= spec.learning_rate * grad_b[k]
-    return Model(model.layers, tuple(weights), tuple(biases))
+    return Model(tuple(weights), tuple(biases))
 
 
 @pytest.mark.parametrize(
@@ -457,7 +457,7 @@ def test_partial_resume_on_another_subject_reruns_every_run(tmp_path, monkeypatc
     model = load_model(subject)
     weights = [w.copy() for w in model.weights]
     weights[0][0, 0] += 0.5
-    save_model(Model(model.layers, tuple(weights), model.biases), subject)
+    save_model(Model(tuple(weights), model.biases), subject)
     (out / "runs" / "cfg001" / "rep02" / "run.json").unlink()
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
@@ -482,6 +482,30 @@ def test_sweep_reruns_a_run_without_its_timing_json(tmp_path, monkeypatch):
     assert ran == [(0, 1)]
     assert (out / "runs" / "cfg000" / "rep01" / "timing.json").exists()
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("name", ["model.json", "trace.csv", "localized.csv"])
+def test_sweep_reruns_an_ok_run_without_one_of_its_files(tmp_path, monkeypatch, name):
+    import nnpatch.harness as harness
+
+    exp = small_experiment()
+    run_sweep(exp, tmp_path / "fresh")
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    run = out / "runs" / "cfg000" / "rep01"
+    assert json.loads((run / "run.json").read_text())["status"] == "ok"
+    (run / name).unlink()
+    before = tree_bytes(out, skip=())
+    ran, real_run = [], harness.run_repair_pipeline
+    monkeypatch.setattr(harness, "run_repair_pipeline",
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+    run_sweep(exp, out)
+    assert ran == [(0, 1)]
+    assert (run / name).read_bytes() == (tmp_path / "fresh" / run.relative_to(out) / name).read_bytes()
+    assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
+    # every other run keeps its files, timing.json included
+    others = lambda tree: {k: v for k, v in tree.items() if "cfg000/rep01" not in k}
+    assert others(tree_bytes(out, skip=())) == others(before)
 
 
 def test_sweep_deletes_a_leftover_aggregate_json(tmp_path):

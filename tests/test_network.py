@@ -26,37 +26,24 @@ from nnpatch.network import (
 from helpers import random_batch, random_model, single_layer_model
 
 
-def test_layer_spec_validation():
-    with pytest.raises(ValueError):
-        LayerSpec(0, 3, "relu")
-    with pytest.raises(ValueError):
-        LayerSpec(2, 3, "tanh")
-    with pytest.raises(ValueError, match="activation"):  # hidden layers are relu
-        LayerSpec(2, 3, "identity")
-    with pytest.raises(ValueError):
-        LayerSpec(2, 3, "relu", kind="conv")
-
-
 def test_model_construction_rules():
     good = build_mlp([2, 3, 4], seed=0)
-    assert good.n_classes == 4 and good.input_size == 2
+    assert good.n_classes == 4 and good.input_size == 2 and good.n_layers == 2
+    # the layer records are derived from the shapes: relu hidden, softmax head
+    assert good.layers == (LayerSpec(2, 3, "relu"), LayerSpec(3, 4, "softmax"))
 
-    with pytest.raises(ValueError, match="final layer"):
-        Model((LayerSpec(2, 3, "relu"),), (np.zeros((2, 3)),), (np.zeros(3),))
-    with pytest.raises(ValueError, match="softmax is only allowed"):
-        Model(
-            (LayerSpec(2, 3, "softmax"), LayerSpec(3, 2, "softmax")),
-            (np.zeros((2, 3)), np.zeros((3, 2))),
-            (np.zeros(3), np.zeros(2)),
-        )
-    with pytest.raises(ValueError, match="chain"):
-        Model(
-            (LayerSpec(2, 3, "relu"), LayerSpec(4, 2, "softmax")),
-            (np.zeros((2, 3)), np.zeros((4, 2))),
-            (np.zeros(3), np.zeros(2)),
-        )
-    with pytest.raises(ValueError, match="non-finite"):
-        Model((LayerSpec(2, 2, "softmax"),), (np.array([[1.0, np.nan], [0, 0]]),), (np.zeros(2),))
+    for weights, biases, match in (
+        ((), (), "at least one layer"),
+        ((np.zeros((2, 3)),), (), "equal length"),
+        ((np.zeros((0, 3)),), (np.zeros(3),), "weight shape"),
+        ((np.zeros((2, 0)),), (np.zeros(0),), "weight shape"),
+        ((np.zeros(3),), (np.zeros(3),), "weight shape"),
+        ((np.zeros((2, 3)),), (np.zeros(2),), "bias shape"),
+        ((np.zeros((2, 3)), np.zeros((4, 2))), (np.zeros(3), np.zeros(2)), "chain"),
+        ((np.array([[1.0, np.nan], [0, 0]]),), (np.zeros(2),), "non-finite"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Model(weights, biases)
 
 
 def layer_index(model, layer):
@@ -320,11 +307,7 @@ def test_write_original_values_back_is_identity():
 
 def test_relu_layer_with_negative_preactivations_outputs_zero():
     w0 = -np.ones((2, 3))
-    m = Model(
-        (LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "softmax")),
-        (w0, np.zeros((3, 2))),
-        (np.zeros(3), np.zeros(2)),
-    )
+    m = Model((w0, np.zeros((3, 2))), (np.zeros(3), np.zeros(2)))
     np.testing.assert_array_equal(layer_inputs(m, [[1.0, 2.0]], 1), np.zeros((1, 3)))
 
 

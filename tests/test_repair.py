@@ -364,7 +364,7 @@ def test_count_path_matches_full_path_on_ties_band_and_extremes():
             w[:, [c1, c2]] = 0.0
             b -= 1e3
             b[c1], b[c2] = 0.0, 1e-20
-        m = Model(m.layers, m.weights[:-1] + (w,), m.biases[:-1] + (b,))
+        m = Model(m.weights[:-1] + (w,), m.biases[:-1] + (b,))
         # the label sits on the later column for about half of I_pos
         on_later = rng.random(len(pos)) < 0.5
         pred = np.argmax(forward(m, pos.features), axis=1)
