@@ -82,27 +82,26 @@ def _cmd_train(args) -> int:
     exp = experiment_spec_from_config(cfg)
     spec = subject_spec_from_config(cfg, seed=args.seed)
     out = Path(args.out_dir)
-    _, splits = train_and_save_subject(spec, exp.target_class, out)
+    _, splits, _ = train_and_save_subject(spec, exp.target_class, out)
     _write_splits(splits, out)
     print(f"wrote {out / 'model.json'} and {out / 'subject.json'}")
     return 0
 
 
 def _subject_and_splits(cfg, args):
+    """The subject (read from --model, or trained), its splits, and its reports of them."""
     spec = subject_spec_from_config(cfg)
     _, splits = materialize_splits(spec)
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = train_subject(spec, splits)
-    return model, splits
+    model = load_model(args.model) if args.model else train_subject(spec, splits)
+    return model, splits, tuple(evaluate(model, ds) for ds in splits)
 
 
 def _cmd_localize(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg)
-    model, splits = _subject_and_splits(cfg, args)
-    inputs = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
+    model, splits, before = _subject_and_splits(cfg, args)
+    inputs = select_repair_inputs(splits[0], splits[2], exp.target_class,
+                                  before[0].passed, before[2].passed)
     localized = localize_to_count(
         model, inputs.negative_set, inputs.positive_pool, exp.layer, exp.grid[0].target_lw
     )
@@ -120,8 +119,8 @@ def _cmd_localize(args) -> int:
 def _cmd_repair(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_spec_from_config(cfg, master_seed=args.seed)
-    model, splits = _subject_and_splits(cfg, args)
-    result = run_repair_pipeline(model, splits, exp, config_idx=0, rep_idx=0, out_dir=Path(args.out_dir))
+    model, splits, before = _subject_and_splits(cfg, args)
+    result = run_repair_pipeline(model, splits, before, exp, 0, 0, out_dir=Path(args.out_dir))
     print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
 

@@ -231,26 +231,28 @@ def predictions(model: Model, inputs) -> np.ndarray:
 
 
 def select_repair_inputs(
-    model: Model, train_split: Dataset, repair_split: Dataset, target_class: int
+    train_split: Dataset, repair_split: Dataset, target_class: int,
+    train_passed: np.ndarray, repair_passed: np.ndarray,
 ) -> RepairInputs:
-    """Build RepairInputs from the subject's verdicts.
+    """Build RepairInputs from the subject's pass masks (`EvalReport.passed`).
 
-    positive_pool: train samples (any class) the model classifies correctly.
+    positive_pool: train samples (any class) the subject classifies correctly.
     negative_set: repair-split samples of the target class it gets wrong.
     """
     if not 0 <= target_class < train_split.n_classes:
         raise ValueError(f"target class {target_class} out of range")
-    pass_mask = predictions(model, train_split.features) == train_split.labels
-    if not pass_mask.any():
+    for name, ds, mask in (("train", train_split, train_passed), ("repair", repair_split, repair_passed)):
+        if np.asarray(mask).dtype != bool or np.shape(mask) != (len(ds),):
+            raise ValueError(f"{name} pass mask must be {len(ds)} booleans, one per sample")
+    if not np.any(train_passed):
         raise RepairInputError("positive pool is empty: the model passes no training sample")
 
-    labels = repair_split.labels
-    neg_mask = (labels == target_class) & (predictions(model, repair_split.features) != labels)
+    neg_mask = (repair_split.labels == target_class) & ~np.asarray(repair_passed)
     if not neg_mask.any():
         raise NothingToRepairError(
             f"nothing to repair: no misclassified class-{target_class} samples in the repair split"
         )
-    inputs = RepairInputs(train_split.subset(np.flatnonzero(pass_mask)),
+    inputs = RepairInputs(train_split.subset(np.flatnonzero(train_passed)),
                           repair_split.subset(np.flatnonzero(neg_mask)))
     if not set(inputs.positive_pool.sample_ids).isdisjoint(inputs.negative_set.sample_ids):
         raise RepairInputError("positive pool and negative set must be disjoint")

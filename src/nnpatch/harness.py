@@ -64,7 +64,7 @@ class ExperimentSpec:
 
     Every value is checked when the spec is built: each grid entry's search
     configs are derived once, so their checks run before any file is written,
-    and `repair_layer` and `target_class` must fit the subject's layer sizes.
+    `repair_layer` must fit the subject's layers, and `target_class` its data.
     """
 
     subject: SubjectSpec
@@ -90,8 +90,8 @@ class ExperimentSpec:
         if not -n_layers <= self.repair_layer < n_layers:
             raise ValueError(f"layer must lie in [{-n_layers}, {n_layers}) for a "
                              f"{n_layers}-layer subject, got {self.repair_layer}")
-        if not 0 <= self.target_class < self.subject.layer_sizes[-1]:
-            raise ValueError(f"target_class must lie in [0, {self.subject.layer_sizes[-1]}), "
+        if not 0 <= self.target_class < self.subject.n_classes:
+            raise ValueError(f"target_class must lie in [0, {self.subject.n_classes}), "
                              f"got {self.target_class}")
         for ci in range(len(grid)):
             self.search(ci, swarm_seed=0)
@@ -168,14 +168,14 @@ def _run_dir(out: Path, ci: int, ri: int) -> Path:
     return out.joinpath("runs", f"cfg{ci:03d}", f"rep{ri:02d}")  # one join: a resume calls it per run
 
 
-def _split_records(before: dict, after: dict) -> dict:
+def _split_records(before, after) -> dict:
     out = {}
-    for name in SPLIT_NAMES:
-        d = diff(before[name], after[name])
+    for name, b, a in zip(SPLIT_NAMES, before, after):
+        d = diff(b, a)
         out[name] = {
-            "n": len(before[name]),
-            "before_accuracy": before[name].overall_accuracy,
-            "after_accuracy": after[name].overall_accuracy,
+            "n": len(b),
+            "before_accuracy": b.overall_accuracy,
+            "after_accuracy": a.overall_accuracy,
             "broken": len(d.broken),
             "repaired": len(d.repaired),
             "broken_ids": sorted(d.broken),
@@ -187,23 +187,23 @@ def _split_records(before: dict, after: dict) -> dict:
 def run_repair_pipeline(
     model: Model,
     splits,
+    before,
     exp: ExperimentSpec,
     config_idx: int,
     rep_idx: int,
     out_dir: Path | None = None,
 ) -> RunResult:
-    """Run (config_idx, rep_idx) of `exp`: select inputs, localize, repair,
-    evaluate all four splits, persist.
+    """Run (config_idx, rep_idx) of `exp` on `model`, whose reports of `splits`
+    are `before`: select inputs, localize, repair, evaluate the repair, persist.
 
     A subject with no failures on the target class yields a recorded no-op
     run rather than an error.
     """
     t0 = time.perf_counter()
     entry = exp.grid[config_idx]
-    before = {name: evaluate(model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
-    evaluate_s = time.perf_counter() - t0
     try:
-        pool, i_neg = select_repair_inputs(model, splits[0], splits[2], exp.target_class)
+        pool, i_neg = select_repair_inputs(splits[0], splits[2], exp.target_class,
+                                           before[0].passed, before[2].passed)
     except NothingToRepairError as exc:
         result = _new_record(exp, config_idx, rep_idx, "no_op", note=str(exc),
                              identity_fallback=True, splits=_split_records(before, before))
@@ -220,8 +220,8 @@ def run_repair_pipeline(
     t_repair = time.perf_counter()
     rr = repair(model, localized, i_neg, i_pos, fcfg, scfg)
     t_after = time.perf_counter()
-    after = {name: evaluate(rr.model, ds) for name, ds in zip(SPLIT_NAMES, splits)}
-    evaluate_s += time.perf_counter() - t_after
+    after = [evaluate(rr.model, ds) for ds in splits]
+    evaluate_s = time.perf_counter() - t_after
     result = _new_record(
         exp, config_idx, rep_idx, "ok", n_neg=len(i_neg), n_pos=len(i_pos),
         n_localized=len(localized), localization_warning=localized.warning,
@@ -310,19 +310,20 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
 
 def train_and_save_subject(subject: SubjectSpec, target_class: int, out_dir):
     """Train the subject and write its model.json and subject.json (split sizes
-    and accuracies, and the target class) to `out_dir`; (model, splits)."""
+    and accuracies, and the target class) to `out_dir`; (model, splits, before),
+    `before` its reports of the splits, which every run of a sweep reads."""
     _, splits = materialize_splits(subject)
     model = train_subject(subject, splits)
+    before = tuple(evaluate(model, ds) for ds in splits)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
-    named = dict(zip(SPLIT_NAMES, splits))
     write_json(out / "subject.json", {
-        "split_sizes": {name: len(ds) for name, ds in named.items()},
-        "split_accuracies": {name: evaluate(model, ds).overall_accuracy for name, ds in named.items()},
+        "split_sizes": dict(zip(SPLIT_NAMES, map(len, splits))),
+        "split_accuracies": {name: r.overall_accuracy for name, r in zip(SPLIT_NAMES, before)},
         "target_class": target_class,
     })
-    return model, splits
+    return model, splits, before
 
 
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
@@ -369,7 +370,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         return aggregate_runs(exp, records.values())
     subject = out / "subject" / "model.json"
     repaired = subject.read_bytes() if subject.is_file() else None
-    model, splits = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
+    model, splits, before = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
     if subject.read_bytes() != repaired:
         todo = list(records)
 
@@ -377,7 +378,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         ci, ri = job
         run_dir = _run_dir(out, ci, ri)
         try:
-            run_repair_pipeline(model, splits, exp, ci, ri, out_dir=run_dir)
+            run_repair_pipeline(model, splits, before, exp, ci, ri, out_dir=run_dir)
         except Exception as exc:  # isolate-and-continue
             failed = _new_record(exp, ci, ri, "error", error=f"{type(exc).__name__}: {exc}")
             _persist_run(failed, None, None, run_dir, {"runtime_seconds": 0.0})
@@ -406,7 +407,7 @@ def emit_report(agg: AggregateResult, out_dir) -> list[Path]:
     no usable run have no rows; the headers are written regardless."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid_keys = ("variant", "alpha", "pi", "target_lw", "n_pos", "n_particles")
+    grid_keys = tuple(f.name for f in dataclasses.fields(GridEntry))
     grid, means = itemgetter(*grid_keys), itemgetter(*_MEANS)
     sized, outcome = itemgetter("n", *_OUTCOME), itemgetter(*_OUTCOME)
     runs = {(r.config_id, r.rep): r for r in agg.runs}

@@ -23,7 +23,6 @@ class EvalReport:
     sample_ids: tuple[str, ...]
     labels: np.ndarray
     predicted: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         labels = _frozen_array(self.labels, np.int64)
@@ -41,14 +40,19 @@ class EvalReport:
         return len(self.sample_ids)
 
     @property
+    def degenerate(self) -> bool:
+        """A report of no sample."""
+        return len(self) == 0
+
+    @property
     def passed(self) -> np.ndarray:
         """Boolean mask of the samples classified correctly."""
         return self.labels == self.predicted
 
     @property
     def overall_accuracy(self) -> float:
-        if not len(self):
-            return 1.0  # degenerate: no sample failed
+        if self.degenerate:
+            return 1.0  # no sample failed
         return int(np.count_nonzero(self.passed)) / len(self)
 
     @property
@@ -84,12 +88,7 @@ class RepairDiff:
 
 def evaluate(model: Model, data: Dataset) -> EvalReport:
     """Verdicts on a Dataset; argmax ties go to the lowest class."""
-    return EvalReport(
-        data.sample_ids,
-        data.labels,
-        predictions(model, data.features),
-        degenerate=len(data) == 0,
-    )
+    return EvalReport(data.sample_ids, data.labels, predictions(model, data.features))
 
 
 def _check_aligned(before: EvalReport, after: EvalReport) -> None:

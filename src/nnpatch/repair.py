@@ -395,11 +395,13 @@ class BatchScorer:
             with np.errstate(over="ignore", invalid="ignore"):
                 _, z = next(self._products(pos, original, 1))
                 margin = self._margins(z, pos, np.empty_like(z))[0]
-            self.in_s = np.zeros(len(i_pos), dtype=bool)  # I_pos's samples that S holds
-            self.in_s[np.argsort(margin, kind="stable")[:SCREEN]] = True
+            in_s = np.zeros(len(i_pos), dtype=bool)  # I_pos's samples that S holds
+            in_s[np.argsort(margin, kind="stable")[:SCREEN]] = True
+            # each I_pos sample's column among S's columns followed by R's
+            self.unsplit = np.where(in_s, np.cumsum(in_s), SCREEN + np.cumsum(~in_s)) - 1
             # C order: a masked column copy is not, and products over it run slower
             self.pos = tuple(cache(np.ascontiguousarray(pos.a[:, part]), pos.labels[part],
-                                   cfg.variant == "eq2") for part in (self.in_s, ~self.in_s))
+                                   cfg.variant == "eq2") for part in (in_s, ~in_s))
         counts, losses, undefined, _, _ = self._kernel(original, None)
         self.base_losses = tuple(float(row[0]) for row in losses)
         self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
@@ -418,14 +420,15 @@ class BatchScorer:
         *s, rest = self.pos
         with np.errstate(over="ignore", invalid="ignore"):
             if s:  # S first, for every candidate
-                s_n, s_picked, s_bad = self._set_scores(s[0], positions, count_only, split=True)
+                s_n, s_picked, s_bad = self._set_scores(s[0], positions, count_only)
                 if floor is not None:
                     # a candidate that breaks I_pos scores 0 or -inf: no better than a floor >= 0
                     screened = (floor >= 0) & (s_n < len(s[0].labels)) & ~(undefined | s_bad)
                     self.telemetry["gate_screened"] += int(screened.sum())
                     todo = np.flatnonzero(~screened)
             survivors = positions[todo]
-            counts[0, todo], losses[0, todo], bad = self._set_scores(self.neg, survivors, False)
+            counts[0, todo], picked, bad = self._set_scores(self.neg, survivors, False)
+            losses[0, todo] = loss_from_picked(picked)
             undefined[todo] |= bad
             if floor is not None and self.bounded:
                 # every I_pos sample intact, by the float operations `_score` applies
@@ -437,15 +440,15 @@ class BatchScorer:
                 self.telemetry["pos_skipped"] += int(skipped.sum())
                 todo = np.flatnonzero(~(screened | skipped))
                 survivors = positions[todo]
-            n, loss, bad = self._set_scores(rest, survivors, count_only, split=bool(s))
+            n, picked, bad = self._set_scores(rest, survivors, count_only)
             if s:  # add S's share of the same candidates
                 n += s_n[todo]
                 bad |= s_bad[todo]
-                if not count_only:
-                    picked = np.empty((len(n), len(self.in_s)))
-                    picked[:, self.in_s], picked[:, ~self.in_s] = s_picked[todo], loss
-                    loss = loss_from_picked(picked)
-            counts[1, todo], losses[1, todo] = n, loss
+                if not count_only:  # the label probabilities back in I_pos order, in C order
+                    picked = np.take(np.hstack([s_picked[todo], picked]), self.unsplit, axis=1)
+            counts[1, todo] = n
+            if not count_only:
+                losses[1, todo] = loss_from_picked(picked)
             undefined[todo] |= bad
         return counts, losses, undefined, screened, skipped
 
@@ -471,14 +474,11 @@ class BatchScorer:
                     out = np.maximum(z, 0.0, out=z)
             yield slice(lo, lo + n), z
 
-    def _set_scores(self, c: _Cached, positions: np.ndarray, count_only: bool, split=False):
-        """Correct counts, mean losses (nan when count_only) and undefined flags
-        of `positions` on set `c`, one per candidate. On a `split` part of I_pos
-        the full path gives each candidate's label probabilities in place of its
-        loss, for `_kernel` to put back in I_pos order."""
+    def _set_scores(self, c: _Cached, positions: np.ndarray, count_only: bool):
+        """Correct counts, label probabilities (None when count_only) and undefined
+        flags of `positions` on set `c`, one entry or row per candidate."""
         counts = np.zeros(len(positions), dtype=np.int64)
-        keep = split and not count_only  # label probabilities in place of losses
-        losses = np.full((len(positions), len(c.labels)) if keep else len(positions), np.nan)
+        picked = None if count_only else np.empty((len(positions), len(c.labels)))
         undefined = np.zeros(len(positions), dtype=bool)
         chunk = max(1, min(c.chunk, len(positions)))
         # the count path's scratch, or the softmax output
@@ -490,15 +490,9 @@ class BatchScorer:
                 continue
             out = self._softmax(z, c, spare[:n])
             counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
-            picked = out[:, c.labels, c.samples]
-            if keep:
-                losses[cols] = picked
-                undefined[cols] = np.isnan(picked).any(axis=-1)
-                continue
-            # C order, so each mean sums its samples as a 1-D batch would
-            losses[cols] = loss_from_picked(np.ascontiguousarray(picked))
-            undefined[cols] = np.isnan(losses[cols])
-        return counts, losses, undefined
+            picked[cols] = out[:, c.labels, c.samples]
+            undefined[cols] = np.isnan(picked[cols]).any(axis=-1)
+        return counts, picked, undefined
 
     def _softmax(self, z: np.ndarray, c: _Cached, out: np.ndarray) -> np.ndarray:
         """Class probabilities of set `c`, (chunk, classes, n), written to `out`,
@@ -582,11 +576,12 @@ def repair(
     iteration's global best, which is then re-reduced in fixed particle
     order (ties keep the incumbent). One stream seeded by `scfg.seed` draws
     the sampled initial positions, then per iteration a (P, D) uniform block
-    for the cognitive term and one for the social term. If nothing strictly
-    beats the identity patch the original model is returned unchanged. The
-    search scores only what the objective reads; the returned breakdown has
-    every loss. An empty localized set runs no search: the identity's
-    breakdown comes back with no trace and every counter 0.
+    for the cognitive term and one for the social term. A patch must fix
+    something: unless gbest strictly beats the identity patch and fixes more
+    I_neg samples, the original model is returned unchanged. The search
+    scores only what the objective reads; the returned breakdown has every
+    loss. An empty localized set runs no search: the identity's breakdown
+    comes back with no trace and every counter 0.
     """
     scorer = BatchScorer(model, localized, i_neg, i_pos, fcfg)
     if len(localized) == 0:
@@ -616,7 +611,7 @@ def repair(
         trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact,
                               int(scores.gate.sum()), int(improved.sum())))
 
-    if gbest.gated_fitness > scorer.identity.gated[0]:
+    if gbest.gated_fitness > scorer.identity.gated[0] and gbest.n_patched > scorer.identity.n_patched[0]:
         patched = write_weights(model, localized.layer, localized.i, localized.j, gbest_pos)
         best = scorer(gbest_pos[None])
     else:

@@ -42,18 +42,20 @@ class SubjectSpec:
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
         args = _source_args(self.source)  # `source` itself is kept as written
-        n_classes = self.layer_sizes[-1]
-        if self.source["kind"] == "clusters":  # a file's shape is known once it is read
-            if args["n_features"] != self.layer_sizes[0]:
-                raise ValueError(f"dataset n_features must equal layer_sizes[0] = "
-                                 f"{self.layer_sizes[0]}, got {args['n_features']}")
-            if args["n_classes"] > n_classes:
-                raise ValueError(f"dataset n_classes must be <= layer_sizes[-1] = {n_classes}, "
-                                 f"got {args['n_classes']}")
-            n_classes = args["n_classes"]
-        if self.drift is not None and not 0 <= self.drift.target_class < n_classes:
-            raise ValueError(f"drift target_class must lie in [0, {n_classes}), "
+        if self.source["kind"] == "clusters" and args["n_features"] != self.layer_sizes[0]:
+            raise ValueError(f"dataset n_features must equal layer_sizes[0] = "
+                             f"{self.layer_sizes[0]}, got {args['n_features']}")
+        if self.n_classes > self.layer_sizes[-1]:
+            raise ValueError(f"dataset n_classes must be <= layer_sizes[-1] = "
+                             f"{self.layer_sizes[-1]}, got {self.n_classes}")
+        if self.drift is not None and not 0 <= self.drift.target_class < self.n_classes:
+            raise ValueError(f"drift target_class must lie in [0, {self.n_classes}), "
                              f"got {self.drift.target_class}")
+
+    @property
+    def n_classes(self) -> int:
+        """The classes of its data: a `clusters` source's `n_classes`, else the output width."""
+        return _source_args(self.source).get("n_classes", self.layer_sizes[-1])
 
 
 # each data source kind's arguments, by type

@@ -222,6 +222,12 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("dataset", "n_classes", "5"),
         ("drift", "target_class", "4"),
         ("drift", "target_class", "-1"),
+        # the experiment's target class is checked against the data's classes, which
+        # may be fewer than the subject's outputs (the "3_classes" section is the
+        # experiment section of quickstart on 3 classes of data)
+        ("3_classes", "target_class", "3"),
+        ("subject", "epochs", "-1"),
+        ("subject", "batch_size", "0"),
     ],
 )
 def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key, value):
@@ -229,7 +235,10 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     if section == "drift":  # quickstart has none
         cfg["drift"] = {"target_class": 1, "train_fraction_of_class": 0.5,
                         "repair_fraction_of_class": 1.0}
+    if section == "3_classes":
+        cfg["dataset"]["n_classes"] = 3
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
+              "3_classes": cfg["experiment"],
               "grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
               "split": cfg["split"], "dataset": cfg["dataset"], "drift": cfg.get("drift")}[section]
     target[key] = yaml.safe_load(value)
@@ -243,6 +252,25 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     assert main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value", [("experiment", None), ("subject", [2, 8, 4])],
+                         ids=["missing", "not_a_mapping"])
+def test_config_refuses_a_missing_or_malformed_section(tmp_path, capsys, section, value):
+    cfg = yaml.safe_load(BASE_CONFIG)
+    if value is None:
+        del cfg[section]
+    else:
+        cfg[section] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"'{section}'"):
+        experiment_spec_from_config(load_config(path))
+    assert main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and f"'{section}'" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -15,6 +15,7 @@ from nnpatch import (
     RepairInputError,
     SplitSpec,
     build_mlp,
+    evaluate,
     forward,
     load_dataset,
     load_model,
@@ -183,12 +184,16 @@ def test_select_repair_inputs_boundaries():
         one_class = Dataset(ds.features, np.full(len(ds), label), ds.sample_ids, 2, ds.class_names)
         return one_class.subset(range(12)), one_class.subset(range(12, 24))
 
+    def select(model, train, repair, target_class):
+        passed = [evaluate(model, s).passed for s in (train, repair)]
+        return select_repair_inputs(train, repair, target_class, *passed)
+
     # a model that passes every class-0 sample has nothing to repair on class 0
     with pytest.raises(NothingToRepairError):
-        select_repair_inputs(always0, *relabelled(0), target_class=0)
+        select(always0, *relabelled(0), target_class=0)
     # a model that misclassifies everything -> empty positive pool
     with pytest.raises(RepairInputError, match="positive pool"):
-        select_repair_inputs(always0, *relabelled(1), target_class=1)
+        select(always0, *relabelled(1), target_class=1)
 
 
 def test_select_repair_inputs_matches_argmax_filter():
@@ -197,7 +202,8 @@ def test_select_repair_inputs_matches_argmax_filter():
     model = build_mlp([2, 8, 3], seed=5)
     train, repair = parts[0], parts[2]
     target = 2
-    pool, negative = select_repair_inputs(model, train, repair, target)
+    pool, negative = select_repair_inputs(train, repair, target, evaluate(model, train).passed,
+                                          evaluate(model, repair).passed)
 
     pred_train = np.argmax(forward(model, train.features), axis=1)
     pred_repair = np.argmax(forward(model, repair.features), axis=1)
@@ -223,7 +229,23 @@ def test_select_repair_inputs_refuses_sets_that_share_a_sample():
     train = samples([[0.0, 1.0], [1.0, 0.0]], [0, 0], ("a", "b"), 2)
     repair = samples([[0.0, 1.0]], [1], ("a",), 2)
     with pytest.raises(RepairInputError, match="disjoint"):
-        select_repair_inputs(always0, train, repair, target_class=1)
+        select_repair_inputs(train, repair, 1, evaluate(always0, train).passed,
+                             evaluate(always0, repair).passed)
+
+
+@pytest.mark.parametrize("split_name, mask", [
+    ("train", np.ones(11, dtype=bool)),  # one sample short
+    ("train", np.ones(13, dtype=bool)),
+    ("repair", np.ones(12, dtype=np.int64)),  # 0/1 would index samples, not mask them
+    ("repair", np.ones((12, 1), dtype=bool)),
+    ("train", np.ones(12)),
+])
+def test_select_repair_inputs_refuses_a_mask_that_does_not_fit_its_split(split_name, mask):
+    ds = toy_dataset(n=24, n_classes=2, seed=3)
+    train, repair = ds.subset(range(12)), ds.subset(range(12, 24))
+    masks = {"train": np.ones(12, dtype=bool), "repair": np.zeros(12, dtype=bool), split_name: mask}
+    with pytest.raises(ValueError, match=f"{split_name} pass mask"):
+        select_repair_inputs(train, repair, 1, masks["train"], masks["repair"])
 
 
 def test_model_roundtrip_bit_identical(tmp_path):
@@ -266,6 +288,17 @@ def test_model_load_rejects_corruption(tmp_path):
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="corrupt model file: layer 0: non-finite"):
         load_model(path)
+    # a JSON document that is no model, an array that is not base64, a missing field
+    manifest = json.loads(text)
+    for bad, match in (
+        ([1, 2], "not a model file"),
+        ({**manifest, "format": "other"}, "not a model file"),
+        ({**manifest, "weights": ["not base64!"]}, "bad array encoding"),
+        ({k: v for k, v in manifest.items() if k != "biases"}, "missing field"),
+    ):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
 
 
 def test_model_load_refuses_a_layer_the_model_does_not_have(tmp_path):
@@ -331,6 +364,23 @@ def test_dataset_load_rejects_malformed(tmp_path):
     bad.write_text("id,label,f0\nx,0,1.0\n")
     with pytest.raises(ValueError):
         load_dataset(bad)
+    magic = "# nnpatch-dataset v1"
+    for text, match in (
+        (f"{magic} classes=2\nid,label,f0\n", "bad metadata line"),
+        (f"{magic} n_classes=2 class_names=a,b\n", "missing column header"),
+        (f"{magic} n_classes=2 class_names=a,b\nx,label,f0\n", "missing column header"),
+        (f"{magic} n_classes=2 class_names=a,b\nid,label,f0,f1\nx,0,1.0\n", "row has 3 fields"),
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(bad)
+    # a name the file format cannot hold is refused before anything is written
+    ds = toy_dataset(n=4, n_classes=2, seed=0)
+    for named in (Dataset(ds.features, ds.labels, ("a", "b", "c d", "e"), 2, ds.class_names),
+                  Dataset(ds.features, ds.labels, ds.sample_ids, 2, ("a", "b,c"))):
+        with pytest.raises(ValueError, match="not storable"):
+            save_dataset(named, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_dataset_validation():
@@ -368,6 +418,12 @@ def test_dataset_validation():
         )
     with pytest.raises(ValueError, match="sample count"):
         Dataset(np.zeros((2, 1)), np.zeros(3, dtype=int), ("a", "b"), 1, ("x",))
+    with pytest.raises(ValueError, match="2-D"):
+        Dataset(np.zeros(2), np.zeros(2, dtype=int), ("a", "b"), 1, ("x",))
+    with pytest.raises(ValueError, match="n_classes"):
+        Dataset(np.zeros((0, 1)), np.zeros(0, dtype=int), (), 0, ())
+    with pytest.raises(ValueError, match="one name per class"):
+        Dataset(np.zeros((2, 1)), np.zeros(2, dtype=int), ("a", "b"), 2, ("x",))
     ds = Dataset(np.zeros((2, 1)), np.zeros(2, dtype=int), ("a", "b"), 1, ("x",))
     with pytest.raises(ValueError):
         ds.features[0, 0] = 1.0  # frozen storage

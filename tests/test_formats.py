@@ -10,13 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnpatch.formats import read_json, write_csv, write_json
+from nnpatch.formats import from_dict, read_json, write_csv, write_json
 
 
 @dataclass(frozen=True)
 class Point:
     y: tuple[float, ...]
     x: bool
+
+
+@pytest.mark.parametrize("d, match", [
+    ([0.5, True], "Point must be a mapping, got list"),
+    ({"y": ["abc"], "x": True}, "y must be float, got 'abc'"),
+])
+def test_from_dict_refuses_what_is_no_record_of_its_class(d, match):
+    with pytest.raises(ValueError, match=match):
+        from_dict(Point, d)
 
 
 def test_write_csv_cell_rule(tmp_path):

@@ -24,6 +24,7 @@ from nnpatch import (
     build_mlp,
     derive_run_seeds,
     emit_report,
+    evaluate,
     load_sweep_dir,
     run_repair_pipeline,
     run_sweep,
@@ -81,10 +82,11 @@ def small_experiment(**overrides):
 
 @pytest.fixture(scope="module")
 def trained_subject():
+    """(spec, splits, model, before): `before` the subject's report of each split."""
     spec = small_subject()
     _, splits = materialize_splits(spec)
     model = train_subject(spec, splits)
-    return spec, splits, model
+    return spec, splits, model, tuple(evaluate(model, ds) for ds in splits)
 
 
 def tree_bytes(root, skip=("timing.json",)):
@@ -130,7 +132,7 @@ def test_zero_epochs_returns_seeded_initialization():
 
 
 def test_training_is_deterministic(trained_subject):
-    spec, splits, model = trained_subject
+    spec, splits, model, _ = trained_subject
     again = train_subject(spec, splits)
     for wa, wb in zip(model.weights, again.weights):
         np.testing.assert_array_equal(wa, wb)
@@ -153,7 +155,7 @@ def test_training_learns_separable_data():
         class_names=("a", "b"),
     )
     tmp = Path("/tmp/nnpatch-separable.csv")
-    from nnpatch import save_dataset, evaluate
+    from nnpatch import save_dataset
 
     save_dataset(ds, tmp)
     spec = SubjectSpec(
@@ -226,18 +228,15 @@ def test_derive_run_seeds_injective():
 
 
 def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
-    spec, splits, model = trained_subject
+    spec, splits, model, before = trained_subject
     # a target class the model fully masters on the repair split
-    from nnpatch import evaluate
-
-    rep = evaluate(model, splits[2])
     per_class_ok = [
-        c for c, acc in rep.per_class_accuracy.items() if acc == 1.0
+        c for c, acc in before[2].per_class_accuracy.items() if acc == 1.0
     ]
     assert per_class_ok, "fixture needs one fully-correct class"
     exp = small_experiment(target_class=per_class_ok[0])
     out = tmp_path / "noop"
-    result = run_repair_pipeline(model, splits, exp, 0, 0, out_dir=out)
+    result = run_repair_pipeline(model, splits, before, exp, 0, 0, out_dir=out)
     assert result.status == "no_op"
     assert result.identity_fallback
     for name in ("train", "validation", "repair", "test"):
@@ -249,22 +248,40 @@ def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
 
 
 def test_pipeline_gate_holds_on_sampled_positives(trained_subject):
-    spec, splits, model = trained_subject
+    spec, splits, model, before = trained_subject
     exp = small_experiment()
     for ri in range(3):
-        r = run_repair_pipeline(model, splits, exp, 0, ri)
+        r = run_repair_pipeline(model, splits, before, exp, 0, ri)
         assert r.status == "ok"
         if not r.identity_fallback:
             assert r.best["n_intact"] == r.n_pos
 
 
+def test_the_subject_is_evaluated_once_per_sweep(tmp_path, monkeypatch):
+    # train_and_save_subject evaluates the subject on the four splits, and each run
+    # reads those reports: it evaluates only its repaired model, on the same splits
+    import nnpatch.harness as harness
+
+    evaluated, real = [], harness.evaluate
+    monkeypatch.setattr(harness, "evaluate", lambda m, ds: evaluated.append((m, ds)) or real(m, ds))
+    exp = small_experiment()
+    agg = run_sweep(exp, tmp_path / "sweep")
+    ids = [(id(m), id(ds)) for m, ds in evaluated]
+    subject, splits = {m for m, _ in ids[:4]}, [ds for _, ds in ids[:4]]
+    runs = [ids[k:k + 4] for k in range(4, len(ids), 4)]
+    assert len(subject) == 1 and len(set(splits)) == 4
+    assert len(runs) == sum(r.status == "ok" for r in agg.runs) == len(exp.grid) * exp.repetitions
+    for run in runs:  # one repaired model per run, on the subject's splits
+        assert len({m for m, _ in run}) == 1 and [ds for _, ds in run] == splits
+
+
 def test_pipeline_rerun_is_byte_identical(trained_subject, tmp_path):
-    spec, splits, model = trained_subject
+    spec, splits, model, before = trained_subject
     exp = small_experiment()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_repair_pipeline(model, splits, exp, 1, 2, out_dir=a)
-    run_repair_pipeline(model, splits, exp, 1, 2, out_dir=b)
+    run_repair_pipeline(model, splits, before, exp, 1, 2, out_dir=a)
+    run_repair_pipeline(model, splits, before, exp, 1, 2, out_dir=b)
     ta, tb = tree_bytes(a), tree_bytes(b)
     assert ta.keys() == tb.keys()
     for name in ta:
@@ -434,7 +451,7 @@ def test_partial_resume_trains_once_and_reruns_only_the_missing_run(tmp_path, mo
     real_train, real_run = harness.train_subject, harness.run_repair_pipeline
     monkeypatch.setattr(harness, "train_subject", lambda *a: trained.append(a) or real_train(*a))
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert len(trained) == 1 and ran == [(1, 2)]
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
@@ -461,7 +478,7 @@ def test_partial_resume_on_another_subject_reruns_every_run(tmp_path, monkeypatc
     (out / "runs" / "cfg001" / "rep02" / "run.json").unlink()
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert sorted(ran) == [(ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)]
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
@@ -477,7 +494,7 @@ def test_sweep_reruns_a_run_without_its_timing_json(tmp_path, monkeypatch):
     (out / "runs" / "cfg000" / "rep01" / "timing.json").unlink()
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert ran == [(0, 1)]
     assert (out / "runs" / "cfg000" / "rep01" / "timing.json").exists()
@@ -498,7 +515,7 @@ def test_sweep_reruns_an_ok_run_without_one_of_its_files(tmp_path, monkeypatch, 
     before = tree_bytes(out, skip=())
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert ran == [(0, 1)]
     assert (run / name).read_bytes() == (tmp_path / "fresh" / run.relative_to(out) / name).read_bytes()
@@ -523,11 +540,11 @@ def test_pipeline_records_no_search_space_for_an_empty_localized_set(trained_sub
                                                                       monkeypatch):
     import nnpatch.harness as harness
 
-    spec, splits, model = trained_subject
+    spec, splits, model, before = trained_subject
     empty = LocalizedSet(1, [], [], n_g=1, warning="localized set is empty")
     monkeypatch.setattr(harness, "localize_to_count", lambda *a: empty)
     out = tmp_path / "run"
-    result = run_repair_pipeline(model, splits, small_experiment(), 0, 0, out_dir=out)
+    result = run_repair_pipeline(model, splits, before, small_experiment(), 0, 0, out_dir=out)
     assert result.status == "ok" and result.n_localized == 0
     assert result.no_search_space and result.identity_fallback
     assert all(result.splits[name]["broken"] == 0 for name in result.splits)
@@ -540,7 +557,7 @@ def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path
 
     import nnpatch.harness as harness
 
-    _, splits, model = trained_subject
+    _, splits, model, before = trained_subject
     write_trace = harness.write_trace_csv
 
     def slow_trace(*args):
@@ -549,7 +566,7 @@ def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path
 
     monkeypatch.setattr(harness, "write_trace_csv", slow_trace)
     out = tmp_path / "run"
-    run_repair_pipeline(model, splits, small_experiment(), 0, 0, out_dir=out)
+    run_repair_pipeline(model, splits, before, small_experiment(), 0, 0, out_dir=out)
     timing = json.loads((out / "timing.json").read_text())
     assert timing["persist_s"] >= 0.05
 
@@ -653,9 +670,8 @@ def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
 def test_sweep_rerun_leaves_no_file_of_an_earlier_outcome(trained_subject, tmp_path, monkeypatch,
                                                            outcome):
     import nnpatch.harness as harness
-    from nnpatch import evaluate
 
-    _, splits, model = trained_subject
+    *_, before = trained_subject
     out, run_dir = tmp_path / "sweep", tmp_path / "sweep" / "runs" / "cfg000" / "rep00"
     run_sweep(small_experiment(), out)
     artefacts = ("model.json", "trace.csv", "localized.csv")
@@ -663,7 +679,7 @@ def test_sweep_rerun_leaves_no_file_of_an_earlier_outcome(trained_subject, tmp_p
     # without a spec every run is rerun, here with an outcome that writes fewer files
     (out / "sweep.json").unlink()
     if outcome == "no_op":  # a target class the subject fully masters on the repair split
-        accuracy = evaluate(model, splits[2]).per_class_accuracy
+        accuracy = before[2].per_class_accuracy
         exp = small_experiment(target_class=min(c for c, acc in accuracy.items() if acc == 1.0))
     else:
         exp = small_experiment()

@@ -65,6 +65,8 @@ def test_impact_table_validation():
         ImpactTable(0, -np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
     with pytest.raises(ValueError):
         ImpactTable(0, np.full((2, 2), np.nan), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        ImpactTable(0, np.ones(4), np.ones(4), np.ones(4), np.ones(4))
 
 
 def test_localized_set_construction():
@@ -267,6 +269,8 @@ def test_localize_to_count_truncation_and_subset():
     n_g = out32.n_g
     table = compute_impacts(m, failed, passed, 1)
     assert pairs(out32) == pairs(localize(table, n_g))[:32]
+    with pytest.raises(ValueError, match="target_lw"):
+        localize_to_count(m, failed, passed, layer=1, target_lw=0)
 
 
 def test_localize_to_count_saturation_warning():

@@ -9,6 +9,7 @@ import pytest
 from nnpatch import (
     Dataset,
     EvalReport,
+    RepairDiff,
     build_mlp,
     diff,
     evaluate,
@@ -146,6 +147,17 @@ def test_report_dict_includes_verdicts():
     assert d["verdicts"]["b"]["predicted"] == 0
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: EvalReport(("a", "b"), [0, 1], [0]), "align"),
+    (lambda: EvalReport(("a", "b"), [0], [0]), "align"),
+    (lambda: EvalReport(("a", "a"), [0, 1], [0, 1]), "unique"),
+    (lambda: RepairDiff(frozenset({"a", "b"}), frozenset({"b"})), "both broken and repaired"),
+], ids=["predictions", "labels", "duplicate_ids", "overlapping_diff"])
+def test_reports_and_diffs_refuse_what_contradicts_itself(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_diff_rejects_permuted_report():
     # same ids, another order: reports compare by position, so this is refused
     a = report_from(["x", "y", "z"], [0, 1, 0], [0, 1, 1])
@@ -190,7 +202,7 @@ def test_eval_report_matches_per_sample_oracle():
         want = {
             "overall_accuracy": overall,
             "per_class_accuracy": {str(c): a for c, a in per_class.items()},
-            "degenerate": False,
+            "degenerate": n == 0,  # a report of no sample, however it was built
             "verdicts": {
                 sid: {"label": l, "predicted": p, "passed": l == p}
                 for sid, l, p in zip(ids, labels, predicted)

@@ -44,6 +44,8 @@ def test_model_construction_rules():
     ):
         with pytest.raises(ValueError, match=match):
             Model(weights, biases)
+    with pytest.raises(ValueError, match="input and output sizes"):
+        build_mlp([3], seed=0)
 
 
 def layer_index(model, layer):

@@ -90,6 +90,15 @@ def test_fitness_config_validation():
             FitnessConfig(**{name: value})
 
 
+def test_batch_scorer_refuses_an_empty_set_or_a_label_out_of_range():
+    model, localized, i_neg, i_pos = threshold_setup()
+    empty = i_pos.subset([])
+    for neg, pos, match in ((empty, i_pos, "non-empty"), (i_neg, empty, "non-empty"),
+                            (samples([[1.0, 0.0]], [2], ("n0",)), i_pos, "label out of range")):
+        with pytest.raises(ValueError, match=match):
+            BatchScorer(model, localized, neg, pos, FitnessConfig())
+
+
 def test_swarm_config_validation():
     with pytest.raises(ValueError):
         SwarmConfig(n_particles=1)
@@ -893,6 +902,25 @@ def test_tie_with_identity_returns_the_original_model():
         assert {row.gbest_fitness for row in out.trace} == {out.best.gated_fitness}
 
 
+def test_a_patch_that_fixes_nothing_returns_the_original_model():
+    # the I_neg sample shares its input with an I_pos sample of another label, so
+    # any candidate that fixes it breaks I_pos and the gate zeroes it; moving
+    # w[0, 1] toward 0.5 lowers its loss, and that ratio alone, scaled by a large
+    # beta, beats the identity with nothing fixed
+    model = single_layer_model([[0.5, 0.0], [0.0, 0.0]])
+    i_neg = samples([[1.0, 0.0]], [1], ("n0",))
+    i_pos = samples([[1.0, 0.0], [0.0, 1.0]], [0, 0], ("p0", "p1"))
+    fcfg = FitnessConfig(variant="eq2", alpha=1.0, beta=4.0, delta=1e-12, perfect_intact=True)
+    identity = fitness(model, i_neg, i_pos, base_losses(model, i_neg, i_pos), fcfg)
+    out = repair(model, localized_over(0, [(0, 1)]), i_neg, i_pos, fcfg,
+                 SwarmConfig(n_particles=10, n_iterations=20, seed=3))
+    assert out.trace[-1].gbest_fitness > identity.gated_fitness + 1.0
+    assert out.trace[-1].n_patched == 0
+    assert out.identity_fallback and out.model is model and out.best_position is None
+    assert (out.best.n_patched, out.best.n_intact, out.best.gated_fitness) == (
+        0, 2, identity.gated_fitness)
+
+
 def threshold_setup():
     """1-weight landscape: pushing w[0,1] past 0.5 flips the I_neg sample."""
     model = single_layer_model([[0.5, 0.0], [0.0, 0.0]])
@@ -987,6 +1015,7 @@ def test_repair_invariants_over_random_scenarios():
                 np.testing.assert_array_equal(wa, wb)
         else:
             assert result.best.n_intact == len(pos)
+            assert result.best.n_patched > identity.n_patched  # a patch fixes something
         # the returned breakdown describes the returned model
         got = fitness(result.model, neg, pos, base, fcfg)
         assert (result.best.n_patched, result.best.n_intact) == (got.n_patched, got.n_intact)
