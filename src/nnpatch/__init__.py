@@ -59,13 +59,14 @@ from .repair import (
     repair,
     sample_positives,
 )
-from .synth import make_clusters
+from .synth import ClustersSource, make_clusters
 from .training import SubjectSpec, train_subject
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
+    "ClustersSource",
     "Dataset",
     "DriftSpec",
     "EvalReport",

@@ -4,9 +4,9 @@ Configs are versioned YAML documents with sections: dataset, split,
 subject, experiment, and optionally drift and repair (search knobs); any
 other top-level key is an error. They are the single source of
 hyperparameters; CLI --seed only overrides the seed relevant to the verb at
-hand. Every section is checked (dataset against its source's arguments): an
-omitted key takes its default, and a key that names no field is an error, as
-is a key set in a section other than its own.
+hand. Every section is checked (dataset by its source's kind, when the data
+is read): an omitted key takes its default, one without a default and a key
+that names no field are errors, as is a key set in a section other than its own.
 """
 from __future__ import annotations
 

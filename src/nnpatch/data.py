@@ -212,7 +212,7 @@ def apply_drift(dataset: Dataset, split_spec: SplitSpec, drift: DriftSpec):
     training time.
     """
     if not 0 <= drift.target_class < dataset.n_classes:
-        raise ValueError(f"target class {drift.target_class} out of range")
+        raise ValueError(f"drift target_class must lie in [0, {dataset.n_classes}), got {drift.target_class}")
     total = int(np.sum(dataset.labels == drift.target_class))
     if total == 0:
         raise ValueError(
@@ -240,7 +240,7 @@ def select_repair_inputs(
     negative_set: repair-split samples of the target class it gets wrong.
     """
     if not 0 <= target_class < train_split.n_classes:
-        raise ValueError(f"target class {target_class} out of range")
+        raise ValueError(f"target_class must lie in [0, {train_split.n_classes}), got {target_class}")
     for name, ds, mask in (("train", train_split, train_passed), ("repair", repair_split, repair_passed)):
         if np.asarray(mask).dtype != bool or np.shape(mask) != (len(ds),):
             raise ValueError(f"{name} pass mask must be {len(ds)} booleans, one per sample")

@@ -67,17 +67,24 @@ def _converters(cls) -> dict:
     return {name: _converter(hints[name], name) for name in _field_names(cls)}
 
 
+@functools.cache
+def _required(cls) -> frozenset[str]:
+    return frozenset(f.name for f in dataclasses.fields(cls)
+                     if f.default is f.default_factory is dataclasses.MISSING)
+
+
 def from_dict(cls, d):
     """Build dataclass `cls`, nested dataclasses included, from a JSON or YAML
-    mapping. Each value is converted by its field's type hint, and one of
-    another type raises ValueError; an omitted key takes the field's default;
-    a key that names no field raises ValueError."""
+    mapping. Each value is converted by its field's type hint. A value of another
+    type, an omitted key without a default and a key that names no field raise ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a mapping, got {type(d).__name__}")
     convert = _converters(cls)
     unknown = d.keys() - convert.keys()
     if unknown:
         raise ValueError(f"{cls.__name__} has no field {', '.join(sorted(map(repr, unknown)))}")
+    if missing := _required(cls) - d.keys():
+        raise ValueError(f"{cls.__name__} needs {', '.join(sorted(missing))}")
     return cls(**{k: convert[k](v) for k, v in d.items()})
 
 

@@ -64,7 +64,7 @@ class ExperimentSpec:
 
     Every value is checked when the spec is built: each grid entry's search
     configs are derived once, so their checks run before any file is written,
-    `repair_layer` must fit the subject's layers, and `target_class` its data.
+    and `repair_layer` must fit the subject's layers; `target_class` is checked on the data.
     """
 
     subject: SubjectSpec
@@ -90,9 +90,6 @@ class ExperimentSpec:
         if not -n_layers <= self.repair_layer < n_layers:
             raise ValueError(f"layer must lie in [{-n_layers}, {n_layers}) for a "
                              f"{n_layers}-layer subject, got {self.repair_layer}")
-        if not 0 <= self.target_class < self.subject.n_classes:
-            raise ValueError(f"target_class must lie in [0, {self.subject.n_classes}), "
-                             f"got {self.target_class}")
         for ci in range(len(grid)):
             self.search(ci, swarm_seed=0)
 
@@ -311,8 +308,11 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
 def train_and_save_subject(subject: SubjectSpec, target_class: int, out_dir):
     """Train the subject and write its model.json and subject.json (split sizes
     and accuracies, and the target class) to `out_dir`; (model, splits, before),
-    `before` its reports of the splits, which every run of a sweep reads."""
+    `before` its reports of the splits, which every run of a sweep reads. Data
+    without class `target_class` is refused before anything is trained."""
     _, splits = materialize_splits(subject)
+    if not 0 <= target_class < splits[0].n_classes:
+        raise ValueError(f"target_class must lie in [0, {splits[0].n_classes}), got {target_class}")
     model = train_subject(subject, splits)
     before = tuple(evaluate(model, ds) for ds in splits)
     out = Path(out_dir)
@@ -331,20 +331,20 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
 
     Every run record is read once, first. Completed runs (see `_load_run`)
     are reused; a run whose record is missing, unreadable or stale is run
-    again. The subject is trained and saved to subject/ only when some run
-    is to be run, so a resume with nothing left to run trains nothing and
-    leaves subject/ as it is. When the retrained subject's model.json differs
-    from the one on disk (or there was none), every run is rerun, since the
-    completed ones repaired another subject. A directory without a readable
-    sweep.json has its records deleted first, since nothing there says which
-    spec made its runs. A directory whose readable sweep.json holds a spec
-    that differs from `exp` in anything but `repetitions` is refused with
-    ValueError before anything is written: its runs were made by another
-    spec. `repetitions` only decides how many runs exist, since each run's
-    seeds come from (master_seed, config, rep). Failures are isolated: they
-    become status="error" records and the sweep continues. Results are
-    identical at any worker count because every run owns its directory and
-    its RNG streams.
+    again. Only when some run is to be run, and before sweep.json is written,
+    the subject is trained and saved to subject/: data that does not fit the
+    spec is refused with ValueError before any file is written, and a resume
+    with nothing left to run reads no data. When the retrained subject's
+    model.json differs from the one on disk (or there was none), every run is
+    rerun, since the completed ones repaired another subject. A directory
+    without a readable sweep.json has its records deleted first, since nothing
+    there says which spec made its runs. A directory whose readable sweep.json
+    holds a spec that differs from `exp` in anything but `repetitions` is
+    refused too: its runs were made by another spec. `repetitions` only
+    decides how many runs exist, since each run's seeds come from
+    (master_seed, config, rep). Failures are isolated: they become
+    status="error" records and the sweep continues. Results are identical at
+    any worker count because every run owns its directory and its RNG streams.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -359,20 +359,21 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         raise ValueError(
             f"{out} holds a sweep of another spec; only repetitions may change on a resume"
         )
+    records = {(ci, ri): _load_run(out, exp, ci, ri)
+               for ci in range(len(exp.grid)) for ri in range(exp.repetitions)}
+    todo = [job for job, record in records.items() if record is None]
+    if todo:
+        subject = out / "subject" / "model.json"
+        saved = subject.read_bytes() if subject.is_file() else None
+        model, splits, before = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
+        if subject.read_bytes() != saved:
+            todo = list(records)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", exp)
     # no longer written; a leftover one would contradict report/report.json
     (out / "aggregate.json").unlink(missing_ok=True)
-    records = {(ci, ri): _load_run(out, exp, ci, ri)
-               for ci in range(len(exp.grid)) for ri in range(exp.repetitions)}
-    todo = [job for job, record in records.items() if record is None]
     if not todo:
         return aggregate_runs(exp, records.values())
-    subject = out / "subject" / "model.json"
-    repaired = subject.read_bytes() if subject.is_file() else None
-    model, splits, before = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
-    if subject.read_bytes() != repaired:
-        todo = list(records)
 
     def run(job: tuple[int, int]) -> RunResult:
         ci, ri = job

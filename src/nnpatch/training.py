@@ -3,22 +3,21 @@ data source, with the four-way split (and optional drift) baked into the
 spec so the same spec always yields the same subject."""
 from __future__ import annotations
 
-import inspect
 import math
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
-from .formats import _converter
+from .formats import from_dict
 from .network import Model, _backprop, _trace, build_mlp, loss_from_probs
-from .synth import check_clusters, make_clusters
+from .synth import ClustersSource, make_clusters
 
 
 @dataclass(frozen=True)
 class SubjectSpec:
-    """Everything needed to rebuild the subject model bit-for-bit."""
+    """Everything needed to rebuild the subject model bit-for-bit. `source` is
+    the dataset section as written, read and checked by `load_source`."""
 
     layer_sizes: tuple[int, ...]
     epochs: int
@@ -41,58 +40,30 @@ class SubjectSpec:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError("subject seed must be >= 0")
-        args = _source_args(self.source)  # `source` itself is kept as written
-        if self.source["kind"] == "clusters" and args["n_features"] != self.layer_sizes[0]:
-            raise ValueError(f"dataset n_features must equal layer_sizes[0] = "
-                             f"{self.layer_sizes[0]}, got {args['n_features']}")
-        if self.n_classes > self.layer_sizes[-1]:
-            raise ValueError(f"dataset n_classes must be <= layer_sizes[-1] = "
-                             f"{self.layer_sizes[-1]}, got {self.n_classes}")
-        if self.drift is not None and not 0 <= self.drift.target_class < self.n_classes:
-            raise ValueError(f"drift target_class must lie in [0, {self.n_classes}), "
-                             f"got {self.drift.target_class}")
-
-    @property
-    def n_classes(self) -> int:
-        """The classes of its data: a `clusters` source's `n_classes`, else the output width."""
-        return _source_args(self.source).get("n_classes", self.layer_sizes[-1])
 
 
-# each data source kind's arguments, by type
-_SOURCE_ARGS = {
-    "clusters": {k: t for k, t in typing.get_type_hints(make_clusters).items() if k != "return"},
-    "file": {"path": str},
-}
-_CLUSTER_DEFAULTS = {k: p.default for k, p in inspect.signature(make_clusters).parameters.items()}
+@dataclass(frozen=True)
+class FileSource:
+    """A `kind: file` data source: a dataset file written by `save_dataset`."""
+
+    path: str
 
 
-def _source_args(source: dict) -> dict:
-    """A data source's arguments but `kind`, each converted by its type as a
-    config value is, a `clusters` source's with their defaults filled in. An
-    unknown kind, a missing path, a key the kind does not take, a value of
-    another type or one out of its range raises ValueError naming it."""
-    kind = source.get("kind")
-    if not isinstance(kind, str) or kind not in _SOURCE_ARGS:
-        raise ValueError(f"unknown data source kind {kind!r}")
-    args = {k: v for k, v in source.items() if k != "kind"}
-    if kind == "file" and "path" not in args:
-        raise ValueError("dataset of kind 'file' needs a path")
-    unknown = sorted(map(repr, args.keys() - _SOURCE_ARGS[kind].keys()))
-    if unknown:
-        raise ValueError(f"dataset of kind {kind!r} has no key {', '.join(unknown)}")
-    args = {k: _converter(_SOURCE_ARGS[kind][k], f"dataset {k}")(v) for k, v in args.items()}
-    if kind == "clusters":
-        args = _CLUSTER_DEFAULTS | args
-        check_clusters(args)
-    return args
+_SOURCES = {"clusters": ClustersSource, "file": FileSource}
 
 
 def load_source(source: dict) -> Dataset:
-    """Materialize the declared data source."""
-    args = _source_args(source)
-    if source["kind"] == "clusters":
-        return make_clusters(**args)
-    return load_dataset(args["path"])
+    """Materialize a data source: its `kind` and that kind's arguments. An
+    unknown kind, a key the kind does not take or lacks, and a value of
+    another type or out of its range raise ValueError naming them."""
+    kind = source.get("kind")
+    if not isinstance(kind, str) or kind not in _SOURCES:
+        raise ValueError(f"unknown data source kind {kind!r}")
+    try:
+        args = from_dict(_SOURCES[kind], {k: v for k, v in source.items() if k != "kind"})
+    except ValueError as exc:
+        raise ValueError(f"{exc} (dataset of kind {kind!r})") from exc
+    return make_clusters(args) if kind == "clusters" else load_dataset(args.path)
 
 
 def materialize_splits(spec: SubjectSpec):
@@ -108,19 +79,23 @@ def materialize_splits(spec: SubjectSpec):
 def train_subject(spec: SubjectSpec, splits) -> Model:
     """Plain minibatch SGD on the train split of `splits`; deterministic per spec.
 
-    0 epochs returns the seeded initialization untouched. The weights are
-    plain arrays until the end, which builds the one `Model`. After each
-    epoch, non-finite weights or a non-finite training loss abort with that
-    epoch's index.
+    The data must fit the layer sizes, also at 0 epochs, which return the
+    seeded initialization untouched. The weights are plain arrays until the
+    end, which builds the one `Model`. After each epoch, non-finite weights
+    or a non-finite training loss abort with that epoch's index.
     """
-    train = splits[0]
-    model = build_mlp(spec.layer_sizes, seed=spec.seed)
+    train, sizes = splits[0], spec.layer_sizes
+    if train.n_features != sizes[0]:
+        raise ValueError(f"dataset n_features must equal layer_sizes[0] = {sizes[0]}, "
+                         f"got {train.n_features}")
+    if train.n_classes > sizes[-1]:
+        raise ValueError(f"dataset n_classes must be <= layer_sizes[-1] = {sizes[-1]}, "
+                         f"got {train.n_classes}")
+    model = build_mlp(sizes, seed=spec.seed)
     if spec.epochs == 0:
         return model
     if len(train) == 0:
         raise ValueError("cannot train on an empty train split")
-    if train.n_features != model.input_size or int(train.labels.max()) >= model.n_classes:
-        raise ValueError("train split does not fit the declared architecture")
 
     weights = [w.copy() for w in model.weights]
     biases = [b.copy() for b in model.biases]

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from nnpatch import evaluate, load_dataset, load_model, run_sweep
+from nnpatch import (
+    ClustersSource, evaluate, load_dataset, load_model, make_clusters, run_sweep, save_dataset,
+)
 from nnpatch.cli import main
 from nnpatch.config import (
     drift_spec_from_config,
@@ -247,6 +249,63 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
         run_sweep(experiment_spec_from_config(cfg), out)
     assert not out.exists()
     # the command line refuses it as `error: ...`, exit 2
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep", "localize", "train"])
+@pytest.mark.parametrize("section, key", [("grid", "n_particles"), ("subject", "epochs"),
+                                          ("experiment", "target_class")])
+def test_cli_refuses_a_missing_key(tmp_path, capsys, verb, section, key):
+    cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    del {"grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
+         "experiment": cfg["experiment"]}[section][key]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"needs {key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def file_config(tmp_path):
+    """quickstart on a file of 3 classes of 2-feature data: its 2-8-4 subject
+    has a fourth output but the data no class 3."""
+    data = tmp_path / "three.csv"
+    save_dataset(make_clusters(ClustersSource(n_classes=3, n_per_class=40, seed=5)), data)
+    cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    cfg["dataset"] = {"kind": "file", "path": str(data)}
+    return cfg
+
+
+def test_file_data_that_fits_trains(tmp_path, file_config):
+    path = tmp_path / "good.yaml"
+    path.write_text(yaml.safe_dump(file_config))
+    assert main(["train", "--config", str(path), "--out-dir", str(tmp_path / "subject")]) == 0
+    assert json.loads((tmp_path / "subject" / "subject.json").read_text())["target_class"] == 1
+
+
+@pytest.mark.parametrize("section, value, key", [
+    ("experiment", {"target_class": 3}, "target_class"),
+    ("drift", {"target_class": 3, "train_fraction_of_class": 0.5, "repair_fraction_of_class": 1.0},
+     "target_class"),
+    ("subject", {"layer_sizes": [3, 8, 4]}, "layer_sizes"),
+], ids=["experiment_target_class", "drift_target_class", "layer_sizes"])
+def test_file_data_that_does_not_fit_is_refused_before_any_file(tmp_path, capsys, file_config,
+                                                                section, value, key):
+    # a file is checked when it is read, as generated data is: before sweep.json
+    cfg = file_config
+    cfg[section] = {**(cfg.get(section) or {}), **value}
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match=key):
+        run_sweep(experiment_spec_from_config(cfg), out)
+    assert not out.exists()
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert main(["sweep", "--config", str(path), "--out-dir", str(out)]) == 2

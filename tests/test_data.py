@@ -3,6 +3,7 @@ serialization round-trips."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -25,7 +26,7 @@ from nnpatch import (
     split,
 )
 from nnpatch.data import apply_drift, predictions
-from nnpatch.synth import make_clusters
+from nnpatch.synth import ClustersSource, make_clusters
 
 from helpers import samples, single_layer_model, toy_dataset
 
@@ -197,7 +198,7 @@ def test_select_repair_inputs_boundaries():
 
 
 def test_select_repair_inputs_matches_argmax_filter():
-    ds = make_clusters(n_classes=3, n_per_class=40, cluster_std=2.5, seed=21)
+    ds = make_clusters(ClustersSource(n_classes=3, n_per_class=40, cluster_std=2.5, seed=21))
     parts = split(ds, SplitSpec(0.5, 0.1, 0.2, 0.2, seed=2))
     model = build_mlp([2, 8, 3], seed=5)
     train, repair = parts[0], parts[2]
@@ -432,26 +433,27 @@ def test_dataset_validation():
 
 
 def test_make_clusters_shape_and_determinism():
-    a = make_clusters(n_classes=4, n_per_class=10, seed=3)
-    b = make_clusters(n_classes=4, n_per_class=10, seed=3)
+    a = make_clusters(ClustersSource(n_classes=4, n_per_class=10, seed=3))
+    b = make_clusters(ClustersSource(n_classes=4, n_per_class=10, seed=3))
     assert len(a) == 40 and a.n_classes == 4
     np.testing.assert_array_equal(a.features, b.features)
     assert a.sample_ids == b.sample_ids
-    c = make_clusters(n_classes=4, n_per_class=10, seed=4)
+    c = make_clusters(ClustersSource(n_classes=4, n_per_class=10, seed=4))
     assert (a.features != c.features).any()
     with pytest.raises(ValueError, match="dataset seed must be >= 0"):
-        make_clusters(seed=-1)
+        ClustersSource(seed=-1)
     # otherwise an infinite spread or radius surfaces as non-finite features and a
     # negative spread as numpy's error when the data is drawn, neither naming the key
     for key, value in (("cluster_std", -1.0), ("cluster_std", np.nan), ("radius", np.inf),
                        ("radius", -0.5)):
         with pytest.raises(ValueError, match=f"dataset {key} must be finite and >= 0"):
-            make_clusters(**{key: value})
+            ClustersSource(**{key: value})
 
 
 def test_make_clusters_confusion_pull_moves_target_mean():
-    far = make_clusters(n_classes=3, n_per_class=200, cluster_std=0.1, confusion_pull=0.0, target_class=0, seed=1)
-    near = make_clusters(n_classes=3, n_per_class=200, cluster_std=0.1, confusion_pull=0.9, target_class=0, seed=1)
+    source = ClustersSource(n_classes=3, n_per_class=200, cluster_std=0.1, target_class=0, seed=1)
+    far = make_clusters(dataclasses.replace(source, confusion_pull=0.0))
+    near = make_clusters(dataclasses.replace(source, confusion_pull=0.9))
 
     def mean_of(ds, c):
         return ds.features[ds.labels == c].mean(axis=0)

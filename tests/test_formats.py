@@ -22,6 +22,9 @@ class Point:
 @pytest.mark.parametrize("d, match", [
     ([0.5, True], "Point must be a mapping, got list"),
     ({"y": ["abc"], "x": True}, "y must be float, got 'abc'"),
+    # a key without a default is refused as an unknown one is, not as a TypeError
+    ({"y": [0.5]}, "Point needs x"),
+    ({}, "Point needs x, y"),
 ])
 def test_from_dict_refuses_what_is_no_record_of_its_class(d, match):
     with pytest.raises(ValueError, match=match):

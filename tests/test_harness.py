@@ -129,6 +129,10 @@ def test_zero_epochs_returns_seeded_initialization():
     init = build_mlp(spec.layer_sizes, seed=spec.seed)
     for wa, wb in zip(model.weights, init.weights):
         np.testing.assert_array_equal(wa, wb)
+    # the data must fit the layer sizes at 0 epochs too
+    wide = small_subject(layer_sizes=(3, 8, 4), source={**spec.source, "n_features": 3})
+    with pytest.raises(ValueError, match="n_features must equal layer_sizes"):
+        train_subject(spec, materialize_splits(wide)[1])
 
 
 def test_training_is_deterministic(trained_subject):
