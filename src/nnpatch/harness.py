@@ -34,6 +34,11 @@ from .network import Model
 from .repair import FitnessConfig, SwarmConfig, repair, sample_positives, write_trace_csv
 from .training import SubjectSpec, materialize_splits, train_subject
 
+try:  # a thread's own page faults, which runs on other threads do not add to (Linux)
+    from resource import RUSAGE_THREAD, getrusage
+except ImportError:  # no count per thread: timing.json leaves repair_minflt out
+    RUSAGE_THREAD = None
+
 # the outcome of one split, as runs_long.csv and min_regression.csv list it,
 # and the order of the per-config means in report.json and config_summary.csv
 _OUTCOME = ("before_accuracy", "after_accuracy", "broken", "repaired")
@@ -214,9 +219,12 @@ def run_repair_pipeline(
     pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
     i_pos = sample_positives(pool, entry.n_pos, pos_seed)
     fcfg, scfg = exp.search(config_idx, swarm_seed)
+    minflt = 0 if RUSAGE_THREAD is None else getrusage(RUSAGE_THREAD).ru_minflt
     t_repair = time.perf_counter()
     rr = repair(model, localized, i_neg, i_pos, fcfg, scfg)
     t_after = time.perf_counter()
+    faults = {} if RUSAGE_THREAD is None else {
+        "repair_minflt": getrusage(RUSAGE_THREAD).ru_minflt - minflt}
     after = [evaluate(rr.model, ds) for ds in splits]
     evaluate_s = time.perf_counter() - t_after
     result = _new_record(
@@ -227,7 +235,7 @@ def run_repair_pipeline(
     )
     if out_dir is not None:
         timing = {"runtime_seconds": time.perf_counter() - t0, "localize_s": localize_s,
-                  "repair_s": t_after - t_repair, "evaluate_s": evaluate_s, **rr.telemetry,
+                  "repair_s": t_after - t_repair, "evaluate_s": evaluate_s, **faults, **rr.telemetry,
                   "n_g": localized.n_g, "localization_curve": localized.curve}
         _persist_run(result, rr, localized, out_dir, timing)
     return result

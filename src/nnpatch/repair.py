@@ -31,10 +31,12 @@ from .network import (
 VARIANTS = ("eq1", "eq2")
 
 # Cap on each stacked weight or activation array that BatchScorer computes on the
-# objective's path (a floorless call on a count-only set may pass it by C/|K|):
-# bounds its memory; the chunk it implies depends only on sample counts and layer
-# widths, never on the machine.
-CHUNK_BYTES = 512 * 1024
+# objective's path (a floorless call on a count-only set may pass it by C/|K|). A
+# scorer keeps one arena of such arrays for all its calls (arrays this size freed and
+# allocated again per call cost page faults that outweigh the arithmetic): the weight
+# stack and each set's z stacks and spare, grown to the largest chunk. The cap bounds
+# the arena; the chunk it implies depends only on sample counts and layer widths.
+CHUNK_BYTES = 256 * 1024
 
 # A sample whose label logit beats every other logit by more than BAND is classified
 # correctly by softmax + argmax; one whose best other logit beats it by more than
@@ -348,6 +350,8 @@ class BatchScorer:
         self.telemetry.update(candidates_scored=1, units_recomputed=len(touched), units_total=len(w))
         self.n_classes = model.n_classes
         self.weights = w[touched]  # every candidate's rows before its localized values
+        # the scratch arena (see CHUNK_BYTES) and its views per (chunk, samples, spare rows)
+        self.stack, self.arena, self.views = np.empty((0, *self.weights.shape)), np.empty(0), {}
         self.flat = np.searchsorted(touched, j) * w.shape[1] + i
         # the layers above the candidates' K rows, the first read only at their columns
         self.above = [wk[:, touched] if k == 0 else wk for k, wk in enumerate(above)]
@@ -393,8 +397,8 @@ class BatchScorer:
         self.pos = (pos,)  # I_pos's parts: the whole set, or S and R
         if cfg.perfect_intact and len(i_pos) >= 4 * SCREEN:
             with np.errstate(over="ignore", invalid="ignore"):
-                _, z = next(self._products(pos, original, 1))
-                margin = self._margins(z, pos, np.empty_like(z))[0]
+                _, z, spare = next(self._products(pos, original, 1, len(self.rows)))
+                margin = self._margins(z, pos, spare)[0]
             in_s = np.zeros(len(i_pos), dtype=bool)  # I_pos's samples that S holds
             in_s[np.argsort(margin, kind="stable")[:SCREEN]] = True
             # each I_pos sample's column among S's columns followed by R's
@@ -452,19 +456,26 @@ class BatchScorer:
             undefined[todo] |= bad
         return counts, losses, undefined, screened, skipped
 
-    def _products(self, c: _Cached, positions: np.ndarray, chunk: int):
-        """Each `chunk` of `positions` on set `c`: its slice of the candidates and
-        their computed logit rows' (chunk, rows, n) product before the last add."""
-        # scratch reused by every chunk: arrays this size freed and allocated
-        # again per chunk cost page faults that outweigh the arithmetic; the
-        # entries no candidate changes are written once per call
-        weight_stack = np.empty((chunk, *self.weights.shape))
-        weight_stack[...] = self.weights
-        z_stacks = [np.empty((chunk, width, len(c.labels))) for width in self.widths]
+    def _products(self, c: _Cached, positions: np.ndarray, chunk: int, spare_rows: int):
+        """Each `chunk` of `positions` on set `c`: its slice of the candidates, their
+        computed logit rows' (chunk, rows, n) product before the last add, and a
+        (chunk, spare_rows, n) spare that overlaps no product; all in the arena."""
+        if len(self.stack) < chunk:  # the entries no candidate changes, written once
+            self.stack = np.empty((chunk, *self.weights.shape))
+            self.stack[...] = self.weights
+        key = (chunk, len(c.labels), spare_rows)
+        if key not in self.views:  # the z stacks and the spare, end to end in the arena
+            shapes = [(chunk, rows, len(c.labels)) for rows in (*self.widths, spare_rows)]
+            ends = np.cumsum([math.prod(shape) for shape in shapes])
+            if len(self.arena) < ends[-1]:  # grown: the old arena's views go with it
+                self.arena, self.views = np.empty(ends[-1]), {}
+            self.views[key] = [self.arena[end - math.prod(shape):end].reshape(shape)
+                               for shape, end in zip(shapes, ends)]
+        *z_stacks, spare = self.views[key]
         for lo in range(0, len(positions), chunk):
             block = positions[lo:lo + chunk]
             n = len(block)
-            weights = weight_stack[:n]
+            weights = self.stack[:n]
             weights.reshape(n, -1)[:, self.flat] = block
             out = c.a
             for k, (w, add) in enumerate(zip([weights, *self.above], c.adds)):
@@ -472,7 +483,7 @@ class BatchScorer:
                 if k < len(self.above):  # a hidden layer
                     z += add
                     out = np.maximum(z, 0.0, out=z)
-            yield slice(lo, lo + n), z
+            yield slice(lo, lo + n), z, spare[:n]
 
     def _set_scores(self, c: _Cached, positions: np.ndarray, count_only: bool):
         """Correct counts, label probabilities (None when count_only) and undefined
@@ -481,14 +492,13 @@ class BatchScorer:
         picked = None if count_only else np.empty((len(positions), len(c.labels)))
         undefined = np.zeros(len(positions), dtype=bool)
         chunk = max(1, min(c.chunk, len(positions)))
-        # the count path's scratch, or the softmax output
-        spare = np.empty((chunk, len(self.rows) if count_only else self.n_classes, len(c.labels)))
-        for cols, z in self._products(c, positions, chunk):
-            n = len(z)
+        # the spare is the count path's scratch, or the softmax output
+        spare_rows = len(self.rows) if count_only else self.n_classes
+        for cols, z, spare in self._products(c, positions, chunk, spare_rows):
             if count_only:
-                counts[cols], undefined[cols] = self._count_from_logits(z, c, spare[:n])
+                counts[cols], undefined[cols] = self._count_from_logits(z, c, spare)
                 continue
-            out = self._softmax(z, c, spare[:n])
+            out = self._softmax(z, c, spare)
             counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
             picked[cols] = out[:, c.labels, c.samples]
             undefined[cols] = np.isnan(picked[cols]).any(axis=-1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_training_is_deterministic(trained_subject):
         np.testing.assert_array_equal(ba, bb)
 
 
-def test_training_learns_separable_data():
+def test_training_learns_separable_data(tmp_path):
     rng = np.random.default_rng(17)
     x0 = rng.normal(size=(60, 2)) + np.array([3.0, 3.0])
     x1 = rng.normal(size=(60, 2)) - np.array([3.0, 3.0])
@@ -158,7 +159,7 @@ def test_training_learns_separable_data():
         n_classes=2,
         class_names=("a", "b"),
     )
-    tmp = Path("/tmp/nnpatch-separable.csv")
+    tmp = tmp_path / "separable.csv"
     from nnpatch import save_dataset
 
     save_dataset(ds, tmp)
@@ -332,6 +333,11 @@ def test_sweep_writes_everything_and_aggregates(tmp_path):
             stages = [timing[k] for k in ("localize_s", "repair_s", "evaluate_s")]
             assert min(stages) > 0 and sum(stages) <= timing["runtime_seconds"]
             assert timing["persist_s"] > 0
+            # the search's minor page faults, counted on its own thread where the OS can
+            if hasattr(resource, "RUSAGE_THREAD"):
+                assert type(timing["repair_minflt"]) is int and timing["repair_minflt"] >= 0
+            else:
+                assert "repair_minflt" not in timing
             # I_pos holds fewer than 4 * SCREEN samples here, so nothing is screened
             assert timing["gate_screened"] == 0
             # the repair layer is the last one; its units owning a localized weight
@@ -554,6 +560,26 @@ def test_pipeline_records_no_search_space_for_an_empty_localized_set(trained_sub
     assert all(result.splits[name]["broken"] == 0 for name in result.splits)
     timing = json.loads((out / "timing.json").read_text())
     assert {k: timing[k] for k in TELEMETRY} == dict.fromkeys(TELEMETRY, 0)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="no per-thread page faults")
+def test_hidden_layer_repair_faults_no_pages_per_iteration(tmp_path):
+    # exp_c repaired at layer 0: 911 I_pos samples, so R's z stacks outgrow 128 KiB,
+    # and scratch allocated per call would be faulted in again on every iteration
+    cfg = load_config(ROOT / "configs" / "exp_c.yaml")
+    cfg["repair"]["layer"] = 0
+    exp = experiment_spec_from_config(cfg)
+    _, splits = materialize_splits(exp.subject)
+    model = train_subject(exp.subject, splits)
+    before = tuple(evaluate(model, ds) for ds in splits)
+    faults = {}
+    for n_iterations in (4, 40):
+        out = tmp_path / f"iters{n_iterations}"
+        record = run_repair_pipeline(model, splits, before,
+                                     dataclasses.replace(exp, n_iterations=n_iterations), 0, 0, out)
+        assert record.status == "ok" and record.n_pos >= 900
+        faults[n_iterations] = json.loads((out / "timing.json").read_text())["repair_minflt"]
+    assert faults[40] - faults[4] < 1000, faults
 
 
 def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -646,6 +647,50 @@ def test_gate_screen_never_rejects_a_candidate_whose_floor_is_below_zero():
             screened = scorer(positions, floor=mixed).n_patched == -1
             assert not screened[mixed < 0].any()
     assert n_screened > 0
+
+
+def test_reused_scorer_scores_every_call_like_a_fresh_one():
+    # a scorer keeps one scratch arena for all its calls, grown with the chunk; over
+    # calls of P, P // 3 and 2P candidates, at the default chunk (which the last call
+    # grows) and at 1, 7 and P, no call may see what an earlier one left in it
+    rng = np.random.default_rng(61)
+    n_fixed = 0
+    for n_layers in (1, 2, 3):
+        m = random_model(rng, n_layers=n_layers)
+        for layer in range(n_layers):
+            localized, neg, pos = screened_scenario(rng, m, layer)
+            one_unit = localized.j == localized.j[0]
+            # at the last layer, also the weights of one unit: the softmax writes the
+            # untouched rows beside the computed ones into its spare
+            sets = [localized] + [LocalizedSet(layer, localized.i[one_unit], localized.j[one_unit],
+                                               n_g=int(one_unit.sum()))] * (layer == n_layers - 1)
+            for subset, variant, gated in itertools.product(sets, VARIANTS, (False, True)):
+                original = m.weights[layer][subset.i, subset.j]
+                p = int(rng.integers(24, 40))
+                sizes = (p, p // 3, 2 * p)
+                floors = [np.where(rng.random(size) < 0.25, -np.inf, 0.0) for size in sizes]
+                calls = [(screen_positions(rng, original, size), floor)
+                         for size, floor in zip(sizes * 2, floors + [None] * 3)]
+                cfg = FitnessConfig(variant=variant, alpha=float(rng.uniform(0.5, 8)),
+                                    perfect_intact=gated)
+                scorer = BatchScorer(m, subset, neg, pos, cfg)
+                n_fixed += scorer.fixed_rows is not None
+                first = []  # each call's scores at the first chunk, which no chunk changes
+                for chunk in (None, 1, 7, p):
+                    if chunk is not None:
+                        set_chunk(scorer, chunk)
+                    for k, (positions, floor) in enumerate(calls):
+                        fresh = BatchScorer(m, subset, neg, pos, cfg)
+                        if chunk is not None:
+                            set_chunk(fresh, chunk)
+                        got = scorer(positions, floor)
+                        if chunk is None:
+                            first.append(got)
+                        for want in (fresh(positions, floor), first[k]):
+                            for name, a, b in zip(got._fields, got, want):
+                                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+                                    f"{name} of call {k} at chunk {chunk}")
+    assert n_fixed > 0
 
 
 def overflow_on_ineg_setup():
