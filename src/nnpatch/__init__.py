@@ -11,7 +11,6 @@ from .data import (
     RepairInputError,
     RepairInputs,
     SplitSpec,
-    apply_drift,
     load_dataset,
     load_model,
     save_dataset,
@@ -89,7 +88,6 @@ __all__ = [
     "SubjectSpec",
     "SwarmConfig",
     "aggregate_runs",
-    "apply_drift",
     "build_mlp",
     "compute_impacts",
     "derive_run_seeds",

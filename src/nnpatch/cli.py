@@ -2,9 +2,10 @@
 
 Each verb takes only the flags it reads. `--config` is a versioned YAML
 config, read by every verb but evaluate and report; `--seed` overrides the
-one seed a verb uses: the dataset, split, drift or subject seed for gen-data,
-split, drift and train, the master seed for repair and sweep. localize takes
-no `--seed`, as localization draws nothing at random.
+one seed a verb uses: the dataset, split or subject seed for gen-data, split
+and train, the master seed for repair and sweep. localize takes no `--seed`,
+as localization draws nothing at random. split writes the splits the subject
+is trained on, the config's drift included.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .config import (
 )
 from .data import (
     SPLIT_NAMES,
-    apply_drift,
     load_dataset,
     load_model,
     save_dataset,
@@ -62,18 +62,7 @@ def _cmd_split(args) -> int:
     cfg = load_config(args.config)
     ds = dataset_from_config(cfg)
     spec = split_spec_from_config(cfg, seed=args.seed)
-    _write_splits(split(ds, spec), Path(args.out_dir))
-    return 0
-
-
-def _cmd_drift(args) -> int:
-    cfg = load_config(args.config)
-    ds = dataset_from_config(cfg)
-    spec = split_spec_from_config(cfg)
-    drift = drift_spec_from_config(cfg, seed=args.seed)
-    if drift is None:
-        raise ValueError("config has no drift section")
-    _write_splits(apply_drift(ds, spec, drift), Path(args.out_dir))
+    _write_splits(split(ds, spec, drift_spec_from_config(cfg)), Path(args.out_dir))
     return 0
 
 
@@ -177,9 +166,6 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
 
     p = add("split", _cmd_split)
-    p.add_argument("--out-dir", required=True)
-
-    p = add("drift", _cmd_drift)
     p.add_argument("--out-dir", required=True)
 
     p = add("train", _cmd_train)

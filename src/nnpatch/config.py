@@ -61,10 +61,10 @@ def split_spec_from_config(cfg: dict, seed: int | None = None) -> SplitSpec:
     return from_dict(SplitSpec, _seeded(_section(cfg, "split"), seed))
 
 
-def drift_spec_from_config(cfg: dict, seed: int | None = None) -> DriftSpec | None:
+def drift_spec_from_config(cfg: dict) -> DriftSpec | None:
     if cfg.get("drift") is None:
         return None
-    return from_dict(DriftSpec, _seeded(_section(cfg, "drift"), seed))
+    return from_dict(DriftSpec, _section(cfg, "drift"))
 
 
 def _refuse(sect: dict, name: str, keys) -> None:

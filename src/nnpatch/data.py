@@ -173,24 +173,6 @@ def _largest_remainder(n: int, fractions, rotate: int) -> list[int]:
     return counts
 
 
-def split(dataset: Dataset, spec: SplitSpec):
-    """Partition into (train, validation, repair, test) Datasets.
-
-    Deterministic per seed; stratified: each class is allocated on its own
-    with largest-remainder rounding. Output rows keep dataset order.
-    """
-    rng = np.random.default_rng(spec.seed)
-    buckets: list[list[int]] = [[], [], [], []]
-    for c in range(dataset.n_classes):
-        members = np.flatnonzero(dataset.labels == c)
-        if len(members) == 0:
-            raise ValueError(f"stratified split needs >= 1 sample of class {c}")
-        bounds = np.cumsum(_largest_remainder(len(members), spec.fractions, rotate=c))[:-1]
-        for bucket, part in zip(buckets, np.split(rng.permutation(members), bounds)):
-            bucket.extend(part.tolist())
-    return tuple(dataset.subset(sorted(b)) for b in buckets)
-
-
 def _subsample_class(ds: Dataset, target: int, fraction: float, rng) -> Dataset:
     members = np.flatnonzero(ds.labels == target)
     keep_n = int(round(fraction * len(members)))
@@ -203,25 +185,31 @@ def _subsample_class(ds: Dataset, target: int, fraction: float, rng) -> Dataset:
     return ds.subset(np.flatnonzero(keep))
 
 
-def apply_drift(dataset: Dataset, split_spec: SplitSpec, drift: DriftSpec):
-    """Split, then thin the target class in the train and repair splits.
+def split(dataset: Dataset, spec: SplitSpec, drift: DriftSpec | None = None):
+    """Partition into (train, validation, repair, test) Datasets.
 
-    The target class ends up at train_fraction_of_class (resp.
-    repair_fraction_of_class) of its natural allocation in those splits,
-    so its prevalence at repair time is at least its prevalence at
-    training time.
+    Deterministic per seed; stratified: each class is allocated on its own
+    with largest-remainder rounding. Output rows keep dataset order. A drift
+    then thins its target class in the train and repair splits to
+    train_fraction_of_class (resp. repair_fraction_of_class) of its natural
+    allocation there, so its prevalence at repair time is at least at training time.
     """
-    if not 0 <= drift.target_class < dataset.n_classes:
+    if drift is not None and not 0 <= drift.target_class < dataset.n_classes:
         raise ValueError(f"drift target_class must lie in [0, {dataset.n_classes}), got {drift.target_class}")
-    total = int(np.sum(dataset.labels == drift.target_class))
-    if total == 0:
-        raise ValueError(
-            f"drift infeasible: class {drift.target_class} has 0 samples in the dataset"
-        )
-    train, val, rep, test = split(dataset, split_spec)
-    rng = np.random.default_rng(drift.seed)
-    train = _subsample_class(train, drift.target_class, drift.train_fraction_of_class, rng)
-    rep = _subsample_class(rep, drift.target_class, drift.repair_fraction_of_class, rng)
+    rng = np.random.default_rng(spec.seed)
+    buckets: list[list[int]] = [[], [], [], []]
+    for c in range(dataset.n_classes):
+        members = np.flatnonzero(dataset.labels == c)
+        if len(members) == 0:
+            raise ValueError(f"stratified split needs >= 1 sample of class {c}")
+        bounds = np.cumsum(_largest_remainder(len(members), spec.fractions, rotate=c))[:-1]
+        for bucket, part in zip(buckets, np.split(rng.permutation(members), bounds)):
+            bucket.extend(part.tolist())
+    train, val, rep, test = (dataset.subset(sorted(b)) for b in buckets)
+    if drift is not None:
+        rng = np.random.default_rng(drift.seed)
+        train = _subsample_class(train, drift.target_class, drift.train_fraction_of_class, rng)
+        rep = _subsample_class(rep, drift.target_class, drift.repair_fraction_of_class, rng)
     return train, val, rep, test
 
 
@@ -294,8 +282,8 @@ def save_model(model: Model, path, provenance: dict | None = None) -> None:
 
 
 def load_model(path) -> Model:
-    """Inverse of save_model. Rejects malformed files, version mismatches, non-finite
-    values and declared layers unlike the decoded model's; never returns a partial model."""
+    """Inverse of save_model. Rejects malformed files, version mismatches, non-finite values
+    and declared layers or class counts unlike the decoded model's; never returns a partial model."""
     try:
         manifest = read_json(path)
     except json.JSONDecodeError as exc:
@@ -324,6 +312,9 @@ def load_model(path) -> Model:
             if value != getattr(layer, key):
                 raise ValueError(f"corrupt model file: layer {k} declares {key} {value!r}, "
                                  f"not {getattr(layer, key)!r}")
+    n_classes = manifest.get("n_classes")
+    if type(n_classes) is not int or n_classes != model.n_classes:
+        raise ValueError(f"corrupt model file: declares n_classes {n_classes!r}, not {model.n_classes}")
     return model
 
 

@@ -34,22 +34,28 @@ def as_dict(obj) -> dict:
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
+def _refuse(name: str, kind: str, v):
+    raise ValueError(f"{name} must be {kind}, got {v!r}")
+
+
 def _converter(hint, name: str):
     """A function that turns a JSON or YAML value of field `name` into a value of
-    type `hint`. An int or bool takes only its own type (a bool is no int), a float
-    any number or numeric string but a bool (PyYAML reads `1e-6` as a string)."""
+    type `hint`. A tuple takes only a list (or tuple), a str only a string and a
+    dict only a mapping; an int or bool only its own type (a bool is no int), a
+    float any number or numeric string but a bool (PyYAML reads `1e-6` as a string)."""
     if dataclasses.is_dataclass(hint):
         return lambda v: v if isinstance(v, hint) else from_dict(hint, v)
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:  # tuple[X, ...]
         item = _converter(args[0], name)
-        return lambda v: tuple(map(item, v))
+        return lambda v: tuple(map(item, v)) if isinstance(v, (list, tuple)) else _refuse(name, "a list", v)
     if type(None) in args:  # X | None
         (inner,) = (a for a in args if a is not type(None))
         inner = _converter(inner, name)
         return lambda v: None if v is None else inner(v)
-    if hint not in (int, bool, float):
-        return hint  # str, dict
+    if hint in (str, dict):
+        kind = "a string" if hint is str else "a mapping"
+        return lambda v: hint(v) if isinstance(v, hint) else _refuse(name, kind, v)
 
     def convert(v):
         if type(v) is hint or hint is float and not isinstance(v, bool):
@@ -57,7 +63,7 @@ def _converter(hint, name: str):
                 return hint(v)
             except (TypeError, ValueError):
                 pass
-        raise ValueError(f"{name} must be {hint.__name__}, got {v!r}")
+        _refuse(name, hint.__name__, v)
     return convert
 
 

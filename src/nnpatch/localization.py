@@ -13,40 +13,35 @@ import numpy as np
 
 from .data import Dataset
 from .formats import write_csv
-from .network import Model, _frozen_array, layer_inputs, weight_gradient_matrix
+from .network import Model, _backprop, _check_labelled, _check_layer, _frozen_array, _trace
 
 IMPACT_NAMES = ("back_failed", "fwd_failed", "back_passed", "fwd_passed")
 
 
 @dataclass(frozen=True)
 class ImpactTable:
-    """Four scores for every weight of one layer, as (n_in, n_out) arrays."""
+    """Four scores for every weight of one layer: `scores[k]` is the
+    (n_in, n_out) array of impact IMPACT_NAMES[k]."""
 
     layer: int
-    back_failed: np.ndarray
-    fwd_failed: np.ndarray
-    back_passed: np.ndarray
-    fwd_passed: np.ndarray
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in IMPACT_NAMES:  # back_failed first: the others must match its shape
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            if arr.ndim != 2:
-                raise ValueError(f"{name} must be 2-D (n_in, n_out)")
-            if arr.shape != np.shape(self.back_failed):
-                raise ValueError("impact arrays must share one shape")
-            if not np.isfinite(arr).all() or (arr < 0).any():
-                raise ValueError(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, arr)
+        scores = np.array(self.scores, dtype=np.float64)
+        scores.setflags(write=False)
+        if scores.ndim != 3 or len(scores) != len(IMPACT_NAMES):
+            raise ValueError(f"scores must stack {len(IMPACT_NAMES)} 2-D (n_in, n_out) arrays")
+        if not np.isfinite(scores).all() or (scores < 0).any():
+            raise ValueError("scores must be finite and non-negative")
+        object.__setattr__(self, "scores", scores)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.back_failed.shape
+        return self.scores.shape[1:]
 
     @property
     def n_weights(self) -> int:
-        return self.back_failed.size
+        return self.scores[0].size
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,29 +70,24 @@ class LocalizedSet:
 
 
 def compute_impacts(model: Model, failed: Dataset, passed: Dataset, layer: int) -> ImpactTable:
-    """Score every weight of `layer` on both data subsets.
+    """Score every weight of `layer` on both data subsets, from one forward and
+    one backward pass over each.
 
     back_X[i,j] = |d(mean loss over X)/dw_ij|; fwd_X[i,j] = mean over X of
     |o_i * w_ij| where o is the input feeding the layer.
     """
     if len(failed) == 0 or len(passed) == 0:
         raise ValueError("impact computation needs non-empty failed and passed sets")
-    w = model.weights[layer]
+    _check_layer(model, layer)
+    w = np.abs(model.weights[layer])
 
-    def _back(ds: Dataset) -> np.ndarray:
-        return np.abs(weight_gradient_matrix(model, ds.features, ds.labels, layer))
+    def _impacts(ds: Dataset):
+        inputs, labels = _check_labelled(model, ds.features, ds.labels)
+        acts = _trace(model.weights, model.biases, inputs)
+        back = _backprop(model.weights, acts, labels, stop=layer)[0][layer]
+        return np.abs(back), np.abs(acts[layer]).mean(axis=0)[:, None] * w
 
-    def _fwd(ds: Dataset) -> np.ndarray:
-        o = layer_inputs(model, ds.features, layer)
-        return np.abs(o).mean(axis=0)[:, None] * np.abs(w)
-
-    return ImpactTable(
-        layer=layer,
-        back_failed=_back(failed),
-        fwd_failed=_fwd(failed),
-        back_passed=_back(passed),
-        fwd_passed=_fwd(passed),
-    )
+    return ImpactTable(layer, np.stack((*_impacts(failed), *_impacts(passed))))
 
 
 def impact_ranks(table: ImpactTable) -> np.ndarray:
@@ -108,9 +98,9 @@ def impact_ranks(table: ImpactTable) -> np.ndarray:
     n = table.n_weights
     i_idx, j_idx = np.divmod(np.arange(n), table.shape[1])
     ranks = np.empty((len(IMPACT_NAMES), n), dtype=np.int64)
-    for row, name in zip(ranks, IMPACT_NAMES):
+    for row, score in zip(ranks, table.scores):
         # lexsort uses the last key as primary
-        row[np.lexsort((i_idx, j_idx, -getattr(table, name).ravel()))] = np.arange(n)
+        row[np.lexsort((i_idx, j_idx, -score.ravel()))] = np.arange(n)
     return ranks
 
 
@@ -168,11 +158,10 @@ def localize_to_count(
 
 def write_impact_csv(table: ImpactTable, path) -> None:
     """Inspection dump: one row per weight with the four scores."""
-    arrays = [getattr(table, name) for name in IMPACT_NAMES]
     n_in, n_out = table.shape
     write_csv(path, [
         ["layer", "i", "j", *IMPACT_NAMES],
-        *([table.layer, i, j, *(float(arr[i, j]) for arr in arrays)]
+        *([table.layer, i, j, *map(float, table.scores[:, i, j])]
           for j in range(n_out) for i in range(n_in)),  # the tie-break order of impact_ranks
     ])
 

@@ -183,7 +183,9 @@ def weight_gradient_matrix(model: Model, inputs, labels, layer: int) -> np.ndarr
     """d(mean loss)/dW for one layer, as an (input_size, output_size) array:
     that layer's entry of `full_gradients`."""
     _check_layer(model, layer)
-    return full_gradients(model, inputs, labels)[0][layer]
+    inputs, labels = _check_labelled(model, inputs, labels)
+    acts = _trace(model.weights, model.biases, inputs)
+    return _backprop(model.weights, acts, labels, stop=layer)[0][layer]
 
 
 def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:
@@ -237,20 +239,20 @@ def full_gradients(model: Model, inputs, labels):
     """Weight and bias gradients of the mean loss for every layer, by exact
     backpropagation from the softmax/cross-entropy head."""
     inputs, labels = _check_labelled(model, inputs, labels)
-    return _backprop(model.weights, model.biases, inputs, labels)
+    return _backprop(model.weights, _trace(model.weights, model.biases, inputs), labels)
 
 
-def _backprop(weights, biases, inputs: np.ndarray, labels: np.ndarray):
-    """`full_gradients` of a stack of layers, on inputs and labels already checked."""
-    acts = _trace(weights, biases, inputs)
+def _backprop(weights, acts: list, labels: np.ndarray, stop: int = 0):
+    """`full_gradients` of a stack of layers from `acts`, the `_trace` of checked
+    inputs, for layers `stop` and up; the entries below `stop` are None."""
     delta = acts[-1].copy()  # softmax minus one-hot labels, over the sample count
     delta[np.arange(len(labels)), labels] -= 1.0
-    delta /= len(inputs)
+    delta /= len(labels)
     grad_w = [None] * len(weights)
     grad_b = [None] * len(weights)
-    for k in range(len(weights) - 1, -1, -1):
+    for k in range(len(weights) - 1, stop - 1, -1):
         grad_w[k] = acts[k].T @ delta
         grad_b[k] = delta.sum(axis=0)
-        if k:
+        if k > stop:
             delta = (delta @ weights[k].T) * (acts[k] > 0.0)  # relu's gradient: z > 0 iff relu(z) > 0
     return grad_w, grad_b

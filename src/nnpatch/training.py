@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DriftSpec, SplitSpec, apply_drift, load_dataset, split
+from .data import Dataset, DriftSpec, SplitSpec, load_dataset, split
 from .formats import from_dict
 from .network import Model, _backprop, _trace, build_mlp, loss_from_probs
 from .synth import ClustersSource, make_clusters
@@ -69,11 +69,7 @@ def load_source(source: dict) -> Dataset:
 def materialize_splits(spec: SubjectSpec):
     """(dataset, (train, validation, repair, test)) for a subject spec."""
     dataset = load_source(spec.source)
-    if spec.drift is not None:
-        splits = apply_drift(dataset, spec.split, spec.drift)
-    else:
-        splits = split(dataset, spec.split)
-    return dataset, splits
+    return dataset, split(dataset, spec.split, spec.drift)
 
 
 def train_subject(spec: SubjectSpec, splits) -> Model:
@@ -105,7 +101,8 @@ def train_subject(spec: SubjectSpec, splits) -> Model:
         order = rng.permutation(n)
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
-            grad_w, grad_b = _backprop(weights, biases, train.features[idx], train.labels[idx])
+            acts = _trace(weights, biases, train.features[idx])
+            grad_w, grad_b = _backprop(weights, acts, train.labels[idx])
             for k in range(len(weights)):
                 weights[k] -= spec.learning_rate * grad_w[k]
                 biases[k] -= spec.learning_rate * grad_b[k]

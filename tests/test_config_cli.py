@@ -201,6 +201,14 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("grid", "alpha", "true"),
         ("repair", "n_iterations", '"20"'),
         ("subject", "layer_sizes", "[2, 8.5, 4]"),
+        # a container takes only its own kind: a number, an empty value or a
+        # mapping is no list, and a number no path
+        ("subject", "layer_sizes", "5"),
+        ("subject", "layer_sizes", "null"),
+        ("subject", "layer_sizes", "{2: 1, 8: 1, 4: 1}"),
+        ("experiment", "grid", "3"),
+        ("experiment", "grid", "null"),
+        ("file_dataset", "path", "5"),
         # the dataset section is checked against its data source's arguments
         ("dataset", "foo", "1"),
         ("dataset", "seed", '"x"'),
@@ -239,8 +247,10 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
                         "repair_fraction_of_class": 1.0}
     if section == "3_classes":
         cfg["dataset"]["n_classes"] = 3
+    if section == "file_dataset":
+        cfg["dataset"] = {"kind": "file"}
     target = {"repair": cfg["repair"], "experiment": cfg["experiment"],
-              "3_classes": cfg["experiment"],
+              "3_classes": cfg["experiment"], "file_dataset": cfg["dataset"],
               "grid": cfg["experiment"]["grid"][0], "subject": cfg["subject"],
               "split": cfg["split"], "dataset": cfg["dataset"], "drift": cfg.get("drift")}[section]
     target[key] = yaml.safe_load(value)
@@ -360,6 +370,9 @@ def test_cli_refuses_missing_and_malformed_files(config_path, tmp_path, capsys):
         (["sweep", "--config", str(config_path), "--out-dir", str(out), "--workers", "0"], "n_workers"),
         (["sweep", "--config", str(config_path), "--out-dir", str(out), "--workers", "-3"],
          "n_workers"),
+        # a negative master seed given by the flag is checked with the spec
+        (["sweep", "--config", str(config_path), "--out-dir", str(out), "--seed", "-1"],
+         "master_seed"),
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -427,16 +440,24 @@ def test_cli_split_and_drift(config_path, tmp_path, capsys):
     assert sum(sizes.values()) == 200
     assert sizes["train"] == 100
 
-    # no drift section -> a refused input: `error: ...` and exit 2
-    assert main(["drift", "--config", str(config_path), "--out-dir", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
+    # split writes the splits the subject is trained on, the drift included:
+    # the same bytes as train writes
     drifted_cfg = tmp_path / "drift.yaml"
     drifted_cfg.write_text(BASE_CONFIG + DRIFT_SECTION)
-    drift_dir = tmp_path / "drifted"
-    assert main(["drift", "--config", str(drifted_cfg), "--out-dir", str(drift_dir)]) == 0
+    drift_dir, subject_dir = tmp_path / "drifted", tmp_path / "subject"
+    assert main(["split", "--config", str(drifted_cfg), "--out-dir", str(drift_dir)]) == 0
+    assert main(["train", "--config", str(drifted_cfg), "--out-dir", str(subject_dir)]) == 0
     train = load_dataset(drift_dir / "train.csv")
     assert (train.labels == 1).sum() < 25  # class 1 thinned out of train
+    for name in ("train", "validation", "repair", "test"):
+        assert (drift_dir / f"{name}.csv").read_bytes() == (subject_dir / f"{name}.csv").read_bytes()
+
+    # there is no separate drift verb
+    with pytest.raises(SystemExit) as exc:
+        main(["drift", "--config", str(drifted_cfg), "--out-dir", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'drift'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_train_localize_repair_evaluate(config_path, tmp_path):

@@ -25,7 +25,7 @@ from nnpatch import (
     select_repair_inputs,
     split,
 )
-from nnpatch.data import apply_drift, predictions
+from nnpatch.data import predictions
 from nnpatch.synth import ClustersSource, make_clusters
 
 from helpers import samples, single_layer_model, toy_dataset
@@ -125,7 +125,7 @@ def test_noop_drift_equals_plain_split():
     ds = uniform_dataset(120, 3)
     spec = SplitSpec(0.25, 0.25, 0.25, 0.25, seed=2)
     plain = split(ds, spec)
-    drifted = apply_drift(ds, spec, DriftSpec(target_class=1, train_fraction_of_class=1.0, repair_fraction_of_class=1.0, seed=9))
+    drifted = split(ds, spec, DriftSpec(target_class=1, train_fraction_of_class=1.0, repair_fraction_of_class=1.0, seed=9))
     for a, b in zip(plain, drifted):
         assert a.sample_ids == b.sample_ids
 
@@ -133,7 +133,7 @@ def test_noop_drift_equals_plain_split():
 def test_zero_train_fraction_removes_class_from_train():
     ds = uniform_dataset(120, 3)
     spec = SplitSpec(0.25, 0.25, 0.25, 0.25, seed=2)
-    parts = apply_drift(ds, spec, DriftSpec(target_class=1, train_fraction_of_class=0.0, repair_fraction_of_class=1.0, seed=9))
+    parts = split(ds, spec, DriftSpec(target_class=1, train_fraction_of_class=0.0, repair_fraction_of_class=1.0, seed=9))
     train = parts[0]
     assert not (train.labels == 1).any()
     # other classes untouched
@@ -152,7 +152,7 @@ def test_drift_subsample_arithmetic():
         class_names=("t", "o"),
     )
     spec = SplitSpec(0.5, 0.2, 0.2, 0.1, seed=4)
-    parts = apply_drift(ds, spec, DriftSpec(target_class=0, train_fraction_of_class=0.1, repair_fraction_of_class=0.5, seed=8))
+    parts = split(ds, spec, DriftSpec(target_class=0, train_fraction_of_class=0.1, repair_fraction_of_class=0.5, seed=8))
     kept = int((parts[0].labels == 0).sum())
     assert abs(kept - 35) <= 1
 
@@ -161,7 +161,7 @@ def test_drift_prevalence_monotonicity():
     ds = uniform_dataset(400, 4)
     spec = SplitSpec(0.4, 0.2, 0.2, 0.2, seed=6)
     for tf, rf in [(0.1, 0.5), (0.2, 0.9), (0.0, 1.0)]:
-        parts = apply_drift(ds, spec, DriftSpec(target_class=2, train_fraction_of_class=tf, repair_fraction_of_class=rf, seed=3))
+        parts = split(ds, spec, DriftSpec(target_class=2, train_fraction_of_class=tf, repair_fraction_of_class=rf, seed=3))
         train, repair = parts[0], parts[2]
         prev_train = (train.labels == 2).mean() if len(train) else 0.0
         prev_repair = (repair.labels == 2).mean()
@@ -172,7 +172,7 @@ def test_drift_missing_class_errors():
     ds = uniform_dataset(40, 2)
     spec = SplitSpec(0.25, 0.25, 0.25, 0.25, seed=0)
     with pytest.raises(ValueError, match="class"):
-        apply_drift(ds, spec, DriftSpec(target_class=7, train_fraction_of_class=0.1, repair_fraction_of_class=0.5, seed=0))
+        split(ds, spec, DriftSpec(target_class=7, train_fraction_of_class=0.1, repair_fraction_of_class=0.5, seed=0))
 
 
 def test_select_repair_inputs_boundaries():
@@ -332,6 +332,19 @@ def test_model_load_refuses_a_layer_the_model_does_not_have(tmp_path):
     manifest["weights"] = [""]
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="corrupt model file: layer 0: weight shape"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("declared", [99, 2, 3.0, True, None])
+def test_model_load_refuses_a_class_count_the_model_does_not_have(tmp_path, declared):
+    # the head has 3 outputs: a file that declares another class count is refused
+    path = tmp_path / "m.json"
+    save_model(build_mlp([2, 4, 3], seed=1), path)
+    manifest = json.loads(path.read_text())
+    assert manifest["n_classes"] == 3
+    manifest["n_classes"] = declared
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"corrupt model file: declares n_classes {declared!r}, not 3"):
         load_model(path)
 
 

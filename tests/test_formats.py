@@ -31,6 +31,25 @@ def test_from_dict_refuses_what_is_no_record_of_its_class(d, match):
         from_dict(Point, d)
 
 
+@dataclass(frozen=True)
+class Source:
+    path: str
+    args: dict
+
+
+@pytest.mark.parametrize("cls, d, match", [
+    (Point, {"y": 0.5, "x": True}, "y must be a list, got 0.5"),
+    (Point, {"y": None, "x": True}, "y must be a list, got None"),
+    (Point, {"y": {0.5: 1}, "x": True}, "y must be a list, got {0.5: 1}"),
+    (Source, {"path": 5, "args": {}}, "path must be a string, got 5"),
+    (Source, {"path": "p", "args": [1]}, r"args must be a mapping, got \[1\]"),
+])
+def test_from_dict_refuses_a_container_or_string_of_another_kind(cls, d, match):
+    with pytest.raises(ValueError, match=match):
+        from_dict(cls, d)
+    assert from_dict(Source, {"path": "p", "args": {"k": 1}}) == Source("p", {"k": 1})
+
+
 def test_write_csv_cell_rule(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, [

@@ -15,8 +15,8 @@ from nnpatch import (
     localize_to_count,
 )
 from nnpatch import localization
-from nnpatch.localization import IMPACT_NAMES, impact_ranks, write_impact_csv, write_localized_csv
-from nnpatch.network import forward, loss, write_weights
+from nnpatch.localization import impact_ranks, write_impact_csv, write_localized_csv
+from nnpatch.network import forward, layer_inputs, loss, weight_gradient_matrix, write_weights
 
 from helpers import random_batch, random_model, samples
 
@@ -28,13 +28,7 @@ def random_table(rng, n_in=None, n_out=None, ties=False):
         pool = rng.integers(0, 4, size=(4, n_in, n_out)).astype(float)
     else:
         pool = rng.random((4, n_in, n_out))
-    return ImpactTable(
-        layer=0,
-        back_failed=pool[0],
-        fwd_failed=pool[1],
-        back_passed=pool[2],
-        fwd_passed=pool[3],
-    )
+    return ImpactTable(0, pool)
 
 
 def pairs(localized):
@@ -42,31 +36,29 @@ def pairs(localized):
     return list(zip(localized.i.tolist(), localized.j.tolist()))
 
 
-def brute_top(table, name, n_g):
-    """Reference top-n selection: the (i, j) pairs sorted by (impact desc, j, i)."""
-    score = getattr(table, name)
+def brute_top(table, k, n_g):
+    """Reference top-n selection under impact k: the (i, j) pairs sorted by
+    (impact desc, j, i)."""
+    score = table.scores[k]
     refs = [(i, j) for i in range(score.shape[0]) for j in range(score.shape[1])]
     refs.sort(key=lambda r: (-score[r], r[1], r[0]))
     return frozenset(refs[:n_g])
 
 
 def brute_localized(table, n_g):
-    bf = brute_top(table, "back_failed", n_g)
-    ff = brute_top(table, "fwd_failed", n_g)
-    bp = brute_top(table, "back_passed", n_g)
-    fp = brute_top(table, "fwd_passed", n_g)
+    bf, ff, bp, fp = (brute_top(table, k, n_g) for k in range(4))
     return (bf & ff) - (bp & fp)
 
 
 def test_impact_table_validation():
     with pytest.raises(ValueError):
-        ImpactTable(0, np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2)))
+        ImpactTable(0, [np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))])
     with pytest.raises(ValueError, match="negative"):
-        ImpactTable(0, -np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+        ImpactTable(0, [-np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))])
     with pytest.raises(ValueError):
-        ImpactTable(0, np.full((2, 2), np.nan), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+        ImpactTable(0, [np.full((2, 2), np.nan), np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2))])
     with pytest.raises(ValueError, match="2-D"):
-        ImpactTable(0, np.ones(4), np.ones(4), np.ones(4), np.ones(4))
+        ImpactTable(0, [np.ones(4), np.ones(4), np.ones(4), np.ones(4)])
 
 
 def test_localized_set_construction():
@@ -96,8 +88,8 @@ def test_zero_weight_has_zero_forward_impact():
     failed = random_batch(rng, m, prefix="f")
     passed = random_batch(rng, m, prefix="p")
     t = compute_impacts(m, failed, passed, layer=1)
-    assert t.fwd_failed[1, 0] == 0.0
-    assert t.fwd_passed[1, 0] == 0.0
+    assert t.scores[1][1, 0] == 0.0  # fwd_failed
+    assert t.scores[3][1, 0] == 0.0  # fwd_passed
 
 
 def test_same_batch_gives_equal_columns():
@@ -105,8 +97,8 @@ def test_same_batch_gives_equal_columns():
     m = random_model(rng)
     b = random_batch(rng, m)
     t = compute_impacts(m, b, b, layer=m.n_layers - 1)
-    np.testing.assert_array_equal(t.back_failed, t.back_passed)
-    np.testing.assert_array_equal(t.fwd_failed, t.fwd_passed)
+    np.testing.assert_array_equal(t.scores[0], t.scores[2])  # back: failed, passed
+    np.testing.assert_array_equal(t.scores[1], t.scores[3])  # fwd: failed, passed
 
 
 def test_swapping_batches_swaps_columns():
@@ -117,10 +109,7 @@ def test_swapping_batches_swaps_columns():
     layer = m.n_layers - 1
     t = compute_impacts(m, f, p, layer)
     s = compute_impacts(m, p, f, layer)
-    np.testing.assert_array_equal(t.back_failed, s.back_passed)
-    np.testing.assert_array_equal(t.fwd_failed, s.fwd_passed)
-    np.testing.assert_array_equal(t.back_passed, s.back_failed)
-    np.testing.assert_array_equal(t.fwd_passed, s.fwd_failed)
+    np.testing.assert_array_equal(t.scores, s.scores[[2, 3, 0, 1]])
 
 
 def test_impacts_match_per_sample_loop_oracle():
@@ -139,7 +128,7 @@ def test_impacts_match_per_sample_loop_oracle():
         return (up - dn) / (2 * eps)
 
     n_in, n_out = m.weights[layer].shape
-    for batch, back, fwd in ((failed, t.back_failed, t.fwd_failed), (passed, t.back_passed, t.fwd_passed)):
+    for batch, back, fwd in ((failed, *t.scores[:2]), (passed, *t.scores[2:])):
         for i in range(n_in):
             for j in range(n_out):
                 assert abs(back[i, j] - abs(fd_grad_mean(batch, i, j))) <= 1e-6
@@ -149,6 +138,25 @@ def test_impacts_match_per_sample_loop_oracle():
                     h = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
                     acc += abs(h[i] * m.weights[layer][i, j])
                 assert abs(fwd[i, j] - acc / len(batch)) <= 1e-8
+
+
+def test_impacts_equal_the_two_pass_reference_bit_for_bit():
+    # one trace and one backward pass per set, stopped at the layer, against a
+    # forward pass and a full backward pass per impact through the public API
+    rng = np.random.default_rng(20)
+    for trial in range(30):
+        m = random_model(rng, n_layers=trial % 3 + 1)
+        failed = random_batch(rng, m, prefix="f")
+        passed = random_batch(rng, m, prefix="p")
+        for layer in range(m.n_layers):
+            want = []
+            for ds in (failed, passed):
+                want.append(np.abs(weight_gradient_matrix(m, ds.features, ds.labels, layer)))
+                o = layer_inputs(m, ds.features, layer)
+                want.append(np.abs(o).mean(axis=0)[:, None] * np.abs(m.weights[layer]))
+            t = compute_impacts(m, failed, passed, layer)
+            assert t.layer == layer and t.scores.shape == (4, *m.weights[layer].shape)
+            np.testing.assert_array_equal(t.scores, np.stack(want), strict=True)
 
 
 def test_compute_impacts_rejects_empty_batches():
@@ -176,15 +184,15 @@ def test_impact_ranks_saturation_and_exact_sort():
     all_refs = frozenset((i, j) for i in range(4) for j in range(5))
     assert all(ranked_top(t, k, 20) == all_refs for k in range(4))
 
-    for k, name in enumerate(IMPACT_NAMES):
-        assert ranked_top(t, k, 7) == brute_top(t, name, 7)
+    for k in range(4):
+        assert ranked_top(t, k, 7) == brute_top(t, k, 7)
 
 
 def test_impact_ranks_ties_at_the_cut():
     back = np.array([[3.0, 1.0], [1.0, 1.0]])  # 3-way tie at the n_g=2 cut
-    t = ImpactTable(0, back, back, back, back)
-    for k, name in enumerate(IMPACT_NAMES):
-        assert ranked_top(t, k, 2) == brute_top(t, name, 2)
+    t = ImpactTable(0, [back, back, back, back])
+    for k in range(4):
+        assert ranked_top(t, k, 2) == brute_top(t, k, 2)
     # ties break by (j, i): (i=1, j=0) before (i=0, j=1)
     assert ranked_top(t, 0, 2) == frozenset({(0, 0), (1, 0)})
 
@@ -203,7 +211,7 @@ def test_localize_trivial_cases():
     back_f = np.array([[1.0, 0.0], [0.0, 0.0]])
     fwd_f = np.array([[0.0, 0.0], [0.0, 1.0]])
     zeros = np.zeros((2, 2))
-    t = ImpactTable(0, back_f, fwd_f, zeros, zeros)
+    t = ImpactTable(0, [back_f, fwd_f, zeros, zeros])
     out = localize(t, 1)
     assert len(out) == 0 and out.i.dtype == out.j.dtype == np.int64
     assert out.warning is not None
@@ -213,7 +221,7 @@ def test_localize_trivial_cases():
     fwd_f = np.array([[4.0, 3.0], [0.0, 0.0]])
     back_p = np.array([[0.0, 0.0], [4.0, 3.0]])
     fwd_p = np.array([[0.0, 0.0], [4.0, 3.0]])
-    t = ImpactTable(0, back_f, fwd_f, back_p, fwd_p)
+    t = ImpactTable(0, [back_f, fwd_f, back_p, fwd_p])
     out = localize(t, 2)
     assert out.layer == 0 and set(pairs(out)) == {(0, 0), (0, 1)}
     assert out.warning is None
@@ -223,7 +231,7 @@ def test_localize_matches_brute_force_everywhere():
     rng = np.random.default_rng(10)
     for trial in range(40):
         t = random_table(rng, ties=bool(trial % 2))
-        n = t.back_failed.size
+        n = t.n_weights
         curve = localization_curve(t)
         for n_g in range(1, n + 1):
             got = localize(t, n_g)
@@ -300,13 +308,12 @@ def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
 
     # |localize(n_g)| is not monotone in n_g: here it is [0,0,0,0,1,0,0,2,0]
     # over n_g = 1..9, so a doubling scan lands on 8 while 5 is the smallest
-    pinned = ImpactTable(
-        0,
-        back_failed=[[6, 3, 9], [7, 2, 1], [4, 1, 6]],
-        fwd_failed=[[0, 4, 6], [6, 6, 0], [6, 7, 6]],
-        back_passed=[[8, 5, 8], [9, 4, 4], [6, 1, 7]],
-        fwd_passed=[[2, 3, 4], [9, 6, 4], [3, 3, 4]],
-    )
+    pinned = ImpactTable(0, [
+        [[6, 3, 9], [7, 2, 1], [4, 1, 6]],  # back_failed
+        [[0, 4, 6], [6, 6, 0], [6, 7, 6]],  # fwd_failed
+        [[8, 5, 8], [9, 4, 4], [6, 1, 7]],  # back_passed
+        [[2, 3, 4], [9, 6, 4], [3, 3, 4]],  # fwd_passed
+    ])
     shapes = rng.integers(2, 9, size=(100, 2))
     tables = [pinned]
     tables += [random_table(rng, n_in, n_out, ties=bool(k % 2)) for k, (n_in, n_out) in enumerate(shapes)]
