@@ -38,7 +38,7 @@ from .harness import (
     run_sweep,
     train_and_save_subject,
 )
-from .localization import localize_to_count, compute_impacts, write_impact_csv, write_localized_csv
+from .localization import compute_impacts, localize_to_count, write_impact_csv, write_localized_csv
 from .metrics import evaluate
 from .training import materialize_splits, train_subject
 
@@ -91,12 +91,10 @@ def _cmd_localize(args) -> int:
     model, splits, before = _subject_and_splits(cfg, args)
     inputs = select_repair_inputs(splits[0], splits[2], exp.target_class,
                                   before[0].passed, before[2].passed)
-    localized = localize_to_count(
-        model, inputs.negative_set, inputs.positive_pool, exp.layer, exp.grid[0].target_lw
-    )
+    table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
+    localized = localize_to_count(table, exp.grid[0].target_lw)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
     write_impact_csv(table, out / "impacts.csv")
     write_localized_csv(localized, out / "localized.csv")
     print(f"localized {len(localized)} weights in layer {exp.layer} at n_g={localized.n_g}")

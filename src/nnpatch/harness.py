@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import SPLIT_NAMES, NothingToRepairError, save_model, select_repair_inputs
 from .formats import as_dict, from_dict, read_json, write_csv, write_json
-from .localization import localize_to_count, write_localized_csv
+from .localization import compute_impacts, localize_to_count, write_localized_csv
 from .metrics import diff, evaluate
 from .network import Model
 from .repair import FitnessConfig, SwarmConfig, repair, sample_positives, write_trace_csv
@@ -214,7 +214,7 @@ def run_repair_pipeline(
         return result
 
     t_localize = time.perf_counter()
-    localized = localize_to_count(model, i_neg, pool, exp.layer, entry.target_lw)
+    localized = localize_to_count(compute_impacts(model, i_neg, pool, exp.layer), entry.target_lw)
     localize_s = time.perf_counter() - t_localize
     pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
     i_pos = sample_positives(pool, entry.n_pos, pos_seed)

@@ -135,9 +135,7 @@ def localize(table: ImpactTable, n_g: int) -> LocalizedSet:
                         None if chosen.size else "localized set is empty")
 
 
-def localize_to_count(
-    model: Model, failed: Dataset, passed: Dataset, layer: int, target_lw: int
-) -> LocalizedSet:
+def localize_to_count(table: ImpactTable, target_lw: int) -> LocalizedSet:
     """The set at the smallest n_g whose suspicious set reaches target_lw
     weights, truncated to target_lw. |localize(n_g)| is not monotone in n_g
     (the passed-side subtraction can shrink it), so the whole curve is read.
@@ -145,7 +143,6 @@ def localize_to_count(
     smallest n_g, with a warning."""
     if target_lw < 1:
         raise ValueError("target_lw must be >= 1")
-    table = compute_impacts(model, failed, passed, layer)
     curve = localization_curve(table)
     reaching = np.flatnonzero(curve >= target_lw)
     n_g = int(reaching[0] if reaching.size else np.argmax(curve)) + 1

@@ -1,5 +1,5 @@
 """Dense feedforward classifier core: forward pass, loss, and exact
-per-weight gradients for a designated layer.
+weight and bias gradients by backpropagation.
 
 Every function here takes plain arrays: an (n_samples, n_features) input
 matrix and, where a loss is involved, one integer label per row. Sample ids
@@ -177,15 +177,6 @@ def loss(model: Model, inputs, labels) -> float:
 def _check_layer(model: Model, layer: int) -> None:
     if not isinstance(layer, (int, np.integer)) or not 0 <= layer < model.n_layers:
         raise ValueError(f"invalid layer index {layer!r}")
-
-
-def weight_gradient_matrix(model: Model, inputs, labels, layer: int) -> np.ndarray:
-    """d(mean loss)/dW for one layer, as an (input_size, output_size) array:
-    that layer's entry of `full_gradients`."""
-    _check_layer(model, layer)
-    inputs, labels = _check_labelled(model, inputs, labels)
-    acts = _trace(model.weights, model.biases, inputs)
-    return _backprop(model.weights, acts, labels, stop=layer)[0][layer]
 
 
 def layer_inputs(model: Model, inputs, layer: int) -> np.ndarray:

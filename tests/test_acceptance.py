@@ -26,7 +26,7 @@ from nnpatch.data import Dataset
 from nnpatch.harness import GridEntry, run_sweep, emit_report
 from nnpatch.localization import localize
 from nnpatch.metrics import diff, evaluate
-from nnpatch.network import forward, loss, weight_gradient_matrix, write_weights
+from nnpatch.network import forward, full_gradients, loss, write_weights
 from nnpatch.repair import (
     FitnessConfig,
     SwarmConfig,
@@ -87,7 +87,7 @@ def test_criterion_01_gradient_oracle():
         if not _fd_valid(model, batch, eps):
             continue
         for layer in range(model.n_layers):
-            grads = weight_gradient_matrix(model, batch.features, batch.labels, layer)
+            grads = full_gradients(model, batch.features, batch.labels)[0][layer]
             for (i, j), grad in np.ndenumerate(grads):
                 w0 = float(model.weights[layer][i, j])
                 up = loss(write_weights(model, layer, [i], [j], [w0 + eps]), batch.features, batch.labels)

@@ -1,6 +1,7 @@
 """YAML config parsing and the command-line verbs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -114,6 +115,18 @@ def test_reference_grid_row_parses(tmp_path):
     assert (e.variant, e.alpha, e.pi, e.target_lw, e.n_pos, e.n_particles) == (
         "eq2", 8.0, True, 32, 500, 200,
     )
+
+
+def test_bundled_scaled_config_is_exp_c_scaled_up():
+    configs = ROOT / "configs"
+    scaled = experiment_spec_from_config(load_config(configs / "exp_scaled.yaml"))
+    exp_c = experiment_spec_from_config(load_config(configs / "exp_c.yaml"))
+    assert (scaled.layer, len(scaled.subject.layer_sizes) - 1) == (2, 3)
+    subject = dataclasses.replace(
+        exp_c.subject, layer_sizes=(8, 128, 128, 7), epochs=10,
+        source={**exp_c.subject.source, "n_features": 8, "n_per_class": 3000},
+    )
+    assert scaled == dataclasses.replace(exp_c, subject=subject, repair_layer=2)
 
 
 def moved_to_repair(key):
@@ -499,6 +512,27 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     # written through the one JSON writer: the report read back, no temp file left
     assert rep == evaluate(load_model(model_path), load_dataset(train_dir / "test.csv")).to_dict()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_localize_builds_one_impact_table(tmp_path, monkeypatch):
+    # the table that ranks the weights is the table written to impacts.csv
+    import nnpatch.cli as cli
+    import nnpatch.localization as localization
+
+    original, tables = localization.compute_impacts, []
+
+    def counted(*args):
+        tables.append(original(*args))
+        return tables[-1]
+
+    for module in (localization, cli):
+        monkeypatch.setattr(module, "compute_impacts", counted)
+    out = tmp_path / "loc"
+    assert main(["localize", "--config", str(ROOT / "configs" / "quickstart.yaml"),
+                 "--out-dir", str(out)]) == 0
+    assert len(tables) == 1
+    localization.write_impact_csv(tables[0], tmp_path / "impacts.csv")
+    assert (out / "impacts.csv").read_bytes() == (tmp_path / "impacts.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,8 @@ from nnpatch import (
     localize,
     localize_to_count,
 )
-from nnpatch import localization
 from nnpatch.localization import impact_ranks, write_impact_csv, write_localized_csv
-from nnpatch.network import forward, layer_inputs, loss, weight_gradient_matrix, write_weights
+from nnpatch.network import forward, full_gradients, layer_inputs, loss, write_weights
 
 from helpers import random_batch, random_model, samples
 
@@ -151,7 +150,7 @@ def test_impacts_equal_the_two_pass_reference_bit_for_bit():
         for layer in range(m.n_layers):
             want = []
             for ds in (failed, passed):
-                want.append(np.abs(weight_gradient_matrix(m, ds.features, ds.labels, layer)))
+                want.append(np.abs(full_gradients(m, ds.features, ds.labels)[0][layer]))
                 o = layer_inputs(m, ds.features, layer)
                 want.append(np.abs(o).mean(axis=0)[:, None] * np.abs(m.weights[layer]))
             t = compute_impacts(m, failed, passed, layer)
@@ -269,16 +268,16 @@ def test_localize_to_count_truncation_and_subset():
     rng = np.random.default_rng(14)
     failed = samples(rng.normal(size=(8, 4)) + 2.5, rng.integers(0, 8, 8), tuple(f"f{k}" for k in range(8)))
     passed = samples(rng.normal(size=(9, 4)) - 1.0, rng.integers(0, 8, 9), tuple(f"p{k}" for k in range(9)))
-    out = localize_to_count(m, failed, passed, layer=1, target_lw=1)
+    table = compute_impacts(m, failed, passed, 1)
+    out = localize_to_count(table, target_lw=1)
     assert len(out) == 1 and out.layer == 1
 
-    out32 = localize_to_count(m, failed, passed, layer=1, target_lw=32)
+    out32 = localize_to_count(table, target_lw=32)
     assert len(out32) == 32
     n_g = out32.n_g
-    table = compute_impacts(m, failed, passed, 1)
     assert pairs(out32) == pairs(localize(table, n_g))[:32]
     with pytest.raises(ValueError, match="target_lw"):
-        localize_to_count(m, failed, passed, layer=1, target_lw=0)
+        localize_to_count(table, target_lw=0)
 
 
 def test_localize_to_count_saturation_warning():
@@ -286,21 +285,21 @@ def test_localize_to_count_saturation_warning():
     rng = np.random.default_rng(16)
     failed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"f{k}" for k in range(4)))
     passed = samples(rng.normal(size=(4, 2)), rng.integers(0, 2, 4), tuple(f"p{k}" for k in range(4)))
-    out = localize_to_count(m, failed, passed, layer=1, target_lw=500)
+    out = localize_to_count(compute_impacts(m, failed, passed, 1), target_lw=500)
     assert out.warning is not None
     assert 0 < len(out) <= 6  # layer has 3*2 weights
 
 
-def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
+def test_localize_to_count_result_is_smallest_reaching_ng():
     # the chosen n_g must be minimal among those reaching target_lw
     m = build_mlp([3, 10, 3], seed=17)
     rng = np.random.default_rng(18)
     failed = samples(rng.normal(size=(6, 3)) + 2.0, rng.integers(0, 3, 6), tuple(f"f{k}" for k in range(6)))
     passed = samples(rng.normal(size=(7, 3)) - 1.0, rng.integers(0, 3, 7), tuple(f"p{k}" for k in range(7)))
     target = 6
-    out = localize_to_count(m, failed, passed, layer=1, target_lw=target)
-    assert len(out) == target
     table = compute_impacts(m, failed, passed, 1)
+    out = localize_to_count(table, target_lw=target)
+    assert len(out) == target
     n_star = out.n_g
     assert len(localize(table, n_star)) >= target
     for smaller in range(1, n_star):
@@ -318,14 +317,12 @@ def test_localize_to_count_result_is_smallest_reaching_ng(monkeypatch):
     tables = [pinned]
     tables += [random_table(rng, n_in, n_out, ties=bool(k % 2)) for k, (n_in, n_out) in enumerate(shapes)]
     for table in tables:
-        monkeypatch.setattr(localization, "compute_impacts", lambda *_, table=table: table)
         sizes = [len(brute_localized(table, n)) for n in range(1, table.n_weights + 1)]
         for target in range(1, max(sizes) + 1):
-            out = localize_to_count(m, failed, passed, layer=0, target_lw=target)
+            out = localize_to_count(table, target_lw=target)
             assert out.warning is None and len(out) == target
             assert out.n_g == next(n for n, size in enumerate(sizes, 1) if size >= target)
-    monkeypatch.setattr(localization, "compute_impacts", lambda *_: pinned)
-    assert localize_to_count(m, failed, passed, layer=0, target_lw=1).n_g == 5
+    assert localize_to_count(pinned, target_lw=1).n_g == 5
 
 
 def test_csv_dumps(tmp_path):

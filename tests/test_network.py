@@ -10,6 +10,7 @@ from nnpatch import (
     Model,
     ShapeError,
     build_mlp,
+    compute_impacts,
     forward,
     loss,
     read_weights,
@@ -20,10 +21,9 @@ from nnpatch.network import (
     full_gradients,
     layer_inputs,
     loss_from_probs,
-    weight_gradient_matrix,
 )
 
-from helpers import random_batch, random_model, single_layer_model
+from helpers import random_batch, random_model, samples, single_layer_model
 
 
 def test_model_construction_rules():
@@ -67,7 +67,7 @@ def test_input_and_label_validation():
     with pytest.raises(ValueError, match="finite"):
         forward(m, np.array([[0.0, np.nan, 0.0]]))
     with pytest.raises(ValueError, match="out of range"):
-        weight_gradient_matrix(m, x, [0, -1], 0)
+        full_gradients(m, x, [0, -1])
     with pytest.raises(ValueError, match="out of range"):
         full_gradients(m, x, [0, 2])
     assert np.isfinite(loss(m, x, y))
@@ -132,7 +132,7 @@ def test_gradients_match_finite_differences_spot_checks():
         probs = forward(m, b.features)
         if probs[np.arange(len(b)), b.labels].min() < 1e-9:
             continue
-        grads = weight_gradient_matrix(m, b.features, b.labels, layer)
+        grads = full_gradients(m, b.features, b.labels)[0][layer]
         i, j = layer_index(m, layer)
         for k in (0, len(i) // 2, -1):
             fd = _fd_gradient(m, b.features, b.labels, layer, i[k], j[k])
@@ -142,11 +142,13 @@ def test_gradients_match_finite_differences_spot_checks():
 
 
 def test_gradient_rejects_bad_layer_and_empty_batch():
+    # compute_impacts holds the one gradient of a chosen layer
     m = build_mlp([2, 2], seed=0)
+    b = samples(np.zeros((1, 2)), [0], ("a",))
+    with pytest.raises(ValueError, match="invalid layer"):
+        compute_impacts(m, b, b, 5)
     with pytest.raises(ValueError):
-        weight_gradient_matrix(m, np.zeros((1, 2)), [0], 5)
-    with pytest.raises(ValueError):
-        weight_gradient_matrix(m, np.zeros((0, 2)), np.zeros(0, dtype=int), 0)
+        full_gradients(m, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
 def test_layer_inputs_match_manual_forward():
@@ -197,16 +199,6 @@ def test_write_weights_validation(layer, i, j, values, match):
     m = build_mlp([2, 2], seed=0)
     with pytest.raises(ValueError, match=match):
         write_weights(m, layer, i, j, values)
-
-
-def test_full_gradients_agree_with_per_layer_gradients():
-    rng = np.random.default_rng(11)
-    m = random_model(rng)
-    b = random_batch(rng, m)
-    grad_w, grad_b = full_gradients(m, b.features, b.labels)
-    assert len(grad_w) == len(grad_b) == m.n_layers
-    for layer in range(m.n_layers):
-        np.testing.assert_array_equal(grad_w[layer], weight_gradient_matrix(m, b.features, b.labels, layer))
 
 
 def test_build_mlp_is_deterministic():
@@ -260,7 +252,7 @@ def test_gradient_fd_on_seeded_2_3_2_single_sample():
     m = build_mlp([2, 3, 2], seed=4)
     x, y = [[0.7, -0.2]], [1]
     for layer in range(2):
-        grads = weight_gradient_matrix(m, x, y, layer)
+        grads = full_gradients(m, x, y)[0][layer]
         for i, j in zip(*layer_index(m, layer)):
             fd = _fd_gradient(m, x, y, layer, i, j, eps=1e-4)
             assert abs(grads[i, j] - fd) <= 1e-6 + 1e-4 * abs(fd)
@@ -268,7 +260,7 @@ def test_gradient_fd_on_seeded_2_3_2_single_sample():
 
 def test_zero_inputs_zero_biases_kill_first_layer_gradients():
     m = build_mlp([3, 4, 2], seed=1)  # biases are zero at init
-    grads = weight_gradient_matrix(m, np.zeros((2, 3)), [0, 1], 0)
+    grads = full_gradients(m, np.zeros((2, 3)), [0, 1])[0][0]
     assert (grads == 0.0).all()
 
 
@@ -280,8 +272,8 @@ def test_batch_gradient_is_mean_of_per_sample_gradients():
     if len(b) < 2:
         x, y = np.vstack([x, x + 0.5]), np.concatenate([y, y])
     layer = m.n_layers - 1
-    whole = weight_gradient_matrix(m, x, y, layer)
-    parts = [weight_gradient_matrix(m, x[k : k + 1], y[k : k + 1], layer) for k in range(len(x))]
+    whole = full_gradients(m, x, y)[0][layer]
+    parts = [full_gradients(m, x[k : k + 1], y[k : k + 1])[0][layer] for k in range(len(x))]
     np.testing.assert_allclose(whole, np.mean(parts, axis=0), atol=1e-8)
 
 
