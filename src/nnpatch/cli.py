@@ -1,11 +1,12 @@
 """Command line entry points.
 
 Each verb takes only the flags it reads. `--config` is a versioned YAML
-config, read by every verb but evaluate and report; `--seed` overrides the
-one seed a verb uses: the dataset, split or subject seed for gen-data, split
-and train, the master seed for repair and sweep. localize takes no `--seed`,
-as localization draws nothing at random. split writes the splits the subject
-is trained on, the config's drift included.
+config, read whole into one spec by every verb but evaluate and report, so a
+bad value in any section is refused before a file is written; `--seed`
+overrides the one seed a verb uses: the dataset, split or subject seed for
+gen-data, split and train, the master seed for repair and sweep. localize
+takes no `--seed`, as localization draws nothing at random. split writes the
+splits the subject is trained on, the config's drift included.
 """
 from __future__ import annotations
 
@@ -14,22 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .config import (
-    dataset_from_config,
-    drift_spec_from_config,
-    experiment_spec_from_config,
-    load_config,
-    split_spec_from_config,
-    subject_spec_from_config,
-)
-from .data import (
-    SPLIT_NAMES,
-    load_dataset,
-    load_model,
-    save_dataset,
-    select_repair_inputs,
-    split,
-)
+from .config import experiment_spec_from_config, load_config
+from .data import SPLIT_NAMES, load_dataset, load_model, save_dataset, select_repair_inputs
 from .formats import as_dict, write_json
 from .harness import (
     emit_report,
@@ -40,7 +27,22 @@ from .harness import (
 )
 from .localization import compute_impacts, localize_to_count, write_impact_csv, write_localized_csv
 from .metrics import evaluate
-from .training import materialize_splits, train_subject
+from .training import load_source, materialize_splits, train_subject
+
+# the config section whose seed `--seed` sets; for repair and sweep it sets the master seed
+_SEEDED_SECTION = {"gen-data": "dataset", "split": "split", "train": "subject"}
+
+
+def _experiment(args):
+    """The config read into one spec, with `--seed` (if the verb takes one) applied."""
+    cfg = load_config(args.config)
+    seed = getattr(args, "seed", None)
+    name = _SEEDED_SECTION.get(args.verb)
+    if name is None:
+        return experiment_spec_from_config(cfg, master_seed=seed)
+    if seed is not None and isinstance(cfg.get(name), dict):  # else refused by name
+        cfg = {**cfg, name: {**cfg[name], "seed": seed}}
+    return experiment_spec_from_config(cfg)
 
 
 def _write_splits(splits, out_dir: Path) -> None:
@@ -51,44 +53,37 @@ def _write_splits(splits, out_dir: Path) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    cfg = load_config(args.config)
-    ds = dataset_from_config(cfg, seed=args.seed)
+    ds = load_source(_experiment(args).subject.source)
     save_dataset(ds, args.out)
     print(f"wrote {args.out} ({len(ds)} samples, {ds.n_classes} classes)")
     return 0
 
 
 def _cmd_split(args) -> int:
-    cfg = load_config(args.config)
-    ds = dataset_from_config(cfg)
-    spec = split_spec_from_config(cfg, seed=args.seed)
-    _write_splits(split(ds, spec, drift_spec_from_config(cfg)), Path(args.out_dir))
+    _, splits = materialize_splits(_experiment(args).subject)
+    _write_splits(splits, Path(args.out_dir))
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_spec_from_config(cfg)
-    spec = subject_spec_from_config(cfg, seed=args.seed)
+    exp = _experiment(args)
     out = Path(args.out_dir)
-    _, splits, _ = train_and_save_subject(spec, exp.target_class, out)
+    _, splits, _ = train_and_save_subject(exp.subject, exp.target_class, out)
     _write_splits(splits, out)
     print(f"wrote {out / 'model.json'} and {out / 'subject.json'}")
     return 0
 
 
-def _subject_and_splits(cfg, args):
+def _subject_and_splits(spec, args):
     """The subject (read from --model, or trained), its splits, and its reports of them."""
-    spec = subject_spec_from_config(cfg)
     _, splits = materialize_splits(spec)
     model = load_model(args.model) if args.model else train_subject(spec, splits)
     return model, splits, tuple(evaluate(model, ds) for ds in splits)
 
 
 def _cmd_localize(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_spec_from_config(cfg)
-    model, splits, before = _subject_and_splits(cfg, args)
+    exp = _experiment(args)
+    model, splits, before = _subject_and_splits(exp.subject, args)
     inputs = select_repair_inputs(splits[0], splits[2], exp.target_class,
                                   before[0].passed, before[2].passed)
     table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
@@ -104,9 +99,8 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_spec_from_config(cfg, master_seed=args.seed)
-    model, splits, before = _subject_and_splits(cfg, args)
+    exp = _experiment(args)
+    model, splits, before = _subject_and_splits(exp.subject, args)
     result = run_repair_pipeline(model, splits, before, exp, 0, 0, out_dir=Path(args.out_dir))
     print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
@@ -125,8 +119,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_spec_from_config(cfg, master_seed=args.seed)
+    exp = _experiment(args)
     agg = run_sweep(exp, Path(args.out_dir), n_workers=args.workers)
     emit_report(agg, Path(args.out_dir) / "report")
     failed = [r for r in agg.runs if r.status == "error"]

@@ -3,10 +3,10 @@
 Configs are versioned YAML documents with sections: dataset, split,
 subject, experiment, and optionally drift and repair (search knobs); any
 other top-level key is an error. They are the single source of
-hyperparameters; CLI --seed only overrides the seed relevant to the verb at
-hand. Every section is checked (dataset by its source's kind, when the data
-is read): an omitted key takes its default, one without a default and a key
-that names no field are errors, as is a key set in a section other than its own.
+hyperparameters, and a config is read whole into one `ExperimentSpec`. Every
+section is checked (dataset by its source's kind, when the data is read): an
+omitted key takes its default, one without a default and a key that names no
+field are errors, as is a key set in a section other than its own.
 """
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ import dataclasses
 
 import yaml
 
-from .data import DriftSpec, SplitSpec
 from .formats import from_dict
 from .harness import ExperimentSpec
-from .training import SubjectSpec, load_source
 
 CONFIG_VERSION = 1
 _SECTIONS = frozenset({"config_version", "dataset", "split", "drift", "subject", "experiment", "repair"})
@@ -49,24 +47,6 @@ def _section(cfg: dict, name: str) -> dict:
     return sect
 
 
-def _seeded(sect: dict, seed: int | None) -> dict:
-    return sect if seed is None else {**sect, "seed": seed}
-
-
-def dataset_from_config(cfg: dict, seed: int | None = None):
-    return load_source(_seeded(_section(cfg, "dataset"), seed))
-
-
-def split_spec_from_config(cfg: dict, seed: int | None = None) -> SplitSpec:
-    return from_dict(SplitSpec, _seeded(_section(cfg, "split"), seed))
-
-
-def drift_spec_from_config(cfg: dict) -> DriftSpec | None:
-    if cfg.get("drift") is None:
-        return None
-    return from_dict(DriftSpec, _section(cfg, "drift"))
-
-
 def _refuse(sect: dict, name: str, keys) -> None:
     """Each key has one section: raise on the keys of section `name` that
     another section sets, which would otherwise be silently replaced or read
@@ -81,23 +61,10 @@ def _refuse(sect: dict, name: str, keys) -> None:
 _EXPERIMENT_KEYS = frozenset({"target_class", "grid", "repetitions", "master_seed"})
 
 
-def subject_spec_from_config(cfg: dict, seed: int | None = None) -> SubjectSpec:
-    sect = _seeded(_section(cfg, "subject"), seed)
-    _refuse(sect, "subject", ("source", "split", "drift"))
-    return from_dict(
-        SubjectSpec,
-        {
-            **sect,
-            "source": _section(cfg, "dataset"),
-            "split": split_spec_from_config(cfg),
-            "drift": drift_spec_from_config(cfg),
-        },
-    )
-
-
 def experiment_spec_from_config(cfg: dict, master_seed: int | None = None) -> ExperimentSpec:
-    """The experiment section plus the optional repair section, whose `layer`
-    is the spec's `repair_layer`."""
+    """The whole config as one spec, built by one `from_dict`: the dataset (as
+    `source`), split and drift sections nest in the subject's, as in sweep.json,
+    and the optional repair section's `layer` is the spec's `repair_layer`."""
     sect = _section(cfg, "experiment")
     _refuse(sect, "experiment", {f.name for f in dataclasses.fields(ExperimentSpec)} - _EXPERIMENT_KEYS)
     if master_seed is not None:
@@ -106,4 +73,8 @@ def experiment_spec_from_config(cfg: dict, master_seed: int | None = None) -> Ex
     _refuse(search, "repair", _EXPERIMENT_KEYS | {"subject", "repair_layer"})
     if "layer" in search:
         search["repair_layer"] = search.pop("layer")
-    return from_dict(ExperimentSpec, {**sect, **search, "subject": subject_spec_from_config(cfg)})
+    subject = _section(cfg, "subject")
+    _refuse(subject, "subject", ("source", "split", "drift"))
+    subject = {**subject, "source": _section(cfg, "dataset"), "split": _section(cfg, "split"),
+               "drift": None if cfg.get("drift") is None else _section(cfg, "drift")}
+    return from_dict(ExperimentSpec, {**sect, **search, "subject": subject})

@@ -10,15 +10,10 @@ import pytest
 import yaml
 
 from nnpatch import (
-    ClustersSource, evaluate, load_dataset, load_model, make_clusters, run_sweep, save_dataset,
+    ClustersSource, DriftSpec, evaluate, load_dataset, load_model, make_clusters, run_sweep, save_dataset,
 )
 from nnpatch.cli import main
-from nnpatch.config import (
-    drift_spec_from_config,
-    experiment_spec_from_config,
-    load_config,
-    subject_spec_from_config,
-)
+from nnpatch.config import experiment_spec_from_config, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -280,6 +275,25 @@ def test_spec_refuses_bad_values_before_any_file(tmp_path, capsys, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["gen-data", "split", "train", "localize", "repair", "sweep"])
+@pytest.mark.parametrize("section, key, value", [("grid", "n_particles", 1), ("repair", "beta", -1),
+                                                 ("subject", "layer_sizes", 5)])
+def test_every_config_verb_checks_the_whole_config(tmp_path, capsys, verb, section, key, value):
+    # each verb reads the whole config into one spec, so it refuses a bad value
+    # also in a section it does not use, before it writes a file
+    cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+    {"grid": cfg["experiment"]["grid"][0], "repair": cfg["repair"],
+     "subject": cfg["subject"]}[section][key] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(path), "--out" if verb == "gen-data" else "--out-dir",
+                 str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["sweep", "localize", "train"])
 @pytest.mark.parametrize("section, key", [("grid", "n_particles"), ("subject", "epochs"),
                                           ("experiment", "target_class")])
@@ -412,18 +426,38 @@ def test_drift_section_parsing(tmp_path):
     path = tmp_path / "drift.yaml"
     path.write_text(BASE_CONFIG + DRIFT_SECTION)
     cfg = load_config(path)
-    drift = drift_spec_from_config(cfg)
+    drift = experiment_spec_from_config(cfg).subject.drift
     assert drift is not None
     assert drift.target_class == 1
     assert drift.train_fraction_of_class == 0.5
-    subject = subject_spec_from_config(cfg)
-    assert subject.drift == drift
+    assert drift == DriftSpec(target_class=1, train_fraction_of_class=0.5,
+                              repair_fraction_of_class=1.0, seed=9)
 
 
-def test_subject_seed_override(config_path):
-    cfg = load_config(config_path)
-    assert subject_spec_from_config(cfg).seed == 3
-    assert subject_spec_from_config(cfg, seed=99).seed == 99
+def _outputs(out):
+    """The bytes a verb wrote to `out`, a file or a directory of files."""
+    if out.is_file():
+        return out.read_bytes()
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_subject_seed_override(config_path, tmp_path):
+    assert experiment_spec_from_config(load_config(config_path)).subject.seed == 3
+    # --seed sets the seed of the one section the verb reads it for: the same
+    # bytes as that section's `seed` written into the config, without the flag
+    for verb, section, flag, value in (("train", "subject", "--out-dir", 99),
+                                       ("split", "split", "--out-dir", 4),
+                                       ("gen-data", "dataset", "--out", 123)):
+        cfg = yaml.safe_load(BASE_CONFIG)
+        assert cfg[section]["seed"] != value
+        cfg[section]["seed"] = value
+        seeded = tmp_path / f"{verb}.yaml"
+        seeded.write_text(yaml.safe_dump(cfg))
+        by_flag, by_config, default = (tmp_path / f"{verb}-{k}" for k in ("flag", "config", "default"))
+        assert main([verb, "--config", str(config_path), flag, str(by_flag), "--seed", str(value)]) == 0
+        assert main([verb, "--config", str(seeded), flag, str(by_config)]) == 0
+        assert main([verb, "--config", str(config_path), flag, str(default)]) == 0
+        assert _outputs(by_flag) == _outputs(by_config) != _outputs(default), verb
 
 
 def test_cli_gen_data_and_seed_override(config_path, tmp_path, capsys):
