@@ -19,6 +19,7 @@ from .config import experiment_spec_from_config, load_config
 from .data import SPLIT_NAMES, load_dataset, load_model, save_dataset, select_repair_inputs
 from .formats import as_dict, write_json
 from .harness import (
+    build_subject,
     emit_report,
     load_sweep_dir,
     run_repair_pipeline,
@@ -27,7 +28,7 @@ from .harness import (
 )
 from .localization import compute_impacts, localize_to_count, write_impact_csv, write_localized_csv
 from .metrics import evaluate
-from .training import load_source, materialize_splits, train_subject
+from .training import load_source, materialize_splits
 
 # the config section whose seed `--seed` sets; for repair and sweep it sets the master seed
 _SEEDED_SECTION = {"gen-data": "dataset", "split": "split", "train": "subject"}
@@ -68,22 +69,15 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     exp = _experiment(args)
     out = Path(args.out_dir)
-    _, splits, _ = train_and_save_subject(exp.subject, exp.target_class, out)
+    _, splits, _ = train_and_save_subject(exp, out)
     _write_splits(splits, out)
     print(f"wrote {out / 'model.json'} and {out / 'subject.json'}")
     return 0
 
 
-def _subject_and_splits(spec, args):
-    """The subject (read from --model, or trained), its splits, and its reports of them."""
-    _, splits = materialize_splits(spec)
-    model = load_model(args.model) if args.model else train_subject(spec, splits)
-    return model, splits, tuple(evaluate(model, ds) for ds in splits)
-
-
 def _cmd_localize(args) -> int:
     exp = _experiment(args)
-    model, splits, before = _subject_and_splits(exp.subject, args)
+    model, splits, before = build_subject(exp, args.model)
     inputs = select_repair_inputs(splits[0], splits[2], exp.target_class,
                                   before[0].passed, before[2].passed)
     table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
@@ -100,8 +94,8 @@ def _cmd_localize(args) -> int:
 
 def _cmd_repair(args) -> int:
     exp = _experiment(args)
-    model, splits, before = _subject_and_splits(exp.subject, args)
-    result = run_repair_pipeline(model, splits, before, exp, 0, 0, out_dir=Path(args.out_dir))
+    model, splits, before = build_subject(exp, args.model)
+    result = run_repair_pipeline(model, splits, before, exp, 0, 0, Path(args.out_dir))
     print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
 

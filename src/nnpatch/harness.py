@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SPLIT_NAMES, NothingToRepairError, save_model, select_repair_inputs
+from .data import SPLIT_NAMES, NothingToRepairError, load_model, save_model, select_repair_inputs
 from .formats import as_dict, from_dict, read_json, write_csv, write_json
 from .localization import compute_impacts, localize_to_count, write_localized_csv
 from .metrics import diff, evaluate
@@ -186,58 +186,52 @@ def _split_records(before, after) -> dict:
     return out
 
 
-def run_repair_pipeline(
-    model: Model,
-    splits,
-    before,
-    exp: ExperimentSpec,
-    config_idx: int,
-    rep_idx: int,
-    out_dir: Path | None = None,
-) -> RunResult:
+def run_repair_pipeline(model: Model, splits, before, exp: ExperimentSpec, config_idx: int,
+                        rep_idx: int, out_dir: Path) -> RunResult:
     """Run (config_idx, rep_idx) of `exp` on `model`, whose reports of `splits`
-    are `before`: select inputs, localize, repair, evaluate the repair, persist.
+    are `before`: select inputs, localize, repair, evaluate the repair, persist
+    to `out_dir`.
 
-    A subject with no failures on the target class yields a recorded no-op
-    run rather than an error.
+    Every outcome is persisted and returned as a record, nothing is raised: a
+    subject with no failures on the target class yields a no_op record, and
+    any other exception an error record that names it.
     """
     t0 = time.perf_counter()
     entry = exp.grid[config_idx]
     try:
         pool, i_neg = select_repair_inputs(splits[0], splits[2], exp.target_class,
                                            before[0].passed, before[2].passed)
-    except NothingToRepairError as exc:
-        result = _new_record(exp, config_idx, rep_idx, "no_op", note=str(exc),
-                             identity_fallback=True, splits=_split_records(before, before))
-        if out_dir is not None:
-            _persist_run(result, None, None, out_dir, {"runtime_seconds": time.perf_counter() - t0})
-        return result
-
-    t_localize = time.perf_counter()
-    localized = localize_to_count(compute_impacts(model, i_neg, pool, exp.layer), entry.target_lw)
-    localize_s = time.perf_counter() - t_localize
-    pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
-    i_pos = sample_positives(pool, entry.n_pos, pos_seed)
-    fcfg, scfg = exp.search(config_idx, swarm_seed)
-    minflt = 0 if RUSAGE_THREAD is None else getrusage(RUSAGE_THREAD).ru_minflt
-    t_repair = time.perf_counter()
-    rr = repair(model, localized, i_neg, i_pos, fcfg, scfg)
-    t_after = time.perf_counter()
-    faults = {} if RUSAGE_THREAD is None else {
-        "repair_minflt": getrusage(RUSAGE_THREAD).ru_minflt - minflt}
-    after = [evaluate(rr.model, ds) for ds in splits]
-    evaluate_s = time.perf_counter() - t_after
-    result = _new_record(
-        exp, config_idx, rep_idx, "ok", n_neg=len(i_neg), n_pos=len(i_pos),
-        n_localized=len(localized), localization_warning=localized.warning,
-        identity_fallback=rr.identity_fallback, no_search_space=len(localized) == 0,
-        best=as_dict(rr.best), splits=_split_records(before, after),
-    )
-    if out_dir is not None:
+        t_localize = time.perf_counter()
+        localized = localize_to_count(compute_impacts(model, i_neg, pool, exp.layer), entry.target_lw)
+        localize_s = time.perf_counter() - t_localize
+        pos_seed, swarm_seed = derive_run_seeds(exp.master_seed, config_idx, rep_idx)
+        i_pos = sample_positives(pool, entry.n_pos, pos_seed)
+        fcfg, scfg = exp.search(config_idx, swarm_seed)
+        minflt = 0 if RUSAGE_THREAD is None else getrusage(RUSAGE_THREAD).ru_minflt
+        t_repair = time.perf_counter()
+        rr = repair(model, localized, i_neg, i_pos, fcfg, scfg)
+        t_after = time.perf_counter()
+        faults = {} if RUSAGE_THREAD is None else {
+            "repair_minflt": getrusage(RUSAGE_THREAD).ru_minflt - minflt}
+        after = [evaluate(rr.model, ds) for ds in splits]
+        evaluate_s = time.perf_counter() - t_after
+        result = _new_record(
+            exp, config_idx, rep_idx, "ok", n_neg=len(i_neg), n_pos=len(i_pos),
+            n_localized=len(localized), localization_warning=localized.warning,
+            identity_fallback=rr.identity_fallback, no_search_space=len(localized) == 0,
+            best=as_dict(rr.best), splits=_split_records(before, after),
+        )
         timing = {"runtime_seconds": time.perf_counter() - t0, "localize_s": localize_s,
                   "repair_s": t_after - t_repair, "evaluate_s": evaluate_s, **faults, **rr.telemetry,
                   "n_g": localized.n_g, "localization_curve": localized.curve}
         _persist_run(result, rr, localized, out_dir, timing)
+        return result
+    except NothingToRepairError as exc:
+        result = _new_record(exp, config_idx, rep_idx, "no_op", note=str(exc),
+                             identity_fallback=True, splits=_split_records(before, before))
+    except Exception as exc:  # isolate-and-continue
+        result = _new_record(exp, config_idx, rep_idx, "error", error=f"{type(exc).__name__}: {exc}")
+    _persist_run(result, None, None, out_dir, {"runtime_seconds": time.perf_counter() - t0})
     return result
 
 
@@ -313,23 +307,36 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
     return AggregateResult(tuple(configs), runs)
 
 
-def train_and_save_subject(subject: SubjectSpec, target_class: int, out_dir):
-    """Train the subject and write its model.json and subject.json (split sizes
-    and accuracies, and the target class) to `out_dir`; (model, splits, before),
-    `before` its reports of the splits, which every run of a sweep reads. Data
-    without class `target_class` is refused before anything is trained."""
-    _, splits = materialize_splits(subject)
-    if not 0 <= target_class < splits[0].n_classes:
-        raise ValueError(f"target_class must lie in [0, {splits[0].n_classes}), got {target_class}")
-    model = train_subject(subject, splits)
-    before = tuple(evaluate(model, ds) for ds in splits)
+def build_subject(exp: ExperimentSpec, model_path=None):
+    """(model, splits, before): the subject of `exp`, trained or read from
+    `model_path`, its splits, and `before`, its reports of the splits. Data
+    without class `target_class`, and a model whose layer sizes are not the
+    subject's or whose head is narrower than the data's classes, are refused
+    before anything is evaluated."""
+    _, splits = materialize_splits(exp.subject)
+    n_classes = splits[0].n_classes
+    if not 0 <= exp.target_class < n_classes:
+        raise ValueError(f"target_class must lie in [0, {n_classes}), got {exp.target_class}")
+    model = train_subject(exp.subject, splits) if model_path is None else load_model(model_path)
+    sizes = (model.input_size, *(w.shape[1] for w in model.weights))
+    if sizes != exp.subject.layer_sizes or sizes[-1] < n_classes:
+        raise ValueError(f"model has layer sizes {list(sizes)}; the subject needs "
+                         f"{list(exp.subject.layer_sizes)}, with at least {n_classes} outputs "
+                         f"for the data's {n_classes} classes")
+    return model, splits, tuple(evaluate(model, ds) for ds in splits)
+
+
+def train_and_save_subject(exp: ExperimentSpec, out_dir):
+    """`build_subject(exp)`, with the subject's model.json and subject.json
+    (split sizes and accuracies, and the target class) written to `out_dir`."""
+    model, splits, before = build_subject(exp)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     write_json(out / "subject.json", {
         "split_sizes": dict(zip(SPLIT_NAMES, map(len, splits))),
         "split_accuracies": {name: r.overall_accuracy for name, r in zip(SPLIT_NAMES, before)},
-        "target_class": target_class,
+        "target_class": exp.target_class,
     })
     return model, splits, before
 
@@ -373,7 +380,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     if todo:
         subject = out / "subject" / "model.json"
         saved = subject.read_bytes() if subject.is_file() else None
-        model, splits, before = train_and_save_subject(exp.subject, exp.target_class, out / "subject")
+        model, splits, before = train_and_save_subject(exp, out / "subject")
         if subject.read_bytes() != saved:
             todo = list(records)
     out.mkdir(parents=True, exist_ok=True)
@@ -385,12 +392,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
 
     def run(job: tuple[int, int]) -> RunResult:
         ci, ri = job
-        run_dir = _run_dir(out, ci, ri)
-        try:
-            run_repair_pipeline(model, splits, before, exp, ci, ri, out_dir=run_dir)
-        except Exception as exc:  # isolate-and-continue
-            failed = _new_record(exp, ci, ri, "error", error=f"{type(exc).__name__}: {exc}")
-            _persist_run(failed, None, None, run_dir, {"runtime_seconds": 0.0})
+        run_repair_pipeline(model, splits, before, exp, ci, ri, _run_dir(out, ci, ri))
         # reload from disk so resumed and fresh sweeps aggregate identical bytes
         return _load_run(out, exp, ci, ri)
 

@@ -10,7 +10,8 @@ import pytest
 import yaml
 
 from nnpatch import (
-    ClustersSource, DriftSpec, evaluate, load_dataset, load_model, make_clusters, run_sweep, save_dataset,
+    ClustersSource, DriftSpec, build_mlp, evaluate, load_dataset, load_model, make_clusters, run_sweep,
+    save_dataset, save_model,
 )
 from nnpatch.cli import main
 from nnpatch.config import experiment_spec_from_config, load_config
@@ -546,6 +547,48 @@ def test_cli_train_localize_repair_evaluate(config_path, tmp_path):
     # written through the one JSON writer: the report read back, no temp file left
     assert rep == evaluate(load_model(model_path), load_dataset(train_dir / "test.csv")).to_dict()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("verb", ["localize", "repair"])
+@pytest.mark.parametrize("case", ["another_subject", "head_narrower_than_the_data"])
+def test_cli_refuses_a_model_that_does_not_fit(tmp_path, capsys, verb, case):
+    # --model must have the subject's layer sizes and a head wide enough for the data:
+    # quickstart's 2-8-4 model against exp_c's 2-16-7 subject, and a model of the
+    # config's 2-8-3 sizes on quickstart's 4 classes of data
+    if case == "another_subject":
+        config = ROOT / "configs" / "exp_c.yaml"
+        assert main(["train", "--config", str(ROOT / "configs" / "quickstart.yaml"),
+                     "--out-dir", str(tmp_path / "qs")]) == 0
+        model = tmp_path / "qs" / "model.json"
+    else:
+        cfg = load_config(ROOT / "configs" / "quickstart.yaml")
+        cfg["subject"]["layer_sizes"] = [2, 8, 3]
+        config, model = tmp_path / "narrow.yaml", tmp_path / "narrow.json"
+        config.write_text(yaml.safe_dump(cfg))
+        save_model(build_mlp((2, 8, 3), seed=0), model)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(config), "--model", str(model), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model has layer sizes ") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_cli_repair_records_a_failing_run(tmp_path, capsys, monkeypatch):
+    # a run that fails is an error record, written and printed, and exit 1, as in a sweep
+    import nnpatch.harness as harness
+
+    def failing(*_):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(harness, "repair", failing)
+    out = tmp_path / "run"
+    assert main(["repair", "--config", str(ROOT / "configs" / "quickstart.yaml"),
+                 "--out-dir", str(out)]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["status"] == "error" and printed["error"] == "RuntimeError: search failed"
+    assert json.loads((out / "run.json").read_text()) == printed
+    assert sorted(p.name for p in out.iterdir()) == ["run.json", "timing.json"]
 
 
 def test_cli_localize_builds_one_impact_table(tmp_path, monkeypatch):

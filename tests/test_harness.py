@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnpatch import (
     Dataset,
@@ -252,11 +254,11 @@ def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
     assert not (out / "model.json").exists()  # no repair happened
 
 
-def test_pipeline_gate_holds_on_sampled_positives(trained_subject):
+def test_pipeline_gate_holds_on_sampled_positives(trained_subject, tmp_path):
     spec, splits, model, before = trained_subject
     exp = small_experiment()
     for ri in range(3):
-        r = run_repair_pipeline(model, splits, before, exp, 0, ri)
+        r = run_repair_pipeline(model, splits, before, exp, 0, ri, tmp_path / f"rep{ri:02d}")
         assert r.status == "ok"
         if not r.identity_fallback:
             assert r.best["n_intact"] == r.n_pos
@@ -792,6 +794,50 @@ def test_sweep_isolates_failing_runs(tmp_path, monkeypatch):
     # failed records persist for postmortem
     rec = json.loads((out / "runs" / "cfg001" / "rep00" / "run.json").read_text())
     assert rec["status"] == "error"
+
+
+@pytest.fixture(scope="module")
+def fault_free_2x2(tmp_path_factory):
+    """A 2 configs x 2 repetitions spec and its fault-free sweep's bytes."""
+    exp = small_experiment(repetitions=2)
+    out = tmp_path_factory.mktemp("fault_free")
+    run_sweep(exp, out)
+    return exp, tree_bytes(out)
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(ci=st.integers(0, 1), ri=st.integers(0, 1),
+       stage=st.sampled_from(["select_repair_inputs", "localize_to_count", "repair",
+                              "write_trace_csv"]))
+def test_a_failing_run_becomes_one_error_record(fault_free_2x2, tmp_path_factory, ci, ri, stage):
+    # one run fails in one of its stages (write_trace_csv after model.json is written):
+    # it alone becomes an error record that names the exception, every other file of
+    # the sweep is the fault-free sweep's, and a resume reruns it to the fault-free bytes
+    import nnpatch.harness as harness
+
+    exp, fault_free = fault_free_2x2
+    out = tmp_path_factory.mktemp("faulty")
+    real, calls = getattr(harness, stage), []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) == 1 + 2 * ci + ri:  # a serial sweep runs (0, 0), (0, 1), (1, 0), (1, 1)
+            raise RuntimeError(f"injected into {stage}")
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, stage, faulty)
+        agg = run_sweep(exp, out)
+    failed = [r for r in agg.runs if r.status == "error"]
+    assert [(r.config_id, r.rep, r.error) for r in failed] == [
+        (f"cfg{ci:03d}", ri, f"RuntimeError: injected into {stage}")]
+    run_dir = f"runs/cfg{ci:03d}/rep{ri:02d}/"
+    assert sorted(p.name for p in (out / run_dir).iterdir()) == ["run.json", "timing.json"]
+    others = lambda tree: {k: v for k, v in tree.items() if not k.startswith(run_dir)}
+    assert others(tree_bytes(out)) == others(fault_free)
+    (out / run_dir / "run.json").unlink()
+    run_sweep(exp, out)
+    assert tree_bytes(out) == fault_free
 
 
 def test_load_sweep_dir_reproduces_aggregate(tmp_path):
