@@ -47,7 +47,6 @@ def _experiment(args):
 
 
 def _write_splits(splits, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, ds in zip(SPLIT_NAMES, splits):
         save_dataset(ds, out_dir / f"{name}.csv")
         print(f"wrote {out_dir / f'{name}.csv'} ({len(ds)} samples)")
@@ -83,7 +82,6 @@ def _cmd_localize(args) -> int:
     table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
     localized = localize_to_count(table, exp.grid[0].target_lw)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_impact_csv(table, out / "impacts.csv")
     write_localized_csv(localized, out / "localized.csv")
     print(f"localized {len(localized)} weights in layer {exp.layer} at n_g={localized.n_g}")

@@ -10,7 +10,11 @@ therefore round-trip bit-exactly.
 Each write encodes the whole text first, writes it to a sibling
 `<name>.tmp` and renames that over the target, so a failed or interrupted
 write never truncates the previous file. A target that already holds the
-same bytes is left untouched.
+same bytes is left untouched, and a missing directory is made.
+
+Run as a script, this module is a sweep's writer process (`RunWriter`): it
+reads pickled batches of writes and removals from stdin and makes each in
+order. It imports no numpy.
 """
 from __future__ import annotations
 
@@ -18,6 +22,9 @@ import dataclasses
 import functools
 import json
 import os
+import pickle
+import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -61,7 +68,7 @@ def _converter(hint, name: str):
         if type(v) is hint or hint is float and not isinstance(v, bool):
             try:
                 return hint(v)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # OverflowError: a huge int as a float
                 pass
         _refuse(name, hint.__name__, v)
     return convert
@@ -94,18 +101,31 @@ def from_dict(cls, d):
     return cls(**{k: convert[k](v) for k, v in d.items()})
 
 
-def _replace_with(path, text: str) -> None:
-    data = text.encode("ascii")
+_capture = threading.local()  # the batch of a thread inside `RunWriter.hand_off`
+
+
+def _replace_with(path, text: str | None) -> None:
+    """Write `text` to `path`, or remove `path` when `text` is None."""
+    if (files := getattr(_capture, "files", None)) is not None:
+        return files.append((os.fspath(path), text))
     path = Path(path)
+    if text is None:
+        return path.unlink(missing_ok=True)
+    data = text.encode("ascii")
     if path.is_file() and path.read_bytes() == data:
         return  # a resume rewrites no unchanged file (renaming over one flushes it on ext4)
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove(path) -> None:
+    _replace_with(path, None)
 
 
 def write_json(path, obj) -> None:
@@ -128,3 +148,49 @@ def _cell(v) -> str:
 def write_csv(path, rows) -> None:
     """One line per row, its header included, every cell by the one rule."""
     _replace_with(path, "".join(",".join(map(_cell, row)) + "\n" for row in rows))
+
+
+class RunWriter:
+    """A sweep's writer process: `python -I -S` running this module, started on
+    the first hand-off. Each run's files go to it over a pipe, one batch and one
+    flush per run, and it makes them in order, so a run's disk writes overlap
+    the next run's search."""
+
+    def __init__(self) -> None:
+        self.proc, self.lock = None, threading.Lock()  # worker threads share the writer
+
+    def hand_off(self, run, *args) -> None:
+        """`run(*args)` with this thread's writes and removals recorded, not made,
+        then handed to the writer; if `run` raises, they are dropped."""
+        _capture.files = files = []
+        try:
+            run(*args)
+        finally:
+            del _capture.files
+        with self.lock:
+            if self.proc is None:
+                import subprocess  # here, so that an import of nnpatch pays nothing for it
+                self.proc = subprocess.Popen([sys.executable, "-I", "-S", __file__], stdin=subprocess.PIPE,
+                                             stderr=subprocess.PIPE, start_new_session=True)
+            # a writer stopped by an error breaks the pipe; close() raises that error
+            pickle.dump(files, self.proc.stdin, pickle.HIGHEST_PROTOCOL)
+            self.proc.stdin.flush()
+
+    def close(self) -> None:
+        """Wait until every hand-off is made and reap the writer. A writer that
+        failed raises its error, which names the file, as OSError."""
+        if self.proc is not None:
+            err = self.proc.communicate()[1].decode(errors="replace").strip()
+            if self.proc.returncode:
+                raise OSError(err or f"the run writer exited with status {self.proc.returncode}")
+
+
+if __name__ == "__main__":  # the writer process of a RunWriter
+    try:
+        while True:
+            for path, text in pickle.load(sys.stdin.buffer):
+                _replace_with(path, text)
+    except (EOFError, pickle.UnpicklingError):  # the end, or a hand-off cut by an interrupt
+        os._exit(0)  # every file is made: the sweep's drain need not wait for the teardown
+    except OSError as exc:
+        sys.exit(str(exc))

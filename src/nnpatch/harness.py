@@ -10,7 +10,7 @@ trace and localized files beside it) marks a completed run of a directory
 whose sweep.json reads back, which is what makes sweeps resumable; any other
 record is rerun. Wall-clock runtimes live in timing.json sidecars so
 everything else is byte-stable. Every file is written through
-`nnpatch.formats`.
+`nnpatch.formats`; a sweep hands its runs' files to one writer process.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SPLIT_NAMES, NothingToRepairError, load_model, save_model, select_repair_inputs
-from .formats import as_dict, from_dict, read_json, write_csv, write_json
+from .formats import RunWriter, as_dict, from_dict, read_json, remove, write_csv, write_json
 from .localization import compute_impacts, localize_to_count, write_localized_csv
 from .metrics import diff, evaluate
 from .network import Model
@@ -238,10 +239,10 @@ def run_repair_pipeline(model: Model, splits, before, exp: ExperimentSpec, confi
 def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) -> None:
     """The run's files, with run.json, the completion marker, written last.
     Files of an earlier outcome that this one does not write are removed;
-    timing.json gains `persist_s`, the time of the writes before it."""
+    timing.json gains `persist_s`, the time of the writes before it (in a
+    sweep, of their hand-off: see `RunWriter`)."""
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if rr is not None:
         save_model(
             rr.model,
@@ -253,7 +254,7 @@ def _persist_run(result: RunResult, rr, localized, out_dir: Path, timing: dict) 
         write_localized_csv(localized, out_dir / "localized.csv")
     for name, written in zip(_RUN_FILES, (rr, rr, localized)):
         if written is None:
-            (out_dir / name).unlink(missing_ok=True)
+            remove(out_dir / name)
     write_json(out_dir / "timing.json", {**timing, "persist_s": time.perf_counter() - t0})
     write_json(out_dir / "run.json", result)
 
@@ -262,15 +263,17 @@ def _load_run(out: Path, exp: ExperimentSpec, ci: int, ri: int) -> RunResult | N
     """The persisted record of run (ci, ri), or None when the run is not done:
     its run.json or timing.json is missing, truncated or malformed, the
     record is stale (it names another directory or grid entry, or a run that
-    did not fail lacks a split's outcome), or it is ok and lacks its model,
-    trace or localized file (each is written whole, so one that exists is)."""
+    did not fail lacks a split's outcome or holds one that is no finite
+    number), or it is ok and lacks its model, trace or localized file (each is
+    written whole, so one that exists is)."""
     run_dir = _run_dir(out, ci, ri)
     try:
         r = from_dict(RunResult, read_json(run_dir / "run.json"))
         float(read_json(run_dir / "timing.json").get("runtime_seconds", 0.0))  # it must read back
-        complete = r.status == "error" or all(set(_OUTCOME) <= r.splits[n].keys() for n in SPLIT_NAMES)
+        complete = r.status == "error" or all(
+            math.isfinite(r.splits[n][k]) for n in SPLIT_NAMES for k in _OUTCOME)
         files = r.status != "ok" or set(_RUN_FILES).issubset(os.listdir(run_dir))  # one syscall
-    except (OSError, ValueError, TypeError, AttributeError, KeyError):
+    except (OSError, ValueError, TypeError, AttributeError, KeyError, OverflowError):
         return None
     own = (r.config_id, r.rep, r.config) == (f"cfg{ci:03d}", ri, as_dict(exp.grid[ci]))
     return r if own and complete and files else None
@@ -331,7 +334,6 @@ def train_and_save_subject(exp: ExperimentSpec, out_dir):
     (split sizes and accuracies, and the target class) written to `out_dir`."""
     model, splits, before = build_subject(exp)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     write_json(out / "subject.json", {
         "split_sizes": dict(zip(SPLIT_NAMES, map(len, splits))),
@@ -360,6 +362,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     (master_seed, config, rep). Failures are isolated: they become
     status="error" records and the sweep continues. Results are identical at
     any worker count because every run owns its directory and its RNG streams.
+    The runs' files go to one `RunWriter`, drained before any record is read back.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -383,24 +386,27 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
         model, splits, before = train_and_save_subject(exp, out / "subject")
         if subject.read_bytes() != saved:
             todo = list(records)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "sweep.json", exp)
     # no longer written; a leftover one would contradict report/report.json
     (out / "aggregate.json").unlink(missing_ok=True)
     if not todo:
         return aggregate_runs(exp, records.values())
 
-    def run(job: tuple[int, int]) -> RunResult:
-        ci, ri = job
-        run_repair_pipeline(model, splits, before, exp, ci, ri, _run_dir(out, ci, ri))
-        # reload from disk so resumed and fresh sweeps aggregate identical bytes
-        return _load_run(out, exp, ci, ri)
+    writer = RunWriter()
 
-    if n_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            records.update(zip(todo, pool.map(run, todo)))
-    else:
-        records.update(zip(todo, map(run, todo)))
+    def run(job: tuple[int, int]) -> None:
+        writer.hand_off(run_repair_pipeline, model, splits, before, exp, *job, _run_dir(out, *job))
+
+    try:
+        if n_workers > 1:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=n_workers) as pool:
+                list(pool.map(run, todo))
+        else:
+            list(map(run, todo))
+    finally:
+        writer.close()
+    # reload from disk so resumed and fresh sweeps aggregate identical bytes
+    records.update((job, _load_run(out, exp, *job)) for job in todo)
     return aggregate_runs(exp, records.values())
 
 
@@ -417,7 +423,6 @@ def emit_report(agg: AggregateResult, out_dir) -> list[Path]:
     means, and the min-regression run's outcome. Error runs and configs with
     no usable run have no rows; the headers are written regardless."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid_keys = tuple(f.name for f in dataclasses.fields(GridEntry))
     grid, means = itemgetter(*grid_keys), itemgetter(*_MEANS)
     sized, outcome = itemgetter("n", *_OUTCOME), itemgetter(*_OUTCOME)

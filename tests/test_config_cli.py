@@ -208,6 +208,8 @@ def test_config_rejects_unknown_keys(tmp_path, old, new, key):
         ("grid", "n_particles", "20.5"),
         ("grid", "n_pos", "true"),
         ("grid", "alpha", "true"),
+        # an int too large for a float is refused by name, not met by an OverflowError
+        pytest.param("grid", "alpha", "1" + "0" * 400, id="grid-alpha-10**400"),
         ("repair", "n_iterations", '"20"'),
         ("subject", "layer_sizes", "[2, 8.5, 4]"),
         # a container takes only its own kind: a number, an empty value or a

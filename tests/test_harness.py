@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+import os
+import re
 import resource
+import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +622,20 @@ def test_sweep_reruns_a_truncated_record(tmp_path):
     assert record.read_bytes() == original
 
 
+def test_sweep_reruns_a_record_whose_runtime_overflows_a_float(tmp_path):
+    exp = small_experiment()
+    out = tmp_path / "sweep"
+    run_sweep(exp, out)
+    timing = out / "runs" / "cfg001" / "rep01" / "timing.json"
+    write_json(timing, {**json.loads(timing.read_text()), "runtime_seconds": 10 ** 400})
+    # a report leaves the record out instead of raising OverflowError
+    assert len(load_sweep_dir(out)[1].runs) == len(exp.grid) * exp.repetitions - 1
+    # the resume treats it as not done and reruns that run
+    agg = run_sweep(exp, out)
+    assert len(agg.runs) == len(exp.grid) * exp.repetitions
+    assert isinstance(json.loads(timing.read_text())["runtime_seconds"], float)
+
+
 def test_sweep_reruns_a_record_without_splits(tmp_path):
     exp = small_experiment()
     out = tmp_path / "sweep"
@@ -678,7 +696,7 @@ def test_sweep_refuses_a_directory_of_another_spec(tmp_path):
     assert load_sweep_dir(out)[0] == small_experiment(repetitions=4)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing", "inertia"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "inertia", "overflow"])
 def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
     out = tmp_path / "sweep"
     run_sweep(small_experiment(n_iterations=2), out)
@@ -687,6 +705,8 @@ def test_sweep_reuses_no_run_without_a_readable_spec(tmp_path, damage):
         spec.unlink()
     elif damage == "truncated":
         spec.write_bytes(spec.read_bytes()[:10])
+    elif damage == "overflow":  # a float field holding an int no float can hold
+        spec.write_text(json.dumps({**json.loads(spec.read_text()), "beta": 10 ** 400}))
     else:  # a spec from before the swarm's coefficients became constants
         spec.write_text(json.dumps({**json.loads(spec.read_text()), "inertia": 0.7298}))
     # nothing says which spec made the runs, so none of them is reused
@@ -751,6 +771,66 @@ def test_interrupted_rerun_without_a_spec_reuses_no_old_run(tmp_path, monkeypatc
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
 
 
+def assert_nothing_left_behind(out):
+    # no child process at all: the sweep reaped the writer it started, and
+    # the writer left no temp file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(Path(out).rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_a_sweep_leaves_no_writer_process_or_temp_file(tmp_path, n_workers):
+    # more workers than cores, switching threads often: a second writer started by a
+    # racing hand-off, or hand-offs mixed on the pipe, would be left behind or garbled
+    out = tmp_path / "sweep"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_sweep(small_experiment(), out, n_workers=n_workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_nothing_left_behind(out)
+    run_sweep(small_experiment(), tmp_path / "serial")
+    assert tree_bytes(out) == tree_bytes(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("n_workers", [1, 3])
+def test_a_sweep_whose_runs_path_is_a_file_raises_oserror_naming_it(tmp_path, n_workers):
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "runs").write_text("")
+    with pytest.raises(OSError, match=re.escape(str(out / "runs"))):
+        run_sweep(small_experiment(), out, n_workers=n_workers)
+    assert_nothing_left_behind(out)
+
+
+def test_an_interrupted_sweep_writes_its_finished_runs_and_leaves_nothing_behind(tmp_path,
+                                                                                 monkeypatch):
+    import nnpatch.harness as harness
+
+    class Interrupted(BaseException):
+        pass
+
+    exp = small_experiment()
+    real, calls = harness.run_repair_pipeline, []
+
+    def stopped_after_one_run(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise Interrupted
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_repair_pipeline", stopped_after_one_run)
+    out = tmp_path / "sweep"
+    with pytest.raises(Interrupted):
+        run_sweep(exp, out)
+    assert_nothing_left_behind(out)
+    # the run handed off before the interrupt is written whole; the interrupted one not at all
+    assert harness._load_run(out, exp, 0, 0) is not None
+    assert not (out / "runs" / "cfg000" / "rep01").exists()
+
+
 def test_sweep_concurrency_is_byte_identical(tmp_path):
     exp = small_experiment()
     serial = tmp_path / "serial"
@@ -798,11 +878,11 @@ def test_sweep_isolates_failing_runs(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def fault_free_2x2(tmp_path_factory):
-    """A 2 configs x 2 repetitions spec and its fault-free sweep's bytes."""
+    """A 2 configs x 2 repetitions spec, its fault-free sweep's bytes and its directory."""
     exp = small_experiment(repetitions=2)
     out = tmp_path_factory.mktemp("fault_free")
     run_sweep(exp, out)
-    return exp, tree_bytes(out)
+    return exp, tree_bytes(out), out
 
 
 @settings(max_examples=10, derandomize=True, database=None, deadline=None)
@@ -815,7 +895,7 @@ def test_a_failing_run_becomes_one_error_record(fault_free_2x2, tmp_path_factory
     # the sweep is the fault-free sweep's, and a resume reruns it to the fault-free bytes
     import nnpatch.harness as harness
 
-    exp, fault_free = fault_free_2x2
+    exp, fault_free, _ = fault_free_2x2
     out = tmp_path_factory.mktemp("faulty")
     real, calls = getattr(harness, stage), []
 
@@ -837,6 +917,49 @@ def test_a_failing_run_becomes_one_error_record(fault_free_2x2, tmp_path_factory
     assert others(tree_bytes(out)) == others(fault_free)
     (out / run_dir / "run.json").unlink()
     run_sweep(exp, out)
+    assert tree_bytes(out) == fault_free
+
+
+def damage_run(run_dir, name, how):
+    path = run_dir / name
+    if how == "delete":
+        path.unlink()
+    elif how == "truncate":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif how == "garble":
+        path.write_bytes(path.read_bytes()[::-1])
+    else:  # overflow: a number that no float holds, where a float is read
+        record = json.loads(path.read_text())
+        if name == "timing.json":
+            record["runtime_seconds"] = 10 ** 400
+        else:
+            record["splits"]["test"]["broken"] = 10 ** 400
+        write_json(path, record)
+
+
+RUN_DAMAGES = [(name, how) for name in ("run.json", "timing.json")
+               for how in ("delete", "truncate", "garble", "overflow")] + [("model.json", "delete")]
+
+
+@settings(max_examples=10, derandomize=True, database=None, deadline=None)
+@given(damaged=st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                               st.sampled_from(RUN_DAMAGES), max_size=4))
+def test_a_resume_reruns_exactly_the_damaged_runs(fault_free_2x2, tmp_path_factory, damaged):
+    # any set of runs, each with one damaged file: a resume reruns exactly those,
+    # and every file but timing.json ends as the fault-free sweep's
+    import nnpatch.harness as harness
+
+    exp, fault_free, finished = fault_free_2x2
+    out = tmp_path_factory.mktemp("damaged") / "sweep"
+    shutil.copytree(finished, out)
+    for (ci, ri), (name, how) in damaged.items():
+        damage_run(out / "runs" / f"cfg{ci:03d}" / f"rep{ri:02d}", name, how)
+    real, ran = harness.run_repair_pipeline, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_repair_pipeline",
+                   lambda *a, **kw: ran.append(a[4:6]) or real(*a, **kw))
+        run_sweep(exp, out)
+    assert sorted(ran) == sorted(damaged)
     assert tree_bytes(out) == fault_free
 
 
