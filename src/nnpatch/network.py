@@ -109,9 +109,9 @@ def build_mlp(layer_sizes, seed: int = 0) -> Model:
 def softmax(z: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of z over `axis`, a non-empty one, stabilized, written to `out`
     when given (which may be z itself)."""
-    e = np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
+    e = np.subtract(z, np.maximum.reduce(z, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 
@@ -159,8 +159,9 @@ def forward(model: Model, inputs) -> np.ndarray:
 
 def loss_from_picked(picked: np.ndarray) -> np.ndarray:
     """Mean categorical cross-entropy over the last axis of the
-    probabilities given to each sample's label, clamped at PROB_CLAMP."""
-    return -np.log(np.clip(picked, PROB_CLAMP, None)).mean(axis=-1)
+    probabilities given to each sample's label, clamped at PROB_CLAMP. It is
+    negated after the mean, so a set whose picks are all 1 has loss -0.0."""
+    return -(np.add.reduce(np.log(np.maximum(picked, PROB_CLAMP)), axis=-1) / picked.shape[-1])
 
 
 def loss_from_probs(probs: np.ndarray, labels: np.ndarray) -> float:

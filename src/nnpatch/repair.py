@@ -209,23 +209,17 @@ class Scores(NamedTuple):
         )
 
 
-def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined,
-           screened=np.False_, skipped=np.False_) -> Scores:
+def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined) -> Scores:
     """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
     mean losses, one column per candidate. A candidate that is `undefined`
     (some sample's softmax is nan) or whose raw fitness is not finite scores
-    -inf, raw and gated, whether or not the objective reads the broken loss.
-    A `screened` candidate broke an I_pos sample, so its rows (-1, nan) are not
-    scored: its raw score is nan and the gate zeroes it. A `skipped`
-    candidate's I_pos row (-1, nan) is not scored either: its raw and gated
-    scores are nan and the gate leaves it."""
+    -inf, raw and gated, whether or not the objective reads the broken loss."""
     with np.errstate(invalid="ignore"):
         ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
-        raw = np.where(skipped, np.nan, raw_fitness(counts[0], sizes[0], counts[1], sizes[1],
-                                                    *ratios, cfg))
-    scorable = (np.isfinite(raw) | screened | skipped) & ~undefined
-    raw = np.where(scorable, raw, -np.inf)  # a screened or skipped candidate stays nan
-    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable & ~skipped
+        raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
+    scorable = np.isfinite(raw) & ~undefined
+    raw = np.where(scorable, raw, -np.inf)
+    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable
     return Scores(*counts, *losses, raw, np.where(gate, 0.0, raw), gate)
 
 
@@ -347,7 +341,7 @@ class BatchScorer:
         # whether a search call may skip I_pos for a candidate below its floor
         self.bounded = cfg.variant == "eq2" and len(i_pos) >= 4 * SCREEN
         self.telemetry = dict.fromkeys(TELEMETRY, 0)
-        self.telemetry.update(candidates_scored=1, units_recomputed=len(touched), units_total=len(w))
+        self.telemetry.update(units_recomputed=len(touched), units_total=len(w))
         self.n_classes = model.n_classes
         self.weights = w[touched]  # every candidate's rows before its localized values
         # the scratch arena (see CHUNK_BYTES) and its views per (chunk, samples, spare rows)
@@ -406,55 +400,8 @@ class BatchScorer:
             # C order: a masked column copy is not, and products over it run slower
             self.pos = tuple(cache(np.ascontiguousarray(pos.a[:, part]), pos.labels[part],
                                    cfg.variant == "eq2") for part in (in_s, ~in_s))
-        counts, losses, undefined, _, _ = self._kernel(original, None)
-        self.base_losses = tuple(float(row[0]) for row in losses)
-        self.identity = _score(counts, losses, self.sizes, self.base_losses, cfg, undefined)
-
-    def _kernel(self, positions: np.ndarray, floor: np.ndarray | None):
-        """Correct counts and mean losses, rows (I_neg, I_pos) by candidate,
-        which candidates are undefined, which the screen rejected (both their
-        counts stay -1 and both their losses nan), and which skipped I_pos
-        below their `floor` (their I_pos row stays -1, nan); none without one."""
-        counts = np.full((2, len(positions)), -1, dtype=np.int64)  # what an unscored set keeps
-        losses = np.full((2, len(positions)), np.nan)
-        undefined = ~np.isfinite(positions).all(axis=1)
-        screened = skipped = np.zeros(len(positions), dtype=bool)  # replaced, never written
-        todo = slice(None)
-        count_only = floor is not None and self.cfg.variant == "eq2"
-        *s, rest = self.pos
-        with np.errstate(over="ignore", invalid="ignore"):
-            if s:  # S first, for every candidate
-                s_n, s_picked, s_bad = self._set_scores(s[0], positions, count_only)
-                if floor is not None:
-                    # a candidate that breaks I_pos scores 0 or -inf: no better than a floor >= 0
-                    screened = (floor >= 0) & (s_n < len(s[0].labels)) & ~(undefined | s_bad)
-                    self.telemetry["gate_screened"] += int(screened.sum())
-                    todo = np.flatnonzero(~screened)
-            survivors = positions[todo]
-            counts[0, todo], picked, bad = self._set_scores(self.neg, survivors, False)
-            losses[0, todo] = loss_from_picked(picked)
-            undefined[todo] |= bad
-            if floor is not None and self.bounded:
-                # every I_pos sample intact, by the float operations `_score` applies
-                best = raw_fitness(counts[0, todo], self.sizes[0], self.sizes[1], self.sizes[1],
-                                   loss_ratio(self.base_losses[0], losses[0, todo], self.cfg),
-                                   np.nan, self.cfg)
-                skipped = np.zeros(len(positions), dtype=bool)
-                skipped[todo] = ~(best > floor[todo]) | undefined[todo]
-                self.telemetry["pos_skipped"] += int(skipped.sum())
-                todo = np.flatnonzero(~(screened | skipped))
-                survivors = positions[todo]
-            n, picked, bad = self._set_scores(rest, survivors, count_only)
-            if s:  # add S's share of the same candidates
-                n += s_n[todo]
-                bad |= s_bad[todo]
-                if not count_only:  # the label probabilities back in I_pos order, in C order
-                    picked = np.take(np.hstack([s_picked[todo], picked]), self.unsplit, axis=1)
-            counts[1, todo] = n
-            if not count_only:
-                losses[1, todo] = loss_from_picked(picked)
-            undefined[todo] |= bad
-        return counts, losses, undefined, screened, skipped
+        self.base_losses = None  # the identity's losses, set by its own call
+        self.identity = self(original)
 
     def _products(self, c: _Cached, positions: np.ndarray, chunk: int, spare_rows: int):
         """Each `chunk` of `positions` on set `c`: its slice of the candidates, their
@@ -499,9 +446,9 @@ class BatchScorer:
                 counts[cols], undefined[cols] = self._count_from_logits(z, c, spare)
                 continue
             out = self._softmax(z, c, spare)
-            counts[cols] = (out.argmax(axis=-2) == c.labels).sum(axis=-1)
+            counts[cols] = np.add.reduce(out.argmax(axis=-2) == c.labels, axis=-1)
             picked[cols] = out[:, c.labels, c.samples]
-            undefined[cols] = np.isnan(picked[cols]).any(axis=-1)
+            undefined[cols] = np.logical_or.reduce(np.isnan(picked[cols]), axis=-1)
         return counts, picked, undefined
 
     def _softmax(self, z: np.ndarray, c: _Cached, out: np.ndarray) -> np.ndarray:
@@ -519,8 +466,8 @@ class BatchScorer:
         """Label margins of set `c`, (chunk, n): each sample's label logit less its
         best other logit, from the computed logit rows' (chunk, rows, n) products
         before the last add; `spare` is scratch of z's shape."""
-        label_z = np.take(z.reshape(len(z), -1), c.at_label, axis=1) + c.label_add
-        best = np.add(z, c.others, out=spare).max(axis=-2)
+        label_z = z.reshape(len(z), -1).take(c.at_label, axis=1) + c.label_add
+        best = np.maximum.reduce(np.add(z, c.others, out=spare), axis=-2)
         if c.fixed is not None:
             np.copyto(label_z, c.fixed_label, where=c.label_is_fixed)
             np.maximum(best, c.fixed_best, out=best)
@@ -531,26 +478,81 @@ class BatchScorer:
         rows' (chunk, rows, n) products before the last add, by label margin;
         `spare` is scratch of z's shape."""
         margin = self._margins(z, c, spare)
+        size = np.abs(margin)
         correct = margin > BAND
-        unsure = ~np.isfinite(margin) | (np.abs(margin) <= BAND)
         undefined = np.zeros(len(z), dtype=bool)
-        rows = np.flatnonzero(unsure.any(axis=1))
+        # nan propagates through both reductions, so a nan margin fails this test too
+        if BAND < np.minimum.reduce(size, axis=None) and np.maximum.reduce(size, axis=None) < np.inf:
+            return np.add.reduce(correct, axis=-1), undefined  # no margin in the band
+        unsure = ~np.isfinite(margin) | (size <= BAND)
+        rows = np.flatnonzero(np.logical_or.reduce(unsure, axis=1))
         if rows.size:
             probs = self._softmax(z[rows], c, np.empty((len(rows), self.n_classes, z.shape[-1])))
             correct[rows] = np.where(unsure[rows], probs.argmax(axis=-2) == c.labels, correct[rows])
-            undefined[rows] = np.isnan(probs).any(axis=(-2, -1))
-            self.telemetry["band_fallback_columns"] += int(unsure.sum())
-        return correct.sum(axis=-1), undefined
+            undefined[rows] = np.logical_or.reduce(np.isnan(probs), axis=(-2, -1))
+            self.telemetry["band_fallback_columns"] += int(np.count_nonzero(unsure))
+        return np.add.reduce(correct, axis=-1), undefined
 
     def __call__(self, positions: np.ndarray, floor: np.ndarray | None = None) -> Scores:
         """Scores of a (P, D) array of candidate weight values. Without a
         floor, every candidate is scored in full, every loss included; with a
         (P,) `floor`, a candidate whose gated score could not beat its floor
-        may be screened out or skip I_pos."""
-        self.telemetry["candidates_scored"] += len(positions)
-        counts, losses, undefined, screened, skipped = self._kernel(positions, floor)
-        return _score(counts, losses, self.sizes, self.base_losses, self.cfg, undefined, screened,
-                      skipped)
+        may be screened out or skip I_pos.
+
+        The candidates still in play are one index vector, narrowed by the
+        screen and by the bound; each stage gathers only what it reads, and
+        each field of the scores is written once for the candidates that
+        reached it."""
+        p, cfg, (n_neg, n_pos) = len(positions), self.cfg, self.sizes
+        self.telemetry["candidates_scored"] += p
+        count_only = floor is not None and cfg.variant == "eq2"
+        nonfinite = ~np.logical_and.reduce(np.isfinite(positions), axis=1)
+        todo = np.arange(p)
+        n_patched, n_intact = np.full((2, p), -1)
+        loss_neg, loss_pos, raw = np.full((3, p), np.nan)
+        gate = np.zeros(p, dtype=bool)
+        *s, rest = self.pos
+        with np.errstate(over="ignore", invalid="ignore"):
+            if s:  # S first, for every candidate
+                s_n, s_picked, s_bad = self._set_scores(s[0], positions, count_only)
+                if floor is not None:
+                    # a candidate that breaks I_pos scores 0 or -inf, no better than a floor
+                    # >= 0: it is screened out, and the gate zeroes it
+                    gate = (floor >= 0) & (s_n < len(s[0].labels)) & ~(nonfinite | s_bad)
+                    self.telemetry["gate_screened"] += int(np.count_nonzero(gate))
+                    todo = np.flatnonzero(~gate)
+            neg_n, picked, bad = self._set_scores(self.neg, positions[todo], False)
+            l_neg = loss_from_picked(picked)
+            n_patched[todo], loss_neg[todo] = neg_n, l_neg
+            bad |= nonfinite[todo]
+            if floor is not None and self.bounded:
+                # every I_pos sample intact, by the float operations of the raw score below
+                best = raw_fitness(neg_n, n_neg, n_pos, n_pos,
+                                   loss_ratio(self.base_losses[0], l_neg, cfg), np.nan, cfg)
+                keep = (best > floor[todo]) & ~bad
+                self.telemetry["pos_skipped"] += len(keep) - int(np.count_nonzero(keep))
+                raw[todo[~keep & bad]] = -np.inf  # a skipped candidate stays nan unless undefined
+                todo, neg_n, l_neg, bad = todo[keep], neg_n[keep], l_neg[keep], bad[keep]
+            pos_n, picked, pos_bad = self._set_scores(rest, positions[todo], count_only)
+            if s:  # add S's share of the same candidates
+                pos_n += s_n[todo]
+                pos_bad |= s_bad[todo]
+                if not count_only:  # the label probabilities back in I_pos order, in C order
+                    picked = np.concatenate([s_picked[todo], picked], axis=1)
+                    picked = picked.take(self.unsplit, axis=1)
+            n_intact[todo] = pos_n
+            if not count_only:
+                loss_pos[todo] = l_pos = loss_from_picked(picked)
+            if self.base_losses is None:  # the identity's own call
+                self.base_losses = (float(l_neg[0]), float(l_pos[0]))
+            r_pos = loss_ratio(self.base_losses[1], l_pos, cfg) if cfg.variant == "eq1" else np.nan
+            scored = raw_fitness(neg_n, n_neg, pos_n, n_pos,
+                                 loss_ratio(self.base_losses[0], l_neg, cfg), r_pos, cfg)
+            scorable = np.isfinite(scored) & ~(bad | pos_bad)
+            raw[todo] = np.where(scorable, scored, -np.inf)
+            if cfg.perfect_intact:
+                gate[todo] = (pos_n < n_pos) & scorable
+        return Scores(n_patched, n_intact, loss_neg, loss_pos, raw, np.where(gate, 0.0, raw), gate)
 
 
 def init_swarm(
@@ -602,24 +604,32 @@ def repair(
     vmax = VELOCITY_CLAMP * layer_weight_stats(model, localized.layer)[1]
     pbest_pos, pbest_fit = pos.copy(), np.full(len(pos), -np.inf)
     gbest, gbest_pos, trace = None, None, []
+    pulls, gap = np.empty((2, *pos.shape)), np.empty_like(pos)  # updated in place
     for it in range(scfg.n_iterations + 1):
         if it:
-            r1, r2 = rng.uniform(size=(2, *pos.shape))
-            vel = (INERTIA * vel + COGNITIVE * r1 * (pbest_pos - pos)
-                   + SOCIAL * r2 * (gbest_pos - pos))
+            # INERTIA * vel + COGNITIVE * r1 * (pbest_pos - pos) + SOCIAL * r2 * (gbest_pos - pos),
+            # by the same float operations; `random` draws what `uniform` would
+            rng.random(out=pulls)
+            pulls[0] *= COGNITIVE
+            pulls[0] *= np.subtract(pbest_pos, pos, out=gap)
+            pulls[1] *= SOCIAL
+            pulls[1] *= np.subtract(gbest_pos, pos, out=gap)
+            vel *= INERTIA
+            vel += pulls[0]
+            vel += pulls[1]
             np.clip(vel, -vmax, vmax, out=vel)
-            pos = pos + vel
+            pos += vel
         scores = scorer(pos, floor=pbest_fit)
         improved = scores.gated > pbest_fit
-        pbest_fit[improved] = scores.gated[improved]
-        pbest_pos[improved] = pos[improved]
+        np.copyto(pbest_fit, scores.gated, where=improved)
+        np.copyto(pbest_pos, pos, where=improved[:, None])
         # a particle that overtakes gbest improved just now, so `scores` holds its pbest
         # scored on both sets: a screened or skipped candidate does not beat its floor
         k = int(np.argmax(pbest_fit))
         if gbest is None or pbest_fit[k] > gbest.gated_fitness:
             gbest, gbest_pos = scores.breakdown(k, scorer.base_losses), pbest_pos[k].copy()
         trace.append(TraceRow(it, gbest.gated_fitness, gbest.n_patched, gbest.n_intact,
-                              int(scores.gate.sum()), int(improved.sum())))
+                              int(np.count_nonzero(scores.gate)), int(np.count_nonzero(improved))))
 
     if gbest.gated_fitness > scorer.identity.gated[0] and gbest.n_patched > scorer.identity.n_patched[0]:
         patched = write_weights(model, localized.layer, localized.i, localized.j, gbest_pos)

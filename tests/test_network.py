@@ -20,6 +20,7 @@ from nnpatch.network import (
     PROB_CLAMP,
     full_gradients,
     layer_inputs,
+    loss_from_picked,
     loss_from_probs,
 )
 
@@ -105,6 +106,13 @@ def test_loss_clamps_probabilities():
     # true-class probability underflows to 0; clamp keeps the loss finite
     assert np.isfinite(loss_from_probs(np.array([[1.0, 0.0]]), np.array([1])))
     assert loss_from_probs(np.array([[1.0, 0.0]]), np.array([1])) == -np.log(PROB_CLAMP)
+
+
+def test_loss_of_perfect_picks_is_negative_zero():
+    # the mean is negated after it is taken, so picks that are all 1 give -0.0, which
+    # a run record writes as "-0.0": a persisted byte that this sign pins
+    assert np.signbit(loss_from_picked(np.ones((2, 10)))).all()
+    assert np.signbit(loss_from_probs(np.eye(3)[[2, 0, 1, 2]], np.array([2, 0, 1, 2])))
 
 
 def test_loss_label_out_of_range():

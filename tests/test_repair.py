@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnpatch import (
     FitnessConfig,
@@ -520,11 +522,12 @@ def test_batch_scorer_identity_equals_fitness_on_an_empty_set():
                             np.testing.assert_array_equal(getattr(scores, name), want)
 
 
-def screened_scenario(rng, m, layer):
-    """An I_pos of 4 * SCREEN or more passing samples for `m`, an I_neg of the
-    1..8 samples of the same draw with the smallest margin, each labelled with
-    its runner-up class, and a random localized set of `layer`."""
-    n = int(rng.integers(4 * SCREEN, 6 * SCREEN))
+def screened_scenario(rng, m, layer, n=None):
+    """An I_pos of `n` passing samples for `m`, 4 * SCREEN or more by default, an
+    I_neg of the 1..8 samples of the same draw with the smallest margin, each
+    labelled with its runner-up class, and a random localized set of `layer`."""
+    if n is None:
+        n = int(rng.integers(4 * SCREEN, 6 * SCREEN))
     x = rng.normal(0.0, 1.5, size=(n + 8, m.input_size))
     probs = forward(m, x)
     ranked = np.argsort(probs, axis=1)
@@ -900,7 +903,7 @@ def test_repair_scores_only_the_identity_and_the_winner_without_a_floor(monkeypa
     # every other call is a search call, with the personal bests as floors; a gbest
     # is always a candidate scored on both sets, so it is never scored again
     rng = np.random.default_rng(47)
-    kernel = BatchScorer._kernel
+    scorer_call = BatchScorer.__call__
     n_repaired = 0
     for trial in range(10):
         m = random_model(rng)
@@ -915,18 +918,88 @@ def test_repair_scores_only_the_identity_and_the_winner_without_a_floor(monkeypa
                            n_iterations=int(rng.integers(2, 8)), seed=trial)
         floorless = []
 
-        def recording(self, positions, *args):  # args end with the floor
-            if args[-1] is None:
+        def recording(self, positions, floor=None):  # the identity's call included
+            if floor is None:
                 floorless.append(len(positions))
-            return kernel(self, positions, *args)
+            return scorer_call(self, positions, floor)
 
         with monkeypatch.context() as mp:
-            mp.setattr(BatchScorer, "_kernel", recording)
+            mp.setattr(BatchScorer, "__call__", recording)
             got = repair(m, localized, neg, pos, fcfg, scfg)
         assert floorless == [1] if got.identity_fallback else floorless == [1, 1]
         assert got.trace[0].n_intact >= 0 and all(row.n_patched >= 0 for row in got.trace)
         n_repaired += not got.identity_fallback
     assert n_repaired > 0
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.integers(1, 3),
+       variant=st.sampled_from(VARIANTS), gate=st.booleans(), split=st.booleans(),
+       broken=st.booleans())
+def test_floored_call_scores_every_candidate_it_keeps_as_the_floorless_call(
+        seed, n_layers, variant, gate, split, broken):
+    # at every layer, with I_pos on either side of 4 * SCREEN (the screen and the
+    # bound need 4 * SCREEN samples) and floors of -inf, 0 and around each
+    # candidate's own floorless gated score
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_layers=n_layers)
+    cfg = FitnessConfig(variant=variant, alpha=float(rng.uniform(0.5, 8)), perfect_intact=gate)
+    for layer in range(n_layers):
+        n = int(rng.integers(4 * SCREEN, 5 * SCREEN) if split else rng.integers(1, 4 * SCREEN))
+        localized, neg, pos = screened_scenario(rng, m, layer, n)
+        if broken:  # I_pos holds a sample the subject gets wrong
+            labels = pos.labels.copy()
+            labels[0] = (labels[0] + 1) % m.n_classes
+            pos = samples(pos.features, labels, pos.sample_ids, m.n_classes)
+        scorer = BatchScorer(m, localized, neg, pos, cfg)
+        p = int(rng.integers(8, 40))
+        positions = screen_positions(rng, m.weights[layer][localized.i, localized.j], p)
+        full = scorer(positions)
+        near = full.gated + rng.choice([0.0, 1e-9, 1.0], size=p) * rng.normal(size=p)
+        floor = np.choose(rng.integers(0, 3, size=p), [np.full(p, -np.inf), np.zeros(p), near])
+        before = dict(scorer.telemetry)
+        got = scorer(positions, floor=floor)
+
+        screened = got.n_patched == -1
+        skipped = (got.n_intact == -1) & ~screened
+        kept = ~(screened | skipped)
+        for name in ("n_patched", "n_intact", "loss_neg", "raw", "gated", "gate") + (
+                ("loss_pos",) if variant == "eq1" else ()):
+            np.testing.assert_array_equal(getattr(got, name)[kept], getattr(full, name)[kept])
+        for name, want in zip(got._fields, (-1, -1, np.nan, np.nan, np.nan, 0.0, True)):
+            np.testing.assert_array_equal(getattr(got, name)[screened], want)
+        assert np.isnan(got.loss_pos[skipped]).all() and not got.gate[skipped].any()
+        assert ((np.isnan(got.raw) & np.isnan(got.gated))
+                | (got.raw == got.gated) & (got.raw == -np.inf))[skipped].all()
+        np.testing.assert_array_equal(got.n_patched[skipped], full.n_patched[skipped])
+        np.testing.assert_array_equal(got.loss_neg[skipped], full.loss_neg[skipped])
+        assert (full.gated[~kept] <= floor[~kept]).all()
+        assert scorer.telemetry["gate_screened"] - before["gate_screened"] == screened.sum()
+        assert scorer.telemetry["pos_skipped"] - before["pos_skipped"] == skipped.sum()
+
+
+def test_search_counters_follow_their_closed_forms():
+    # the identity, P candidates at each iteration 0..n_iterations, and the winner
+    # unless the run fell back; iteration 0's floors are -inf, so it screens nothing
+    rng = np.random.default_rng(71)
+    n_screened = n_repaired = n_fallbacks = 0
+    for trial in range(8):
+        m = random_model(rng)
+        n = int(rng.integers(4 * SCREEN, 5 * SCREEN)) if trial % 2 else int(rng.integers(8, 48))
+        localized, neg, pos = screened_scenario(rng, m, int(rng.integers(0, m.n_layers)), n)
+        fcfg = FitnessConfig(variant=VARIANTS[trial // 2 % 2], alpha=float(rng.uniform(0.5, 8)),
+                             perfect_intact=trial % 4 != 2)
+        scfg = SwarmConfig(n_particles=int(rng.integers(4, 16)),
+                           n_iterations=int(rng.integers(1, 8)), seed=trial)
+        result = repair(m, localized, neg, pos, fcfg, scfg)
+        p, iters = scfg.n_particles, scfg.n_iterations
+        assert result.telemetry["candidates_scored"] == (
+            1 + p * (iters + 1) + (not result.identity_fallback))
+        assert result.telemetry["gate_screened"] <= p * iters
+        n_screened += result.telemetry["gate_screened"]
+        n_repaired += not result.identity_fallback
+        n_fallbacks += result.identity_fallback
+    assert n_screened > 0 and n_repaired > 0 and n_fallbacks > 0
 
 
 def test_tie_with_identity_returns_the_original_model():
