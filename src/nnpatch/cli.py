@@ -68,17 +68,16 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     exp = _experiment(args)
     out = Path(args.out_dir)
-    _, splits, _ = train_and_save_subject(exp, out)
-    _write_splits(splits, out)
+    _, before = train_and_save_subject(exp, out)
+    _write_splits((r.data for r in before), out)
     print(f"wrote {out / 'model.json'} and {out / 'subject.json'}")
     return 0
 
 
 def _cmd_localize(args) -> int:
     exp = _experiment(args)
-    model, splits, before = build_subject(exp, args.model)
-    inputs = select_repair_inputs(splits[0], splits[2], exp.target_class,
-                                  before[0].passed, before[2].passed)
+    model, before = build_subject(exp, args.model)
+    inputs = select_repair_inputs(before[0], before[2], exp.target_class)
     table = compute_impacts(model, inputs.negative_set, inputs.positive_pool, exp.layer)
     localized = localize_to_count(table, exp.grid[0].target_lw)
     out = Path(args.out_dir)
@@ -92,8 +91,8 @@ def _cmd_localize(args) -> int:
 
 def _cmd_repair(args) -> int:
     exp = _experiment(args)
-    model, splits, before = build_subject(exp, args.model)
-    result = run_repair_pipeline(model, splits, before, exp, 0, 0, Path(args.out_dir))
+    model, before = build_subject(exp, args.model)
+    result = run_repair_pipeline(model, before, exp, 0, 0, Path(args.out_dir))
     print(json.dumps(result, default=as_dict, sort_keys=True, indent=2))
     return 0 if result.status != "error" else 1
 

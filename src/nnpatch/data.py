@@ -17,12 +17,15 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .formats import as_dict, from_dict, read_json, write_csv, write_json
 from .network import LayerSpec, Model, forward, _frozen_array
+
+if TYPE_CHECKING:  # metrics imports this module
+    from .metrics import EvalReport
 
 DATASET_MAGIC = "# nnpatch-dataset v1"
 MODEL_FORMAT = "nnpatch-model"
@@ -218,30 +221,26 @@ def predictions(model: Model, inputs) -> np.ndarray:
     return np.argmax(forward(model, inputs), axis=1).astype(np.int64)
 
 
-def select_repair_inputs(
-    train_split: Dataset, repair_split: Dataset, target_class: int,
-    train_passed: np.ndarray, repair_passed: np.ndarray,
-) -> RepairInputs:
-    """Build RepairInputs from the subject's pass masks (`EvalReport.passed`).
+def select_repair_inputs(train: EvalReport, repair: EvalReport, target_class: int) -> RepairInputs:
+    """Build RepairInputs from the subject's reports of the train and repair splits.
 
     positive_pool: train samples (any class) the subject classifies correctly.
     negative_set: repair-split samples of the target class it gets wrong.
     """
-    if not 0 <= target_class < train_split.n_classes:
-        raise ValueError(f"target_class must lie in [0, {train_split.n_classes}), got {target_class}")
-    for name, ds, mask in (("train", train_split, train_passed), ("repair", repair_split, repair_passed)):
-        if np.asarray(mask).dtype != bool or np.shape(mask) != (len(ds),):
-            raise ValueError(f"{name} pass mask must be {len(ds)} booleans, one per sample")
-    if not np.any(train_passed):
+    n_classes = train.data.n_classes
+    if not 0 <= target_class < n_classes:
+        raise ValueError(f"target_class must lie in [0, {n_classes}), got {target_class}")
+    train_passed = train.passed
+    if not train_passed.any():
         raise RepairInputError("positive pool is empty: the model passes no training sample")
 
-    neg_mask = (repair_split.labels == target_class) & ~np.asarray(repair_passed)
+    neg_mask = (repair.labels == target_class) & ~repair.passed
     if not neg_mask.any():
         raise NothingToRepairError(
             f"nothing to repair: no misclassified class-{target_class} samples in the repair split"
         )
-    inputs = RepairInputs(train_split.subset(np.flatnonzero(train_passed)),
-                          repair_split.subset(np.flatnonzero(neg_mask)))
+    inputs = RepairInputs(train.data.subset(np.flatnonzero(train_passed)),
+                          repair.data.subset(np.flatnonzero(neg_mask)))
     if not set(inputs.positive_pool.sample_ids).isdisjoint(inputs.negative_set.sample_ids):
         raise RepairInputError("positive pool and negative set must be disjoint")
     return inputs

@@ -187,11 +187,11 @@ def _split_records(before, after) -> dict:
     return out
 
 
-def run_repair_pipeline(model: Model, splits, before, exp: ExperimentSpec, config_idx: int,
+def run_repair_pipeline(model: Model, before, exp: ExperimentSpec, config_idx: int,
                         rep_idx: int, out_dir: Path) -> RunResult:
-    """Run (config_idx, rep_idx) of `exp` on `model`, whose reports of `splits`
-    are `before`: select inputs, localize, repair, evaluate the repair, persist
-    to `out_dir`.
+    """Run (config_idx, rep_idx) of `exp` on `model`, whose reports of the four
+    splits are `before`: select inputs, localize, repair, evaluate the repair on
+    the reports' data, persist to `out_dir`.
 
     Every outcome is persisted and returned as a record, nothing is raised: a
     subject with no failures on the target class yields a no_op record, and
@@ -200,8 +200,7 @@ def run_repair_pipeline(model: Model, splits, before, exp: ExperimentSpec, confi
     t0 = time.perf_counter()
     entry = exp.grid[config_idx]
     try:
-        pool, i_neg = select_repair_inputs(splits[0], splits[2], exp.target_class,
-                                           before[0].passed, before[2].passed)
+        pool, i_neg = select_repair_inputs(before[0], before[2], exp.target_class)
         t_localize = time.perf_counter()
         localized = localize_to_count(compute_impacts(model, i_neg, pool, exp.layer), entry.target_lw)
         localize_s = time.perf_counter() - t_localize
@@ -214,7 +213,7 @@ def run_repair_pipeline(model: Model, splits, before, exp: ExperimentSpec, confi
         t_after = time.perf_counter()
         faults = {} if RUSAGE_THREAD is None else {
             "repair_minflt": getrusage(RUSAGE_THREAD).ru_minflt - minflt}
-        after = [evaluate(rr.model, ds) for ds in splits]
+        after = [evaluate(rr.model, r.data) for r in before]
         evaluate_s = time.perf_counter() - t_after
         result = _new_record(
             exp, config_idx, rep_idx, "ok", n_neg=len(i_neg), n_pos=len(i_pos),
@@ -311,11 +310,11 @@ def aggregate_runs(exp: ExperimentSpec, runs) -> AggregateResult:
 
 
 def build_subject(exp: ExperimentSpec, model_path=None):
-    """(model, splits, before): the subject of `exp`, trained or read from
-    `model_path`, its splits, and `before`, its reports of the splits. Data
-    without class `target_class`, and a model whose layer sizes are not the
-    subject's or whose head is narrower than the data's classes, are refused
-    before anything is evaluated."""
+    """(model, before): the subject of `exp`, trained or read from
+    `model_path`, and `before`, its reports of the four splits, each holding
+    its split. Data without class `target_class`, and a model whose layer
+    sizes are not the subject's or whose head is narrower than the data's
+    classes, are refused before anything is evaluated."""
     _, splits = materialize_splits(exp.subject)
     n_classes = splits[0].n_classes
     if not 0 <= exp.target_class < n_classes:
@@ -326,21 +325,21 @@ def build_subject(exp: ExperimentSpec, model_path=None):
         raise ValueError(f"model has layer sizes {list(sizes)}; the subject needs "
                          f"{list(exp.subject.layer_sizes)}, with at least {n_classes} outputs "
                          f"for the data's {n_classes} classes")
-    return model, splits, tuple(evaluate(model, ds) for ds in splits)
+    return model, tuple(evaluate(model, ds) for ds in splits)
 
 
 def train_and_save_subject(exp: ExperimentSpec, out_dir):
     """`build_subject(exp)`, with the subject's model.json and subject.json
     (split sizes and accuracies, and the target class) written to `out_dir`."""
-    model, splits, before = build_subject(exp)
+    model, before = build_subject(exp)
     out = Path(out_dir)
     save_model(model, out / "model.json")
     write_json(out / "subject.json", {
-        "split_sizes": dict(zip(SPLIT_NAMES, map(len, splits))),
+        "split_sizes": dict(zip(SPLIT_NAMES, map(len, before))),
         "split_accuracies": {name: r.overall_accuracy for name, r in zip(SPLIT_NAMES, before)},
         "target_class": exp.target_class,
     })
-    return model, splits, before
+    return model, before
 
 
 def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResult:
@@ -383,7 +382,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     if todo:
         subject = out / "subject" / "model.json"
         saved = subject.read_bytes() if subject.is_file() else None
-        model, splits, before = train_and_save_subject(exp, out / "subject")
+        model, before = train_and_save_subject(exp, out / "subject")
         if subject.read_bytes() != saved:
             todo = list(records)
     write_json(out / "sweep.json", exp)
@@ -395,7 +394,7 @@ def run_sweep(exp: ExperimentSpec, out_dir, n_workers: int = 1) -> AggregateResu
     writer = RunWriter()
 
     def run(job: tuple[int, int]) -> None:
-        writer.hand_off(run_repair_pipeline, model, splits, before, exp, *job, _run_dir(out, *job))
+        writer.hand_off(run_repair_pipeline, model, before, exp, *job, _run_dir(out, *job))
 
     try:
         if n_workers > 1:

@@ -1,7 +1,7 @@
 """Evaluation reports and before/after diffs.
 
-A report holds one model's verdicts as arrays aligned with the dataset's
-sample ids; accuracies and diffs are mask arithmetic over them. Two
+A report holds the Dataset it scored and one model's predictions, aligned
+with its samples; accuracies and diffs are mask arithmetic over them. Two
 reports compare by position, so they must list the same ids in the same
 order, as two evaluations of one Dataset do.
 """
@@ -18,26 +18,28 @@ from .network import Model, _frozen_array
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Per-sample verdicts for one model on one dataset."""
+    """Per-sample verdicts for one model on `data`, the Dataset it scored."""
 
-    sample_ids: tuple[str, ...]
-    labels: np.ndarray
+    data: Dataset
     predicted: np.ndarray
 
     def __post_init__(self) -> None:
-        labels = _frozen_array(self.labels, np.int64)
         predicted = _frozen_array(self.predicted, np.int64)
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "predicted", predicted)
-        n = len(self.sample_ids)
-        if labels.shape != (n,) or predicted.shape != (n,):
-            raise ValueError("ids, labels and predictions must align")
-        if len(set(self.sample_ids)) != n:
-            raise ValueError("sample_ids must be unique")
+        if predicted.shape != (len(self.data),):
+            raise ValueError(f"predicted must hold one int per sample: {len(self.data)} "
+                             f"samples, predictions of shape {predicted.shape}")
+
+    @property
+    def sample_ids(self) -> tuple[str, ...]:
+        return self.data.sample_ids
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.data.labels
 
     def __len__(self) -> int:
-        return len(self.sample_ids)
+        return len(self.data)
 
     @property
     def degenerate(self) -> bool:
@@ -87,8 +89,11 @@ class RepairDiff:
 
 
 def evaluate(model: Model, data: Dataset) -> EvalReport:
-    """Verdicts on a Dataset; argmax ties go to the lowest class."""
-    return EvalReport(data.sample_ids, data.labels, predictions(model, data.features))
+    """Verdicts on a Dataset; argmax ties go to the lowest class. A model with
+    fewer outputs than the data has classes is refused: it cannot predict them all."""
+    if model.n_classes < data.n_classes:
+        raise ValueError(f"model predicts {model.n_classes} classes, the data has {data.n_classes}")
+    return EvalReport(data, predictions(model, data.features))
 
 
 def _check_aligned(before: EvalReport, after: EvalReport) -> None:

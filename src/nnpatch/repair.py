@@ -209,20 +209,6 @@ class Scores(NamedTuple):
         )
 
 
-def _score(counts, losses, sizes, base_losses, cfg: FitnessConfig, undefined) -> Scores:
-    """Raw and gated fitness from (I_neg, I_pos) rows of correct counts and
-    mean losses, one column per candidate. A candidate that is `undefined`
-    (some sample's softmax is nan) or whose raw fitness is not finite scores
-    -inf, raw and gated, whether or not the objective reads the broken loss."""
-    with np.errstate(invalid="ignore"):
-        ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
-        raw = raw_fitness(counts[0], sizes[0], counts[1], sizes[1], *ratios, cfg)
-    scorable = np.isfinite(raw) & ~undefined
-    raw = np.where(scorable, raw, -np.inf)
-    gate = cfg.perfect_intact & (counts[1] < sizes[1]) & scorable
-    return Scores(*counts, *losses, raw, np.where(gate, 0.0, raw), gate)
-
-
 def fitness(
     candidate: Model,
     i_neg: Dataset,
@@ -234,18 +220,24 @@ def fitness(
     objective that `BatchScorer` reproduces (`repair()` does not call it).
 
     base_losses are the pre-repair losses on (I_neg, I_pos), computed once.
-    A candidate with non-finite loss on either set scores -inf instead of
-    raising, under both variants.
+    A candidate with a non-finite loss on either set, or a non-finite raw
+    score, scores -inf, raw and gated, whether or not the objective reads
+    that loss; the gate zeroes only a candidate that scores.
     """
     if len(i_neg) == 0 or len(i_pos) == 0:
         raise ValueError("fitness needs non-empty I_neg and I_pos")
-    sets = (i_neg, i_pos)
-    probs = [forward(candidate, s.features) for s in sets]
-    counts = np.array([[(np.argmax(p, axis=1) == s.labels).sum()] for p, s in zip(probs, sets)])
-    losses = np.array([[loss_from_probs(p, s.labels)] for p, s in zip(probs, sets)])
-    undefined = ~np.isfinite(losses).all(axis=0)
-    scores = _score(counts, losses, (len(i_neg), len(i_pos)), base_losses, cfg, undefined)
-    return scores.breakdown(0, base_losses)
+    counts, losses = [], []
+    for s in (i_neg, i_pos):
+        probs = forward(candidate, s.features)
+        counts.append(int(np.count_nonzero(np.argmax(probs, axis=1) == s.labels)))
+        losses.append(loss_from_probs(probs, s.labels))
+    ratios = [loss_ratio(before, after, cfg) for before, after in zip(base_losses, losses)]
+    raw = raw_fitness(counts[0], len(i_neg), counts[1], len(i_pos), *ratios, cfg)
+    if not all(map(math.isfinite, (raw, *losses))):
+        raw = -math.inf
+    gated = 0.0 if cfg.perfect_intact and counts[1] < len(i_pos) and raw > -math.inf else raw
+    return FitnessBreakdown(counts[0], counts[1], base_losses[0], losses[0],
+                            base_losses[1], losses[1], raw, gated)
 
 
 def layer_weight_stats(model: Model, layer: int) -> tuple[float, float]:

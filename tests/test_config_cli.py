@@ -576,6 +576,18 @@ def test_cli_refuses_a_model_that_does_not_fit(tmp_path, capsys, verb, case):
     assert not out.exists()
 
 
+def test_cli_evaluate_refuses_a_model_narrower_than_the_data(tmp_path, capsys):
+    # a 3-way head on 4 classes of data cannot predict class 3: exit 2 and no report
+    data, model, out = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "r.json"
+    save_dataset(make_clusters(ClustersSource(n_classes=4, n_per_class=5, seed=1)), data)
+    save_model(build_mlp((2, 8, 3), seed=0), model)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: model predicts 3 classes, the data has 4\n"
+    assert not out.exists()
+
+
 def test_cli_repair_records_a_failing_run(tmp_path, capsys, monkeypatch):
     # a run that fails is an error record, written and printed, and exit 1, as in a sweep
     import nnpatch.harness as harness

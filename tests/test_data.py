@@ -186,8 +186,7 @@ def test_select_repair_inputs_boundaries():
         return one_class.subset(range(12)), one_class.subset(range(12, 24))
 
     def select(model, train, repair, target_class):
-        passed = [evaluate(model, s).passed for s in (train, repair)]
-        return select_repair_inputs(train, repair, target_class, *passed)
+        return select_repair_inputs(evaluate(model, train), evaluate(model, repair), target_class)
 
     # a model that passes every class-0 sample has nothing to repair on class 0
     with pytest.raises(NothingToRepairError):
@@ -203,8 +202,7 @@ def test_select_repair_inputs_matches_argmax_filter():
     model = build_mlp([2, 8, 3], seed=5)
     train, repair = parts[0], parts[2]
     target = 2
-    pool, negative = select_repair_inputs(train, repair, target, evaluate(model, train).passed,
-                                          evaluate(model, repair).passed)
+    pool, negative = select_repair_inputs(evaluate(model, train), evaluate(model, repair), target)
 
     pred_train = np.argmax(forward(model, train.features), axis=1)
     pred_repair = np.argmax(forward(model, repair.features), axis=1)
@@ -230,23 +228,7 @@ def test_select_repair_inputs_refuses_sets_that_share_a_sample():
     train = samples([[0.0, 1.0], [1.0, 0.0]], [0, 0], ("a", "b"), 2)
     repair = samples([[0.0, 1.0]], [1], ("a",), 2)
     with pytest.raises(RepairInputError, match="disjoint"):
-        select_repair_inputs(train, repair, 1, evaluate(always0, train).passed,
-                             evaluate(always0, repair).passed)
-
-
-@pytest.mark.parametrize("split_name, mask", [
-    ("train", np.ones(11, dtype=bool)),  # one sample short
-    ("train", np.ones(13, dtype=bool)),
-    ("repair", np.ones(12, dtype=np.int64)),  # 0/1 would index samples, not mask them
-    ("repair", np.ones((12, 1), dtype=bool)),
-    ("train", np.ones(12)),
-])
-def test_select_repair_inputs_refuses_a_mask_that_does_not_fit_its_split(split_name, mask):
-    ds = toy_dataset(n=24, n_classes=2, seed=3)
-    train, repair = ds.subset(range(12)), ds.subset(range(12, 24))
-    masks = {"train": np.ones(12, dtype=bool), "repair": np.zeros(12, dtype=bool), split_name: mask}
-    with pytest.raises(ValueError, match=f"{split_name} pass mask"):
-        select_repair_inputs(train, repair, 1, masks["train"], masks["repair"])
+        select_repair_inputs(evaluate(always0, train), evaluate(always0, repair), 1)
 
 
 def test_model_roundtrip_bit_identical(tmp_path):

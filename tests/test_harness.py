@@ -89,11 +89,11 @@ def small_experiment(**overrides):
 
 @pytest.fixture(scope="module")
 def trained_subject():
-    """(spec, splits, model, before): `before` the subject's report of each split."""
+    """(spec, model, before): `before` the subject's report of each split."""
     spec = small_subject()
     _, splits = materialize_splits(spec)
     model = train_subject(spec, splits)
-    return spec, splits, model, tuple(evaluate(model, ds) for ds in splits)
+    return spec, model, tuple(evaluate(model, ds) for ds in splits)
 
 
 def tree_bytes(root, skip=("timing.json",)):
@@ -143,8 +143,8 @@ def test_zero_epochs_returns_seeded_initialization():
 
 
 def test_training_is_deterministic(trained_subject):
-    spec, splits, model, _ = trained_subject
-    again = train_subject(spec, splits)
+    spec, model, before = trained_subject
+    again = train_subject(spec, [r.data for r in before])
     for wa, wb in zip(model.weights, again.weights):
         np.testing.assert_array_equal(wa, wb)
     for ba, bb in zip(model.biases, again.biases):
@@ -239,7 +239,7 @@ def test_derive_run_seeds_injective():
 
 
 def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
-    spec, splits, model, before = trained_subject
+    spec, model, before = trained_subject
     # a target class the model fully masters on the repair split
     per_class_ok = [
         c for c, acc in before[2].per_class_accuracy.items() if acc == 1.0
@@ -247,7 +247,7 @@ def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
     assert per_class_ok, "fixture needs one fully-correct class"
     exp = small_experiment(target_class=per_class_ok[0])
     out = tmp_path / "noop"
-    result = run_repair_pipeline(model, splits, before, exp, 0, 0, out_dir=out)
+    result = run_repair_pipeline(model, before, exp, 0, 0, out_dir=out)
     assert result.status == "no_op"
     assert result.identity_fallback
     for name in ("train", "validation", "repair", "test"):
@@ -259,10 +259,10 @@ def test_pipeline_records_a_no_op_when_nothing_fails(trained_subject, tmp_path):
 
 
 def test_pipeline_gate_holds_on_sampled_positives(trained_subject, tmp_path):
-    spec, splits, model, before = trained_subject
+    spec, model, before = trained_subject
     exp = small_experiment()
     for ri in range(3):
-        r = run_repair_pipeline(model, splits, before, exp, 0, ri, tmp_path / f"rep{ri:02d}")
+        r = run_repair_pipeline(model, before, exp, 0, ri, tmp_path / f"rep{ri:02d}")
         assert r.status == "ok"
         if not r.identity_fallback:
             assert r.best["n_intact"] == r.n_pos
@@ -287,12 +287,12 @@ def test_the_subject_is_evaluated_once_per_sweep(tmp_path, monkeypatch):
 
 
 def test_pipeline_rerun_is_byte_identical(trained_subject, tmp_path):
-    spec, splits, model, before = trained_subject
+    spec, model, before = trained_subject
     exp = small_experiment()
     a = tmp_path / "a"
     b = tmp_path / "b"
-    run_repair_pipeline(model, splits, before, exp, 1, 2, out_dir=a)
-    run_repair_pipeline(model, splits, before, exp, 1, 2, out_dir=b)
+    run_repair_pipeline(model, before, exp, 1, 2, out_dir=a)
+    run_repair_pipeline(model, before, exp, 1, 2, out_dir=b)
     ta, tb = tree_bytes(a), tree_bytes(b)
     assert ta.keys() == tb.keys()
     for name in ta:
@@ -467,7 +467,7 @@ def test_partial_resume_trains_once_and_reruns_only_the_missing_run(tmp_path, mo
     real_train, real_run = harness.train_subject, harness.run_repair_pipeline
     monkeypatch.setattr(harness, "train_subject", lambda *a: trained.append(a) or real_train(*a))
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert len(trained) == 1 and ran == [(1, 2)]
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
@@ -494,7 +494,7 @@ def test_partial_resume_on_another_subject_reruns_every_run(tmp_path, monkeypatc
     (out / "runs" / "cfg001" / "rep02" / "run.json").unlink()
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert sorted(ran) == [(ci, ri) for ci in range(len(exp.grid)) for ri in range(exp.repetitions)]
     assert tree_bytes(out) == tree_bytes(tmp_path / "fresh")
@@ -510,7 +510,7 @@ def test_sweep_reruns_a_run_without_its_timing_json(tmp_path, monkeypatch):
     (out / "runs" / "cfg000" / "rep01" / "timing.json").unlink()
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert ran == [(0, 1)]
     assert (out / "runs" / "cfg000" / "rep01" / "timing.json").exists()
@@ -531,7 +531,7 @@ def test_sweep_reruns_an_ok_run_without_one_of_its_files(tmp_path, monkeypatch, 
     before = tree_bytes(out, skip=())
     ran, real_run = [], harness.run_repair_pipeline
     monkeypatch.setattr(harness, "run_repair_pipeline",
-                        lambda *a, **kw: ran.append(a[4:6]) or real_run(*a, **kw))
+                        lambda *a, **kw: ran.append(a[3:5]) or real_run(*a, **kw))
     run_sweep(exp, out)
     assert ran == [(0, 1)]
     assert (run / name).read_bytes() == (tmp_path / "fresh" / run.relative_to(out) / name).read_bytes()
@@ -556,11 +556,11 @@ def test_pipeline_records_no_search_space_for_an_empty_localized_set(trained_sub
                                                                       monkeypatch):
     import nnpatch.harness as harness
 
-    spec, splits, model, before = trained_subject
+    spec, model, before = trained_subject
     empty = LocalizedSet(1, [], [], n_g=1, warning="localized set is empty")
     monkeypatch.setattr(harness, "localize_to_count", lambda *a: empty)
     out = tmp_path / "run"
-    result = run_repair_pipeline(model, splits, before, small_experiment(), 0, 0, out_dir=out)
+    result = run_repair_pipeline(model, before, small_experiment(), 0, 0, out_dir=out)
     assert result.status == "ok" and result.n_localized == 0
     assert result.no_search_space and result.identity_fallback
     assert all(result.splits[name]["broken"] == 0 for name in result.splits)
@@ -581,7 +581,7 @@ def test_hidden_layer_repair_faults_no_pages_per_iteration(tmp_path):
     faults = {}
     for n_iterations in (4, 40):
         out = tmp_path / f"iters{n_iterations}"
-        record = run_repair_pipeline(model, splits, before,
+        record = run_repair_pipeline(model, before,
                                      dataclasses.replace(exp, n_iterations=n_iterations), 0, 0, out)
         assert record.status == "ok" and record.n_pos >= 900
         faults[n_iterations] = json.loads((out / "timing.json").read_text())["repair_minflt"]
@@ -593,7 +593,7 @@ def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path
 
     import nnpatch.harness as harness
 
-    _, splits, model, before = trained_subject
+    _, model, before = trained_subject
     write_trace = harness.write_trace_csv
 
     def slow_trace(*args):
@@ -602,7 +602,7 @@ def test_persist_s_times_the_writes_before_timing_json(trained_subject, tmp_path
 
     monkeypatch.setattr(harness, "write_trace_csv", slow_trace)
     out = tmp_path / "run"
-    run_repair_pipeline(model, splits, before, small_experiment(), 0, 0, out_dir=out)
+    run_repair_pipeline(model, before, small_experiment(), 0, 0, out_dir=out)
     timing = json.loads((out / "timing.json").read_text())
     assert timing["persist_s"] >= 0.05
 
@@ -957,7 +957,7 @@ def test_a_resume_reruns_exactly_the_damaged_runs(fault_free_2x2, tmp_path_facto
     real, ran = harness.run_repair_pipeline, []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(harness, "run_repair_pipeline",
-                   lambda *a, **kw: ran.append(a[4:6]) or real(*a, **kw))
+                   lambda *a, **kw: ran.append(a[3:5]) or real(*a, **kw))
         run_sweep(exp, out)
     assert sorted(ran) == sorted(damaged)
     assert tree_bytes(out) == fault_free

@@ -1,6 +1,7 @@
 """Evaluation reports and before/after diffs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,15 +17,29 @@ from nnpatch import (
     forward,
 )
 
-from helpers import single_layer_model, toy_dataset
+from helpers import samples, single_layer_model, toy_dataset
 
 
 def report_from(ids, labels, predicted):
-    return EvalReport(
-        sample_ids=tuple(ids),
-        labels=tuple(int(x) for x in labels),
-        predicted=tuple(int(x) for x in predicted),
-    )
+    """A report of `predicted` on a Dataset of `ids` and `labels` (its features all 0)."""
+    data = samples(np.zeros((len(ids), 1)), [int(x) for x in labels], ids)
+    return EvalReport(data, [int(x) for x in predicted])
+
+
+def test_a_report_holds_the_dataset_it_scored():
+    ds = toy_dataset(n=12, n_classes=3, seed=4)
+    rep = evaluate(build_mlp([2, 5, 3], seed=1), ds)
+    assert [f.name for f in dataclasses.fields(EvalReport)] == ["data", "predicted"]
+    assert rep.data is ds and rep.sample_ids is ds.sample_ids and rep.labels is ds.labels
+    assert len(rep) == len(ds)
+
+
+def test_evaluate_refuses_a_model_narrower_than_the_data_classes():
+    # a 3-way head cannot predict class 3 of 4-class data; a wider head can
+    ds = toy_dataset(n=12, n_classes=4, seed=1)
+    with pytest.raises(ValueError, match="model predicts 3 classes, the data has 4"):
+        evaluate(build_mlp([2, 5, 3], seed=0), ds)
+    assert len(evaluate(build_mlp([2, 5, 6], seed=0), ds)) == 12
 
 
 def test_uniform_prediction_resolves_ties_to_class_zero():
@@ -147,12 +162,17 @@ def test_report_dict_includes_verdicts():
     assert d["verdicts"]["b"]["predicted"] == 0
 
 
+def two_samples():
+    return samples(np.zeros((2, 1)), [0, 1], ("a", "b"))
+
+
 @pytest.mark.parametrize("make, match", [
-    (lambda: EvalReport(("a", "b"), [0, 1], [0]), "align"),
-    (lambda: EvalReport(("a", "b"), [0], [0]), "align"),
-    (lambda: EvalReport(("a", "a"), [0, 1], [0, 1]), "unique"),
+    (lambda: EvalReport(two_samples(), [0]), "one int per sample"),
+    (lambda: EvalReport(two_samples().subset([0]), [0, 1]), "one int per sample"),  # one label
+    (lambda: EvalReport(two_samples(), [[0], [1]]), "one int per sample"),
+    (lambda: EvalReport(two_samples(), [0.0, 1.0]), "integer"),
     (lambda: RepairDiff(frozenset({"a", "b"}), frozenset({"b"})), "both broken and repaired"),
-], ids=["predictions", "labels", "duplicate_ids", "overlapping_diff"])
+], ids=["predictions", "labels", "column_of_predictions", "float_predictions", "overlapping_diff"])
 def test_reports_and_diffs_refuse_what_contradicts_itself(make, match):
     with pytest.raises(ValueError, match=match):
         make()

@@ -978,6 +978,41 @@ def test_floored_call_scores_every_candidate_it_keeps_as_the_floorless_call(
         assert scorer.telemetry["pos_skipped"] - before["pos_skipped"] == skipped.sum()
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.integers(1, 3),
+       variant=st.sampled_from(VARIANTS), gate=st.booleans(), split=st.booleans(),
+       broken=st.booleans())
+def test_floorless_call_scores_every_finite_candidate_as_the_reference_objective(
+        seed, n_layers, variant, gate, split, broken):
+    # at every layer, with I_pos on either side of 4 * SCREEN, and among the
+    # candidates some that overflow: the floorless call is `fitness`, candidate
+    # by candidate, counts exactly and losses and scores to rounding
+    rng = np.random.default_rng(seed)
+    m = random_model(rng, n_layers=n_layers)
+    cfg = FitnessConfig(variant=variant, alpha=float(rng.uniform(0.5, 8)), perfect_intact=gate)
+    for layer in range(n_layers):
+        n = int(rng.integers(4 * SCREEN, 5 * SCREEN) if split else rng.integers(1, 4 * SCREEN))
+        localized, neg, pos = screened_scenario(rng, m, layer, n)
+        if broken:  # I_pos holds a sample the subject gets wrong
+            labels = pos.labels.copy()
+            labels[0] = (labels[0] + 1) % m.n_classes
+            pos = samples(pos.features, labels, pos.sample_ids, m.n_classes)
+        scorer = BatchScorer(m, localized, neg, pos, cfg)
+        positions = screen_positions(rng, m.weights[layer][localized.i, localized.j],
+                                     int(rng.integers(8, 40)))
+        got = scorer(positions)
+        for k in np.flatnonzero(np.isfinite(positions).all(axis=1)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = fitness(write_localized(m, localized, positions[k]), neg, pos,
+                              scorer.base_losses, cfg)
+            assert (got.n_patched[k], got.n_intact[k]) == (ref.n_patched, ref.n_intact)
+            assert got.gate[k] == (gate and ref.n_intact < len(pos) and ref.raw_fitness > -np.inf)
+            np.testing.assert_allclose(
+                [got.loss_neg[k], got.loss_pos[k], got.raw[k], got.gated[k]],
+                [ref.loss_neg_after, ref.loss_pos_after, ref.raw_fitness, ref.gated_fitness],
+                rtol=1e-12, atol=0)
+
+
 def test_search_counters_follow_their_closed_forms():
     # the identity, P candidates at each iteration 0..n_iterations, and the winner
     # unless the run fell back; iteration 0's floors are -inf, so it screens nothing
